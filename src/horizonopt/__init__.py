@@ -11,7 +11,6 @@ from .horizon import (HorizonStudyConfig, HorizonStudyReport,
 from .mesh import SpatialMesh, interval_mesh, rectangle_mesh
 from .objective import (CostBreakdown, Multiplier, SecondOrderModel, cost,
                         cost_from_state, gradient, gradient_with_state,
-                        hessian_vec, lagrangian_hessian_vec,
                         multiplier_and_cone, sample_critical_directions)
 from .optimizer import (GrowthReport, OptimizerConfig, SolveReport, optimize,
                         verify_growth)

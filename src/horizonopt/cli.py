@@ -28,7 +28,7 @@ from .objective import (SecondOrderModel, cost, gradient_with_state,
                         multiplier_and_cone, sample_critical_directions)
 from .optimizer import optimize, verify_growth
 from .problem import validate_assumptions
-from .solvers import SolverError, solve_adjoint, solve_forward
+from .solvers import SolverError, solve_forward
 from .spaces import FLOAT_FMT, Trajectory, weighted_inner, weighted_l2_norm
 
 EXIT_OK = 0
@@ -37,7 +37,7 @@ EXIT_CONFIG = 2
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -217,19 +217,6 @@ def cmd_gradient_check(args) -> int:
     return EXIT_OK
 
 
-def _write_optimize_outputs(out, spec, u, report, manifest):
-    state = solve_forward(spec, u)
-    adjoint = solve_adjoint(spec, state)
-    for name, traj in (("u_star", u), ("state", state), ("adjoint", adjoint)):
-        path = out / f"{name}.csv"
-        traj.to_csv(path)
-        manifest.add_output(path)
-    path = out / "report.json"
-    write_json(path, {"schema": "horizonopt-solve v1", **report.to_dict()})
-    manifest.add_output(path)
-    return state, adjoint
-
-
 def cmd_optimize(args) -> int:
     cfg = _load(args)
     spec = build_problem(cfg)
@@ -243,7 +230,13 @@ def cmd_optimize(args) -> int:
     ocfg = build_optimizer_config(cfg)
     u, report = optimize(spec, ocfg)
     manifest.stage("optimize")
-    _write_optimize_outputs(out, spec, u, report, manifest)
+    for name, traj in (("u_star", u), ("state", report.state), ("adjoint", report.adjoint)):
+        path = out / f"{name}.csv"
+        traj.to_csv(path)
+        manifest.add_output(path)
+    path = out / "report.json"
+    write_json(path, {"schema": "horizonopt-solve v1", **report.to_dict()})
+    manifest.add_output(path)
     manifest.stage("write")
     manifest.finalize()
     print(f"converged={report.converged} iterations={report.iterations} "
@@ -295,9 +288,8 @@ def cmd_socheck(args) -> int:
     ocfg = build_optimizer_config(cfg)
     u, report = optimize(spec, ocfg)
     manifest.stage("optimize")
-    state = solve_forward(spec, u)
-    adjoint = solve_adjoint(spec, state)
-    model = SecondOrderModel(spec, u, state=state, adjoint=adjoint)
+    adjoint = report.adjoint
+    model = SecondOrderModel(spec, u, state=report.state, adjoint=adjoint)
     w = spec.operators.control_weights
     payload = {"schema": "horizonopt-socheck v1",
                "stationarity_residual": report.residual,
@@ -324,7 +316,7 @@ def cmd_socheck(args) -> int:
     payload["directions_sampled"] = len(directions)
     payload["min_normalized_form"] = min(forms) if forms else None
     growth = verify_growth(spec, u, radius=args.radius, samples=args.samples,
-                           seed=args.seed)
+                           seed=args.seed, newton=ocfg.newton, state=report.state)
     payload["growth"] = growth.to_dict()
     manifest.stage("checks")
     path = out / "socheck.json"

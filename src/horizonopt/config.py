@@ -128,6 +128,12 @@ CONFIG_SCHEMA = {
     "required": ["mesh", "nonlinearity", "discounts", "cost", "data", "admissible", "time"],
 }
 
+# the schema is constant, so it is checked against its metaschema once, here,
+# instead of on every validation
+_VALIDATOR_CLASS = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+_VALIDATOR_CLASS.check_schema(CONFIG_SCHEMA)
+_VALIDATOR = _VALIDATOR_CLASS(CONFIG_SCHEMA)
+
 
 def load_config(path) -> dict:
     """Read and schema-validate a configuration file."""
@@ -144,11 +150,10 @@ def load_config(path) -> dict:
 
 
 def validate_config(cfg: dict) -> None:
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = ".".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"configuration field {path}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        path = ".".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"configuration field {path}: {error.message}") from error
 
 
 def _build_mesh(mcfg: dict):

@@ -21,7 +21,6 @@ from .descriptors import tail_norm
 from .objective import cost_from_state
 from .optimizer import OptimizerConfig, optimize
 from .problem import ProblemSpec
-from .solvers import solve_forward
 from .spaces import (Trajectory, quad_energies, weighted_l2_norm,
                      weighted_sup_norm)
 
@@ -149,8 +148,8 @@ def run_horizon_study(spec: ProblemSpec, config: HorizonStudyConfig,
             raise ValueError(f"horizon {h} is not a multiple of the time step {step}")
 
     ref_spec = spec.with_horizon(ref_T)
-    u_ref, _ = optimize(ref_spec, config.optimizer)
-    y_ref = solve_forward(ref_spec, u_ref, config.optimizer.newton)
+    u_ref, ref_report = optimize(ref_spec, config.optimizer)
+    y_ref = ref_report.state
 
     d = spec.discounts
     ops = spec.operators
@@ -162,7 +161,7 @@ def run_horizon_study(spec: ProblemSpec, config: HorizonStudyConfig,
         warm = Trajectory(sub.grid, u_ref.values[: n + 1].copy(), "control")
         ocfg = replace(config.optimizer, warm_start=warm)
         u_T, rep = optimize(sub, ocfg)
-        y_T = solve_forward(sub, u_T, config.optimizer.newton)
+        y_T = rep.state
 
         gap_u = Trajectory(sub.grid, u_T.values - warm.values, "control")
         e_T = weighted_l2_norm(gap_u, d.control_rate, ops.control_weights)

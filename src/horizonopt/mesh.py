@@ -7,7 +7,7 @@ measured).  An element belongs to a subdomain when all of its nodes do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class SpatialMesh:
     elements: np.ndarray
     control_mask: np.ndarray
     observation_mask: np.ndarray | None = None
-    axis_nodes: tuple[np.ndarray, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         self.coords = np.atleast_2d(np.asarray(self.coords, dtype=float))
@@ -116,7 +115,7 @@ def interval_mesh(length: float, n_nodes: int, control: tuple[float, float],
     if observation is not None:
         olo, ohi = observation
         obs = (x >= olo - tol) & (x <= ohi + tol)
-    return SpatialMesh(1, x[:, None], elements, mask, obs, axis_nodes=(x,))
+    return SpatialMesh(1, x[:, None], elements, mask, obs)
 
 
 def rectangle_mesh(lengths: tuple[float, float], shape: tuple[int, int],
@@ -146,4 +145,4 @@ def rectangle_mesh(lengths: tuple[float, float], shape: tuple[int, int],
                 & (coords[:, 1] >= y0 - tol) & (coords[:, 1] <= y1 + tol))
 
     obs = box_mask(observation) if observation is not None else None
-    return SpatialMesh(2, coords, elements, box_mask(control), obs, axis_nodes=(xs, ys))
+    return SpatialMesh(2, coords, elements, box_mask(control), obs)

@@ -156,12 +156,6 @@ class SecondOrderModel:
         return base + extra
 
 
-def hessian_vec(spec: ProblemSpec, u: Trajectory, v1: Trajectory, v2: Trajectory,
-                newton: NewtonConfig | None = None) -> float:
-    """Second derivative of the discrete cost applied to a pair of directions."""
-    return SecondOrderModel(spec, u, newton).quadratic_form(v1, v2)
-
-
 # ---------------------------------------------------------------------------
 # norm-ball multiplier and critical directions
 
@@ -187,10 +181,6 @@ class Multiplier:
 
     def strict_steps(self) -> np.ndarray:
         return np.flatnonzero(self.activity == ACTIVE_STRICT)
-
-    def to_dict(self):
-        return {"values": self.values.tolist(), "activity": self.activity.tolist(),
-                "active_tol": self.active_tol, "strict_tol": self.strict_tol}
 
 
 def multiplier_and_cone(spec: ProblemSpec, u: Trajectory, adjoint: Trajectory,
@@ -219,12 +209,6 @@ def multiplier_and_cone(spec: ProblemSpec, u: Trajectory, adjoint: Trajectory,
     activity[active] = ACTIVE_DEGENERATE
     activity[active & (mu > strict_tol)] = ACTIVE_STRICT
     return Multiplier(mu, activity, active_tol, strict_tol)
-
-
-def lagrangian_hessian_vec(spec: ProblemSpec, u: Trajectory, multiplier: Multiplier,
-                           v: Trajectory, newton: NewtonConfig | None = None) -> float:
-    """Quadratic form of the constraint-augmented cost at (u, multiplier)."""
-    return SecondOrderModel(spec, u, newton).lagrangian_form(v, multiplier)
 
 
 def sample_critical_directions(spec: ProblemSpec, u: Trajectory, adjoint: Trajectory,

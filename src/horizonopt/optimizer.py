@@ -59,12 +59,21 @@ class OptimizerConfig:
 
 @dataclass
 class SolveReport:
+    """Outcome of ``optimize``.
+
+    ``state`` and ``adjoint`` are the forward and adjoint trajectories at the
+    returned control, so callers never need to solve for it again; they are
+    left out of ``to_dict``.
+    """
+
     iterations: int
     converged: bool
     cost: CostBreakdown
     residual: float
     history: list
     wall_time: float
+    state: Trajectory
+    adjoint: Trajectory
     message: str = ""
 
     def to_dict(self):
@@ -166,6 +175,8 @@ def optimize(spec: ProblemSpec, config: OptimizerConfig | None = None):
         residual=history[-1]["residual"],
         history=history,
         wall_time=time.perf_counter() - t0,
+        state=state,
+        adjoint=adjoint,
         message=message,
     )
     return u, report
@@ -185,12 +196,14 @@ class GrowthReport:
 
 def verify_growth(spec: ProblemSpec, u_star: Trajectory, radius: float,
                   samples: int, seed: int = 0,
-                  newton: NewtonConfig | None = None) -> GrowthReport:
+                  newton: NewtonConfig | None = None,
+                  state: Trajectory | None = None) -> GrowthReport:
     """Probe J(u) >= J(u*) + kappa/2 |u - u*|^2 with random admissible u.
 
     Perturbations are drawn with control-discounted norm at most ``radius``
     and projected onto the admissible set; the fitted kappa is the smallest
-    sampled margin 2 (J(u) - J(u*)) / |u - u*|^2.
+    sampled margin 2 (J(u) - J(u*)) / |u - u*|^2.  ``state`` is the state at
+    ``u_star`` when the caller already holds it.
     """
     if radius <= 0:
         raise ValueError("growth probe needs a positive radius")
@@ -199,8 +212,9 @@ def verify_growth(spec: ProblemSpec, u_star: Trajectory, radius: float,
     ops = spec.operators
     rate_c = spec.discounts.control_rate
     rng = np.random.default_rng(seed)
-    base_state = solve_forward(spec, u_star, newton)
-    j_star = cost_from_state(spec, u_star, base_state).total
+    if state is None:
+        state = solve_forward(spec, u_star, newton)
+    j_star = cost_from_state(spec, u_star, state).total
     margins, distances = [], []
     for _ in range(samples):
         delta = rng.standard_normal(u_star.values.shape)

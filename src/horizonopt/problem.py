@@ -34,15 +34,13 @@ class AssumptionError(ValueError):
 class EllipticForm:
     """Scalar diffusion per element, nonnegative reaction per node.
 
-    ``ellipticity`` is a declared lower bound for the diffusion coefficient
-    and ``continuity`` an upper bound for the full form; both are checked
-    against samples during assembly/validation.
+    ``ellipticity`` is a declared lower bound for the diffusion coefficient,
+    checked against the element values during assembly and validation.
     """
 
     diffusion: np.ndarray | float = 1.0
     reaction: np.ndarray | float = 0.0
     ellipticity: float | None = None
-    continuity: float | None = None
 
     def diffusion_values(self, mesh: SpatialMesh) -> np.ndarray:
         a = np.broadcast_to(np.asarray(self.diffusion, dtype=float), (mesh.n_elements,))
@@ -56,11 +54,6 @@ class EllipticForm:
         if self.ellipticity is not None:
             return float(self.ellipticity)
         return float(self.diffusion_values(mesh).min())
-
-    def continuity_bound(self, mesh: SpatialMesh) -> float:
-        if self.continuity is not None:
-            return float(self.continuity)
-        return float(self.diffusion_values(mesh).max() + self.reaction_values(mesh).max())
 
 
 @dataclass(frozen=True)
@@ -80,9 +73,6 @@ class Nonlinearity:
     growth_exponent: float = 0.0
     bound_scale: float = 1.0
     bound_feedback: float = 0.0
-
-    def __call__(self, s):
-        return self.value(s)
 
 
 def builtin_nonlinearities() -> dict:
@@ -163,10 +153,6 @@ class Discounts:
     growth_exponent: float = 0.0
     integrability_exponent: float = 2.0
     enforce_second_order: bool = False
-
-    @property
-    def scaled_aux_rate(self) -> float:
-        return (self.growth_exponent + 1.0) * self.aux_rate
 
 
 @dataclass
@@ -282,10 +268,6 @@ class Operators:
     @cached_property
     def h1(self) -> sps.csr_matrix:
         return (self.mass + self.stiffness).tocsr()
-
-    @property
-    def control_mass(self) -> sps.dia_matrix:
-        return sps.diags(self.control_weights)
 
     @property
     def n_nodes(self) -> int:

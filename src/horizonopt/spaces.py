@@ -66,9 +66,6 @@ class Trajectory:
     def width(self) -> int:
         return self.values.shape[1]
 
-    def copy(self) -> "Trajectory":
-        return Trajectory(self.grid, self.values.copy(), self.kind)
-
     def restrict(self, grid: TimeGrid) -> "Trajectory":
         """Truncate to a shorter grid with the same step."""
         if abs(grid.step - self.grid.step) > 1e-12 * self.grid.step:
@@ -108,8 +105,14 @@ class Trajectory:
         return Trajectory(grid, vals, kind or meta.get("kind", "generic"))
 
 
-def zeros_like(traj: Trajectory, kind: str | None = None) -> Trajectory:
-    return Trajectory(traj.grid, np.zeros_like(traj.values), kind or traj.kind)
+def _pairings(a: np.ndarray, b: np.ndarray, form) -> np.ndarray:
+    """Per-time bilinear form values a_i' X b_i, ``form`` as in quad_energies."""
+    if isinstance(form, np.ndarray) and form.ndim == 1:
+        return np.einsum("ij,j,ij->i", a, form, b)
+    prod = form @ b.T
+    if sps.issparse(prod):
+        prod = prod.toarray()
+    return np.einsum("ij,ji->i", a, np.asarray(prod))
 
 
 def quad_energies(values: np.ndarray, form) -> np.ndarray:
@@ -117,12 +120,7 @@ def quad_energies(values: np.ndarray, form) -> np.ndarray:
 
     ``form`` is a sparse/dense matrix or a 1D array interpreted as a diagonal.
     """
-    if isinstance(form, np.ndarray) and form.ndim == 1:
-        return np.einsum("ij,j,ij->i", values, form, values)
-    prod = form @ values.T
-    if sps.issparse(prod):
-        prod = prod.toarray()
-    return np.einsum("ij,ji->i", values, np.asarray(prod))
+    return _pairings(values, values, form)
 
 
 def _quad_weights(grid: TimeGrid, rate: float) -> np.ndarray:
@@ -155,13 +153,7 @@ def weighted_inner(a: Trajectory, b: Trajectory, rate: float, form) -> float:
     """Discrete weighted pairing sum_i dt e^{-rate t_i} a_i' X b_i (i >= 1)."""
     if a.values.shape != b.values.shape:
         raise ValueError("trajectory shapes do not match")
-    if isinstance(form, np.ndarray) and form.ndim == 1:
-        cross = np.einsum("ij,j,ij->i", a.values[1:], form, b.values[1:])
-    else:
-        prod = form @ b.values[1:].T
-        if sps.issparse(prod):
-            prod = prod.toarray()
-        cross = np.einsum("ij,ji->i", a.values[1:], np.asarray(prod))
+    cross = _pairings(a.values[1:], b.values[1:], form)
     return float(np.sum(_quad_weights(a.grid, rate) * cross))
 
 

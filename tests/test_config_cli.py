@@ -95,6 +95,16 @@ class TestValidateCommand:
         assert "FAIL control_discount_positive" in out
         assert "control_discount > 0" in out
 
+    @pytest.mark.parametrize("name, code", [("ball_cubic", 0), ("invalid_state_discount", 1)])
+    def test_out_writes_report_and_complete_manifest(self, tmp_path, name, code):
+        out = tmp_path / "val"
+        assert main(["validate", "--config", str(CONFIG_DIR / f"{name}.json"),
+                     "--out", str(out)]) == code
+        report = json.loads((out / "validation.json").read_text())
+        assert report["passed"] is (code == 0)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "complete"
+
     def test_malformed_document_exits_two(self, tmp_path, capsys):
         path = tmp_path / "nope.json"
         path.write_text("{]")
@@ -156,6 +166,23 @@ class TestOptimizeCommand:
         assert manifest["status"] == "complete"
         traj = ho.Trajectory.from_csv(out / "u_star.csv")
         assert traj.kind == "control"
+
+    def test_written_state_and_adjoint_belong_to_reported_cost(self, tmp_path):
+        # with a loose Newton tolerance the state depends on the Newton
+        # settings, so outputs solved again with other settings would not match
+        out = tmp_path / "opt"
+        path = CONFIG_DIR / "ball_cubic.json"
+        code = main(["optimize", "--config", str(path), "--out", str(out),
+                     "--set", "optimizer.newton.tolerance=1e-3",
+                     "--set", "optimizer.max_iterations=3"])
+        assert code == 1  # not converged, outputs written all the same
+        spec = build_problem(load_config(path))
+        u = ho.Trajectory.from_csv(out / "u_star.csv")
+        state = ho.Trajectory.from_csv(out / "state.csv")
+        total = json.loads((out / "report.json").read_text())["cost"]["total"]
+        assert abs(ho.cost_from_state(spec, u, state).total - total) <= 1e-13 * abs(total)
+        adjoint = ho.Trajectory.from_csv(out / "adjoint.csv")
+        assert np.array_equal(ho.solve_adjoint(spec, state).values, adjoint.values)
 
     def test_invalid_config_blocks_run(self, tmp_path, capsys):
         out = tmp_path / "opt"

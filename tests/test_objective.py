@@ -92,7 +92,7 @@ class TestGradient:
         lhs = weighted_inner(
             ho.Trajectory(spec.grid, g_uv.values - g_u.values, "control"), w,
             spec.discounts.control_rate, spec.operators.control_weights)
-        rhs = ho.hessian_vec(spec, u, v, w)
+        rhs = SecondOrderModel(spec, u).quadratic_form(v, w)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
     def test_riesz_consistency_two_assemblies(self):
@@ -141,7 +141,7 @@ class TestHessian:
         u = random_control(small_spec, seed=11, scale=0.2)
         z = small_spec.zero_control()
         v = random_control(small_spec, seed=12)
-        assert ho.hessian_vec(small_spec, u, v, z) == 0.0
+        assert SecondOrderModel(small_spec, u).quadratic_form(v, z) == 0.0
 
     def test_symmetry(self):
         spec = make_spec(nonlinearity="cubic", initial=0.4 * np.ones(21),
@@ -160,7 +160,7 @@ class TestHessian:
         tight = ho.NewtonConfig(tolerance=1e-13)
         u = random_control(spec, seed=16, scale=0.2)
         v = random_control(spec, seed=17, scale=0.5)
-        exact = ho.hessian_vec(spec, u, v, v, tight)
+        exact = SecondOrderModel(spec, u, tight).quadratic_form(v, v)
         j0 = ho.cost(spec, u, tight).total
         errs = []
         for eps in (1e-2, 1e-3):

@@ -88,6 +88,16 @@ class TestOptimize:
                                spec.operators.control_weights)
         assert err <= 10 * tol
 
+    def test_report_carries_final_state_and_adjoint(self):
+        spec = make_spec(nonlinearity="cubic", initial=0.3 * np.ones(21),
+                         target=0.4 * np.ones((21, 21)))
+        cfg = OptimizerConfig(tolerance=1e-10, newton=ho.NewtonConfig(tolerance=1e-6))
+        u, report = optimize(spec, cfg)
+        state = ho.solve_forward(spec, u, cfg.newton)
+        assert np.array_equal(report.state.values, state.values)
+        assert np.array_equal(report.adjoint.values, ho.solve_adjoint(spec, state).values)
+        assert not {"state", "adjoint"} & set(report.to_dict())
+
     def test_box_initializer_is_clamp_of_zero(self):
         spec = make_spec(nonlinearity="zero",
                          admissible=ho.AdmissibleSet("box", lower=0.3, upper=1.0),
@@ -103,6 +113,13 @@ class TestVerifyGrowth:
         assert report.converged
         growth = verify_growth(spec, u, radius=0.2, samples=40, seed=9)
         assert growth.kappa >= 0.8 * spec.control_weight, growth.kappa
+
+    def test_given_state_matches_solving_for_it(self):
+        spec = lq_spec(n_nodes=10, horizon=1.0, step=0.05)
+        u, report = optimize(spec, OptimizerConfig(tolerance=1e-10))
+        solved = verify_growth(spec, u, radius=0.2, samples=10, seed=4)
+        given = verify_growth(spec, u, radius=0.2, samples=10, seed=4, state=report.state)
+        assert given.to_dict() == solved.to_dict()
 
     def test_zero_radius_rejected(self):
         spec = lq_spec()

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -196,6 +201,20 @@ class TestTailNorms:
         expected = np.sqrt(quad(lambda t: np.exp(-1.0 * t - 1.0 * t * t), 1.0, 20.0)[0])
         assert got == pytest.approx(expected, rel=1e-9)
 
+    # reference values: the integral evaluated with mpmath at 50 digits
+    @pytest.mark.parametrize("decay, gauss_decay, support_end, rate, t_start, expected", [
+        (-0.3, 2.0, None, 0.0, 4.0, 5.585669173749536637e-29),
+        (0.2, 0.05, 12.0, 1.0, 4.0, 3.2679026530904029064e-4),
+        (-0.5, 0.3, None, 0.0, 1.0, 1.4840843300632672476),
+        (0.0, 0.5, None, 1.0, 1.0, 3.8570238346952008264e-2),
+        (-2.0, 0.1, None, 0.0, 0.5, 1.922868461013798227515068e9),
+    ])
+    def test_gaussian_tail_matches_high_precision_reference(
+            self, decay, gauss_decay, support_end, rate, t_start, expected):
+        profile = TimeProfile(decay=decay, gauss_decay=gauss_decay, support_end=support_end)
+        got = profile.squared_tail(rate, t_start)
+        assert abs(got - expected) <= 1e-13 * expected
+
     def test_nondecaying_profile_with_nonpositive_rate_raises(self):
         spec = make_spec()
         field = Field(SpaceProfile("constant", value=1.0), TimeProfile())
@@ -212,3 +231,13 @@ def test_weighted_inner_matches_norm():
     ip = weighted_inner(u, u, 0.6, ops.control_weights)
     assert np.sqrt(ip) == pytest.approx(
         weighted_l2_norm(u, 0.6, ops.control_weights), rel=1e-13)
+
+
+def test_import_does_not_load_scipy_integrate():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, horizonopt; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
