@@ -26,7 +26,7 @@ from .config import (ConfigError, apply_overrides, build_horizon_config,
 from .horizon import run_horizon_study
 from .objective import (SecondOrderModel, cost, gradient_with_state,
                         multiplier_and_cone, sample_critical_directions)
-from .optimizer import optimize, verify_growth
+from .optimizer import LineSearchError, optimize, verify_growth
 from .problem import validate_assumptions
 from .solvers import SolverError, solve_forward
 from .spaces import FLOAT_FMT, Trajectory, weighted_inner, weighted_l2_norm
@@ -34,6 +34,9 @@ from .spaces import FLOAT_FMT, Trajectory, weighted_inner, weighted_l2_norm
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_CONFIG = 2
+
+# gradient-check fails when the best relative error over the sweep exceeds this
+GRADIENT_TOLERANCE = 1e-7
 
 
 def _json_default(obj):
@@ -59,7 +62,12 @@ def write_csv(path: Path, kind: str, columns: list, rows) -> None:
 
 
 class Manifest:
-    """Run record: resolved config, seeds, versions, outputs, timings."""
+    """Run record: resolved config, seeds, versions, outputs, timings.
+
+    Used as a context manager: an exception escaping the ``with`` block
+    finalizes the manifest as ``failed`` with the error message (and the
+    residual history of a solver error) before it propagates.
+    """
 
     def __init__(self, out_dir: Path, command: str, cfg: dict):
         self.path = out_dir / "manifest.json"
@@ -92,6 +100,16 @@ class Manifest:
     def finalize(self, status: str = "complete"):
         self.payload["status"] = status
         write_json(self.path, self.payload)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc is not None:
+            self.payload["error"] = str(exc)
+            if getattr(exc, "history", None):
+                self.payload["history"] = exc.history
+            self.finalize("failed")
 
 
 def _svg_decay_plot(path: Path, horizons, errors) -> None:
@@ -151,12 +169,12 @@ def cmd_validate(args) -> int:
     print(f"overall: {'pass' if report.passed else 'fail'}")
     if args.out:
         out = Path(args.out)
-        manifest = Manifest(out, "validate", cfg)
-        path = out / "validation.json"
-        write_json(path, report.to_dict())
-        manifest.add_output(path)
-        manifest.stage("validate")
-        manifest.finalize()
+        with Manifest(out, "validate", cfg) as manifest:
+            path = out / "validation.json"
+            write_json(path, report.to_dict())
+            manifest.add_output(path)
+            manifest.stage("validate")
+            manifest.finalize()
     return EXIT_OK if report.passed else EXIT_FAILED
 
 
@@ -164,22 +182,22 @@ def cmd_solve_forward(args) -> int:
     cfg = _load(args)
     spec = build_problem(cfg)
     out = Path(args.out)
-    manifest = Manifest(out, "solve-forward", cfg)
-    state = solve_forward(spec, spec.zero_control())
-    manifest.stage("solve")
-    path = out / "state.csv"
-    state.to_csv(path)
-    manifest.add_output(path)
-    summary = out / "summary.json"
-    write_json(summary, {
-        "schema": "horizonopt-forward v1",
-        "final_time": spec.grid.horizon,
-        "state_norm_discounted": weighted_l2_norm(
-            state, spec.discounts.state_rate, spec.operators.mass),
-    })
-    manifest.add_output(summary)
-    manifest.stage("write")
-    manifest.finalize()
+    with Manifest(out, "solve-forward", cfg) as manifest:
+        state = solve_forward(spec, spec.zero_control())
+        manifest.stage("solve")
+        path = out / "state.csv"
+        state.to_csv(path)
+        manifest.add_output(path)
+        summary = out / "summary.json"
+        write_json(summary, {
+            "schema": "horizonopt-forward v1",
+            "final_time": spec.grid.horizon,
+            "state_norm_discounted": weighted_l2_norm(
+                state, spec.discounts.state_rate, spec.operators.mass),
+        })
+        manifest.add_output(summary)
+        manifest.stage("write")
+        manifest.finalize()
     return EXIT_OK
 
 
@@ -187,34 +205,34 @@ def cmd_gradient_check(args) -> int:
     cfg = _load(args)
     spec = build_problem(cfg)
     out = Path(args.out)
-    manifest = Manifest(out, "gradient-check", cfg)
-    manifest.payload["seed"] = args.seed
-    rng = np.random.default_rng(args.seed)
-    shape = (spec.grid.n_steps + 1, spec.control_count)
-    u_vals = project_values(spec.admissible, 0.3 * rng.standard_normal(shape),
-                            spec.operators.control_weights)
-    u = Trajectory(spec.grid, u_vals, "control")
-    v = Trajectory(spec.grid, rng.standard_normal(shape), "control")
-    grad, state, _ = gradient_with_state(spec, u)
-    adj_value = weighted_inner(grad, v, spec.discounts.control_rate,
-                               spec.operators.control_weights)
-    sweep = []
-    for eps in args.epsilons:
-        up = Trajectory(spec.grid, u.values + eps * v.values, "control")
-        dn = Trajectory(spec.grid, u.values - eps * v.values, "control")
-        fd = (cost(spec, up).total - cost(spec, dn).total) / (2.0 * eps)
-        rel = abs(adj_value - fd) / max(abs(adj_value), 1e-300)
-        sweep.append({"epsilon": eps, "fd_value": fd, "adjoint_value": adj_value,
-                      "rel_error": rel})
-    manifest.stage("sweep")
-    path = out / "gradient_check.json"
-    write_json(path, {"schema": "horizonopt-gradcheck v1", "seed": args.seed,
-                      "sweep": sweep})
-    manifest.add_output(path)
-    manifest.finalize()
+    with Manifest(out, "gradient-check", cfg) as manifest:
+        manifest.payload["seed"] = args.seed
+        rng = np.random.default_rng(args.seed)
+        shape = (spec.grid.n_steps + 1, spec.control_count)
+        u_vals = project_values(spec.admissible, 0.3 * rng.standard_normal(shape),
+                                spec.operators.control_weights)
+        u = Trajectory(spec.grid, u_vals, "control")
+        v = Trajectory(spec.grid, rng.standard_normal(shape), "control")
+        grad, state, _ = gradient_with_state(spec, u)
+        adj_value = weighted_inner(grad, v, spec.discounts.control_rate,
+                                   spec.operators.control_weights)
+        sweep = []
+        for eps in args.epsilons:
+            up = Trajectory(spec.grid, u.values + eps * v.values, "control")
+            dn = Trajectory(spec.grid, u.values - eps * v.values, "control")
+            fd = (cost(spec, up).total - cost(spec, dn).total) / (2.0 * eps)
+            rel = abs(adj_value - fd) / max(abs(adj_value), 1e-300)
+            sweep.append({"epsilon": eps, "fd_value": fd, "adjoint_value": adj_value,
+                          "rel_error": rel})
+        manifest.stage("sweep")
+        path = out / "gradient_check.json"
+        write_json(path, {"schema": "horizonopt-gradcheck v1", "seed": args.seed,
+                          "sweep": sweep})
+        manifest.add_output(path)
+        manifest.finalize()
     best = min(s["rel_error"] for s in sweep)
     print(f"best relative error over sweep: {best:.3e}")
-    return EXIT_OK
+    return EXIT_OK if best <= GRADIENT_TOLERANCE else EXIT_FAILED
 
 
 def cmd_optimize(args) -> int:
@@ -226,19 +244,19 @@ def cmd_optimize(args) -> int:
             print(f"FAIL {item.key}: {item.requirement} [{item.detail}]", file=sys.stderr)
         return EXIT_FAILED
     out = Path(args.out)
-    manifest = Manifest(out, "optimize", cfg)
-    ocfg = build_optimizer_config(cfg)
-    u, report = optimize(spec, ocfg)
-    manifest.stage("optimize")
-    for name, traj in (("u_star", u), ("state", report.state), ("adjoint", report.adjoint)):
-        path = out / f"{name}.csv"
-        traj.to_csv(path)
+    with Manifest(out, "optimize", cfg) as manifest:
+        ocfg = build_optimizer_config(cfg)
+        u, report = optimize(spec, ocfg)
+        manifest.stage("optimize")
+        for name, traj in (("u_star", u), ("state", report.state), ("adjoint", report.adjoint)):
+            path = out / f"{name}.csv"
+            traj.to_csv(path)
+            manifest.add_output(path)
+        path = out / "report.json"
+        write_json(path, {"schema": "horizonopt-solve v1", **report.to_dict()})
         manifest.add_output(path)
-    path = out / "report.json"
-    write_json(path, {"schema": "horizonopt-solve v1", **report.to_dict()})
-    manifest.add_output(path)
-    manifest.stage("write")
-    manifest.finalize()
+        manifest.stage("write")
+        manifest.finalize()
     print(f"converged={report.converged} iterations={report.iterations} "
           f"residual={report.residual:.3e} cost={report.cost.total:.6e}")
     return EXIT_OK if report.converged else EXIT_FAILED
@@ -248,32 +266,32 @@ def cmd_horizon_study(args) -> int:
     cfg = _load(args)
     spec = build_problem(cfg)
     out = Path(args.out)
-    manifest = Manifest(out, "horizon-study", cfg)
-    hcfg = build_horizon_config(cfg)
-    report = run_horizon_study(spec, hcfg, threads=args.threads)
-    manifest.stage("sweep")
-    columns = ["T", "control_error", "state_error_energy", "state_error_sup",
-               "bound_terminal", "bound_target_tail", "bound_source_tail",
-               "bound_total", "cost_optimal", "cost_reference", "cost_gap"]
-    rows = [[r.horizon, r.control_error, r.state_error_energy, r.state_error_sup,
-             r.bound_terminal, r.bound_target_tail, r.bound_source_tail,
-             r.bound_total, r.cost_optimal, r.cost_reference, r.cost_gap]
-            for r in report.records]
-    sweep_path = out / "sweep.csv"
-    write_csv(sweep_path, "horizon-sweep", columns, rows)
-    manifest.add_output(sweep_path)
-    fit_path = out / "fit.json"
-    payload = report.to_dict()
-    payload["schema"] = "horizonopt-horizon-fit v1"
-    write_json(fit_path, payload)
-    manifest.add_output(fit_path)
-    if args.plot:
-        svg_path = out / "decay.svg"
-        _svg_decay_plot(svg_path, [r.horizon for r in report.records],
-                        [r.control_error for r in report.records])
-        manifest.add_output(svg_path)
-    manifest.stage("write")
-    manifest.finalize()
+    with Manifest(out, "horizon-study", cfg) as manifest:
+        hcfg = build_horizon_config(cfg)
+        report = run_horizon_study(spec, hcfg, threads=args.threads)
+        manifest.stage("sweep")
+        columns = ["T", "control_error", "state_error_energy", "state_error_sup",
+                   "bound_terminal", "bound_target_tail", "bound_source_tail",
+                   "bound_total", "cost_optimal", "cost_reference", "cost_gap"]
+        rows = [[r.horizon, r.control_error, r.state_error_energy, r.state_error_sup,
+                 r.bound_terminal, r.bound_target_tail, r.bound_source_tail,
+                 r.bound_total, r.cost_optimal, r.cost_reference, r.cost_gap]
+                for r in report.records]
+        sweep_path = out / "sweep.csv"
+        write_csv(sweep_path, "horizon-sweep", columns, rows)
+        manifest.add_output(sweep_path)
+        fit_path = out / "fit.json"
+        payload = report.to_dict()
+        payload["schema"] = "horizonopt-horizon-fit v1"
+        write_json(fit_path, payload)
+        manifest.add_output(fit_path)
+        if args.plot:
+            svg_path = out / "decay.svg"
+            _svg_decay_plot(svg_path, [r.horizon for r in report.records],
+                            [r.control_error for r in report.records])
+            manifest.add_output(svg_path)
+        manifest.stage("write")
+        manifest.finalize()
     print(f"slope={report.slope:.4f} rate_status={report.rate_status} "
           f"monotone={report.monotone_ok} cost_check={report.cost_check_ok}")
     return EXIT_OK
@@ -283,46 +301,46 @@ def cmd_socheck(args) -> int:
     cfg = _load(args)
     spec = build_problem(cfg)
     out = Path(args.out)
-    manifest = Manifest(out, "socheck", cfg)
-    manifest.payload["seed"] = args.seed
-    ocfg = build_optimizer_config(cfg)
-    u, report = optimize(spec, ocfg)
-    manifest.stage("optimize")
-    adjoint = report.adjoint
-    model = SecondOrderModel(spec, u, state=report.state, adjoint=adjoint)
-    w = spec.operators.control_weights
-    payload = {"schema": "horizonopt-socheck v1",
-               "stationarity_residual": report.residual,
-               "admissible_kind": spec.admissible.kind}
+    with Manifest(out, "socheck", cfg) as manifest:
+        manifest.payload["seed"] = args.seed
+        ocfg = build_optimizer_config(cfg)
+        u, report = optimize(spec, ocfg)
+        manifest.stage("optimize")
+        adjoint = report.adjoint
+        model = SecondOrderModel(spec, u, state=report.state, adjoint=adjoint)
+        w = spec.operators.control_weights
+        payload = {"schema": "horizonopt-socheck v1",
+                   "stationarity_residual": report.residual,
+                   "admissible_kind": spec.admissible.kind}
 
-    multiplier = None
-    if spec.admissible.kind == "ball":
-        multiplier = multiplier_and_cone(spec, u, adjoint)
-        rows = [[t, m, float(a)] for t, m, a in zip(
-            spec.grid.times, multiplier.values, multiplier.activity)]
-        mpath = out / "multiplier.csv"
-        write_csv(mpath, "ball-multiplier", ["t", "multiplier", "activity"], rows)
-        manifest.add_output(mpath)
-    directions = sample_critical_directions(
-        spec, u, adjoint, multiplier, count=args.directions, seed=args.seed)
-    forms = []
-    for v in directions:
-        nrm2 = weighted_l2_norm(v, spec.discounts.control_rate, w) ** 2
+        multiplier = None
         if spec.admissible.kind == "ball":
-            val = model.lagrangian_form(v, multiplier)
-        else:
-            val = model.quadratic_form(v, v)
-        forms.append(val / max(nrm2, 1e-300))
-    payload["directions_sampled"] = len(directions)
-    payload["min_normalized_form"] = min(forms) if forms else None
-    growth = verify_growth(spec, u, radius=args.radius, samples=args.samples,
-                           seed=args.seed, newton=ocfg.newton, state=report.state)
-    payload["growth"] = growth.to_dict()
-    manifest.stage("checks")
-    path = out / "socheck.json"
-    write_json(path, payload)
-    manifest.add_output(path)
-    manifest.finalize()
+            multiplier = multiplier_and_cone(spec, u, adjoint)
+            rows = [[t, m, float(a)] for t, m, a in zip(
+                spec.grid.times, multiplier.values, multiplier.activity)]
+            mpath = out / "multiplier.csv"
+            write_csv(mpath, "ball-multiplier", ["t", "multiplier", "activity"], rows)
+            manifest.add_output(mpath)
+        directions = sample_critical_directions(
+            spec, u, adjoint, multiplier, count=args.directions, seed=args.seed)
+        forms = []
+        for v in directions:
+            nrm2 = weighted_l2_norm(v, spec.discounts.control_rate, w) ** 2
+            if spec.admissible.kind == "ball":
+                val = model.lagrangian_form(v, multiplier)
+            else:
+                val = model.quadratic_form(v, v)
+            forms.append(val / max(nrm2, 1e-300))
+        payload["directions_sampled"] = len(directions)
+        payload["min_normalized_form"] = min(forms) if forms else None
+        growth = verify_growth(spec, u, radius=args.radius, samples=args.samples,
+                               seed=args.seed, newton=ocfg.newton, state=report.state)
+        payload["growth"] = growth.to_dict()
+        manifest.stage("checks")
+        path = out / "socheck.json"
+        write_json(path, payload)
+        manifest.add_output(path)
+        manifest.finalize()
     print(f"min normalized quadratic form: {payload['min_normalized_form']}, "
           f"growth kappa: {growth.kappa:.6g}")
     return EXIT_OK
@@ -387,7 +405,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverError, ValueError) as exc:
+    except (LineSearchError, SolverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
 

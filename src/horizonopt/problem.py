@@ -11,7 +11,7 @@ adjoint-based gradient is an exact transpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -264,6 +264,8 @@ class Operators:
     lumped_mass: np.ndarray
     control_index: np.ndarray
     control_weights: np.ndarray
+    # step solvers keyed by time step, built on first use by the solvers
+    step_solvers: dict = field(default_factory=dict, repr=False, compare=False)
 
     @cached_property
     def h1(self) -> sps.csr_matrix:

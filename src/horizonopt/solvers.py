@@ -19,6 +19,11 @@ truncated terminal condition) it runs
 with S_i = M/dt + K + M_L diag(f'(y_i)).  This choice makes the discrete
 cost gradient exact to solver precision; consistency with the backward
 differential equation is then automatic as dt -> 0.
+
+Every step solve with S_i, forward, adjoint or linearized, is one band LU:
+M/dt + K is held in LAPACK band storage of half-bandwidth k, and each solve
+adds the lumped shift to its diagonal and calls ``gtsv`` when k = 1 (1D)
+or ``gbsv`` otherwise (2D, k = nx + 2).
 """
 
 from __future__ import annotations
@@ -27,8 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sps
-import scipy.sparse.linalg as spla
 
 from .problem import ProblemSpec
 from .spaces import (Trajectory, quad_energies, weighted_l2_norm,
@@ -61,35 +64,46 @@ class NewtonConfig:
             raise ValueError("damping factor must lie in (0, 1)")
 
 
-def _tridiag_parts(mat, n):
-    lower = np.zeros(n - 1)
-    diag = mat.diagonal(0).copy()
-    upper = np.zeros(n - 1)
-    lower[:] = mat.diagonal(-1)
-    upper[:] = mat.diagonal(1)
-    return lower, diag, upper
+def _band_storage(mat):
+    """Half-bandwidth k of a sparse matrix, read from its sparsity pattern, and
+    the matrix in LAPACK band storage for kl = ku = k: entry (i, j) sits at
+    ab[2k + i - j, j], and rows 0..k-1 are room for the fill of the LU."""
+    coo = mat.tocoo()
+    coo.sum_duplicates()
+    k = int(np.abs(coo.row - coo.col).max())
+    ab = np.zeros((3 * k + 1, mat.shape[0]), order="F")
+    ab[2 * k + coo.row - coo.col, coo.col] = coo.data
+    return k, ab
+
+
+def _tridiagonals(ab):
+    """(lower, diagonal, upper) of a matrix in band storage with k = 1."""
+    return (np.ascontiguousarray(ab[3, :-1]), np.ascontiguousarray(ab[2]),
+            np.ascontiguousarray(ab[1, 1:]))
 
 
 class _StepSolver:
-    """Factorize/apply (M/dt + K + M_L diag(shift)) once per time step.
+    """Band LU of the step matrix (M/dt + K + M_L diag(shift)), one per solve.
 
-    1D meshes yield tridiagonal systems solved directly through LAPACK;
-    otherwise a fresh sparse LU is computed per call.  Instances are
+    M/dt + K is converted once into LAPACK band storage; its half-bandwidth
+    k is 1 on an interval and nx + 2 on an nx x ny rectangle with the mesh's
+    x-fastest node numbering.  Each solve adds the lumped shift to the
+    diagonal and makes one LAPACK call: ``gtsv`` on the three diagonals when
+    k = 1, ``gbsv`` on a copy of the band otherwise.  Instances are
     stateless per call and safe to share across threads.
     """
 
-    def __init__(self, ops, dt: float, dimension: int):
+    def __init__(self, ops, dt: float):
         self.lumped = ops.lumped_mass
-        self.banded = dimension == 1
-        base = (ops.mass * (1.0 / dt) + ops.stiffness).tocsr()
-        if self.banded:
-            n = base.shape[0]
-            self._lo, self._di, self._up = _tridiag_parts(base, n)
-            self._mlo, self._mdi, self._mup = _tridiag_parts(ops.mass.tocsr(), n)
-            self._gtsv = sla.get_lapack_funcs(("gtsv",), (self._di,))[0]
+        self.base = (ops.mass * (1.0 / dt) + ops.stiffness).tocsr()
+        self.mass = ops.mass.tocsr()
+        self.k, self.ab = _band_storage(self.base)
+        if self.k == 1:
+            self._lo, self._di, self._up = _tridiagonals(self.ab)
+            self._mlo, self._mdi, self._mup = _tridiagonals(_band_storage(self.mass)[1])
+            self._gtsv = sla.get_lapack_funcs(("gtsv",), (self.ab,))[0]
         else:
-            self.base = base
-            self._mass = ops.mass.tocsr()
+            self._gbsv = sla.get_lapack_funcs(("gbsv",), (self.ab,))[0]
 
     def _tri_matvec(self, lo, di, up, y):
         out = di * y
@@ -98,40 +112,39 @@ class _StepSolver:
         return out
 
     def mass_matvec(self, y: np.ndarray) -> np.ndarray:
-        if self.banded:
+        if self.k == 1:
             return self._tri_matvec(self._mlo, self._mdi, self._mup, y)
-        return self._mass @ y
+        return self.mass @ y
 
     def apply_base(self, y: np.ndarray) -> np.ndarray:
-        if self.banded:
+        if self.k == 1:
             return self._tri_matvec(self._lo, self._di, self._up, y)
         return self.base @ y
 
     def solve(self, shift: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        if self.banded:
+        if self.k == 1:
             d = self._di + self.lumped * shift
             _, _, _, x, info = self._gtsv(self._lo, d, self._up, rhs,
                                           overwrite_d=True)
             if info != 0:
                 raise SolverError(f"singular step matrix (gtsv info {info})")
             return x
-        mat = (self.base + sps.diags(self.lumped * shift)).tocsc()
-        try:
-            return spla.splu(mat).solve(rhs)
-        except RuntimeError as exc:
-            raise SolverError(f"singular step matrix: {exc}") from exc
+        ab = self.ab.copy(order="F")
+        ab[2 * self.k] += self.lumped * shift
+        _, _, x, info = self._gbsv(self.k, self.k, ab, rhs, overwrite_ab=True)
+        if info != 0:
+            raise SolverError(f"singular step matrix (gbsv info {info})")
+        return x
 
 
 def _stepper(spec) -> _StepSolver:
-    """Per-operators cache: the unshifted step matrix is shared by every
-    solve on the same mesh and time step."""
-    ops = spec.operators
-    cache = ops.__dict__.setdefault("_stepper_cache", {})
-    key = (spec.grid.step, spec.mesh.dimension)
-    solver = cache.get(key)
+    """The step solver of the spec's operators for its time step, built on
+    first use and shared by every solve on the same mesh and step."""
+    solvers = spec.operators.step_solvers
+    dt = spec.grid.step
+    solver = solvers.get(dt)
     if solver is None:
-        solver = _StepSolver(ops, spec.grid.step, spec.mesh.dimension)
-        cache[key] = solver
+        solver = solvers[dt] = _StepSolver(spec.operators, dt)
     return solver
 
 

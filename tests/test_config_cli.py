@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import horizonopt as ho
-from horizonopt.cli import main
+from horizonopt.cli import GRADIENT_TOLERANCE, main
 from horizonopt.config import (ConfigError, apply_overrides, build_problem,
                                build_optimizer_config, load_config)
 
@@ -140,6 +140,19 @@ class TestGradientCheckCommand:
         assert errs[2] > errs[1] * 1e-3   # then flattens near the noise floor
         assert min(errs) < 1e-7
 
+    def test_exit_code_follows_the_error_bound(self, tmp_path):
+        path = str(CONFIG_DIR / "ball_cubic.json")
+        assert main(["gradient-check", "--config", path, "--seed", "0",
+                     "--out", str(tmp_path / "ok")]) == 0
+        # a single large step leaves the central difference far from the gradient
+        out = tmp_path / "coarse"
+        assert main(["gradient-check", "--config", path, "--seed", "0",
+                     "--epsilons", "0.5", "--out", str(out)]) == 1
+        payload = json.loads((out / "gradient_check.json").read_text())
+        assert payload["sweep"][0]["rel_error"] > GRADIENT_TOLERANCE
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "complete"
+
     def test_repeated_seed_reproduces_bytes(self, tmp_path):
         outs = []
         for sub in ("a", "b"):
@@ -183,6 +196,24 @@ class TestOptimizeCommand:
         assert abs(ho.cost_from_state(spec, u, state).total - total) <= 1e-13 * abs(total)
         adjoint = ho.Trajectory.from_csv(out / "adjoint.csv")
         assert np.array_equal(ho.solve_adjoint(spec, state).values, adjoint.values)
+
+    @pytest.mark.parametrize("override, message, has_history", [
+        ("optimizer.min_step=3", "line search failed", False),
+        ("optimizer.newton.max_iterations=1", "Newton did not converge", True),
+    ])
+    def test_failed_run_finalizes_manifest(self, tmp_path, capsys, override, message,
+                                           has_history):
+        out = tmp_path / "opt"
+        code = main(["optimize", "--config", str(CONFIG_DIR / "ball_cubic.json"),
+                     "--set", override, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert message in manifest["error"]
+        assert ("history" in manifest) == has_history
 
     def test_invalid_config_blocks_run(self, tmp_path, capsys):
         out = tmp_path / "opt"

@@ -1,8 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sps
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import horizonopt as ho
-from horizonopt.solvers import SolverError, solve_adjoint_from_residual
+from horizonopt.problem import Discounts
+from horizonopt.solvers import SolverError, _stepper, solve_adjoint_from_residual
 from horizonopt.spaces import weighted_sup_norm
 
 from conftest import make_spec, random_control
@@ -300,3 +310,91 @@ class TestTwoDimensional:
         dn = ho.Trajectory(spec.grid, u.values - eps * v.values, "control")
         fd = (ho.cost(spec, up, tight).total - ho.cost(spec, dn, tight).total) / (2 * eps)
         assert abs(val - fd) / max(abs(val), 1e-300) < 1e-7
+
+
+def rectangle_spec(shape, seed=0, horizon=0.4, step=0.05):
+    """Small 2D cubic problem on the unit square with a random initial state."""
+    mesh = ho.rectangle_mesh((1.0, 1.0), shape, control=((0.2, 0.8), (0.2, 0.8)))
+    rng = np.random.default_rng(seed)
+    grid = ho.TimeGrid(horizon, step)
+    n = grid.n_steps
+    return ho.ProblemSpec(
+        mesh=mesh, operator=ho.EllipticForm(diffusion=1.0),
+        nonlinearity=ho.builtin_nonlinearities()["cubic"],
+        discounts=Discounts(1.0, 0.4, 0.1, growth_exponent=2.0), grid=grid,
+        initial_state=0.3 * rng.standard_normal(mesh.n_nodes),
+        source=np.zeros((n + 1, mesh.n_nodes)),
+        target=0.2 * np.ones((n + 1, mesh.n_nodes)), control_weight=1.0,
+        admissible=ho.AdmissibleSet("ball", radius=5.0))
+
+
+class TestBandStepOperator:
+    @pytest.mark.parametrize("shape", [(6, 6), (5, 7)])
+    def test_2d_step_solve_matches_sparse_direct_solve(self, shape):
+        spec = rectangle_spec(shape)
+        ops = spec.operators
+        dt = spec.grid.step
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(3):
+            shift = rng.uniform(0.0, 5.0, ops.n_nodes)
+            rhs = rng.standard_normal(ops.n_nodes)
+            mat = ops.mass / dt + ops.stiffness + sps.diags(ops.lumped_mass * shift)
+            oracle = spla.spsolve(mat.tocsc(), rhs)
+            x = _stepper(spec).solve(shift, rhs)
+            assert np.abs(x - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("shape", [None, (6, 6), (5, 7)])
+    def test_half_bandwidth_and_band_storage(self, shape):
+        spec = make_spec() if shape is None else rectangle_spec(shape)
+        ops = spec.operators
+        stepper = _stepper(spec)
+        k = stepper.k
+        assert k == (1 if shape is None else shape[0] + 2)
+        dense = (ops.mass / spec.grid.step + ops.stiffness).toarray()
+        rebuilt = np.zeros_like(dense)
+        for i, j in np.ndindex(*dense.shape):
+            if abs(i - j) <= k:
+                rebuilt[i, j] = stepper.ab[2 * k + i - j, j]
+        assert np.array_equal(rebuilt, dense)
+
+    def test_step_solver_is_shared_across_horizons(self):
+        spec = make_spec()
+        assert _stepper(spec) is _stepper(spec.with_horizon(3.0))
+        assert list(spec.operators.step_solvers) == [spec.grid.step]
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(dimension=st.sampled_from([1, 2]), size=st.integers(3, 5),
+           seed=st.integers(0, 2**16))
+    def test_adjoint_duality_is_exact(self, dimension, size, seed):
+        # <adjoint source, z> = <phi, linearized rhs> on the discrete level
+        if dimension == 1:
+            spec = make_spec(n_nodes=3 * size, horizon=0.3, step=0.05,
+                             initial=0.4 * np.ones(3 * size))
+        else:
+            spec = rectangle_spec((size, 8 - size), seed=seed, horizon=0.3)
+        rate = spec.discounts.state_rate
+        ops = spec.operators
+        base = ho.solve_forward(spec, random_control(spec, seed=seed, scale=0.2))
+        rng = np.random.default_rng(seed)
+        n, nc = spec.grid.n_steps, spec.control_count
+        v = ho.Trajectory(spec.grid, rng.standard_normal((n + 1, nc)), "control")
+        w = rng.standard_normal((n + 1, ops.n_nodes))
+        z = ho.solve_linearized(spec, base, v)
+        phi = solve_adjoint_from_residual(spec, base, w, rate)
+        dt = spec.grid.step
+        t = spec.grid.times
+        lhs = sum(dt * np.exp(-rate * t[i]) * w[i] @ (ops.mass @ z.values[i])
+                  for i in range(1, n + 1))
+        rhs = sum(dt * (phi.values[i, ops.control_index] * ops.control_weights)
+                  @ v.values[i] for i in range(1, n + 1))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+def test_import_does_not_load_scipy_sparse_linalg():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, horizonopt; print('scipy.sparse.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
