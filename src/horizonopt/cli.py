@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: validate, solve-forward, gradient-check, optimize,
-horizon-study, socheck.  Every run writes a manifest with the resolved
-configuration before doing work and finalizes it with timings afterwards.
+horizon-study, socheck.  ``main`` runs each one the same way and owns its
+manifest: it records the resolved configuration before doing work and
+finalizes the manifest with timings afterwards, as ``failed`` on any error.
 Numerical CSV outputs are formatted at 17 significant digits and carry a
 schema version header, so repeated runs with fixed seeds and any thread
 count are byte-identical; wall-clock times appear only in manifest.json
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -27,7 +29,7 @@ from .horizon import run_horizon_study
 from .objective import (SecondOrderModel, cost, gradient_with_state,
                         multiplier_and_cone, sample_critical_directions)
 from .optimizer import LineSearchError, optimize, verify_growth
-from .problem import validate_assumptions
+from .problem import AssumptionError, validate_assumptions
 from .solvers import SolverError, solve_forward
 from .spaces import FLOAT_FMT, Trajectory, weighted_inner, weighted_l2_norm
 
@@ -66,16 +68,17 @@ class Manifest:
 
     Used as a context manager: an exception escaping the ``with`` block
     finalizes the manifest as ``failed`` with the error message (and the
-    residual history of a solver error) before it propagates.
+    residual history of a solver error) before it propagates.  Without an
+    output directory (``validate`` without ``--out``) nothing is written.
     """
 
-    def __init__(self, out_dir: Path, command: str, cfg: dict):
-        self.path = out_dir / "manifest.json"
+    def __init__(self, out_dir: str | None, command: str):
+        self.out_dir = None if out_dir is None else Path(out_dir)
         self.payload = {
             "schema": "horizonopt-manifest v1",
             "command": command,
-            "config": cfg,
-            "seed": cfg.get("seed", 0),
+            "config": None,
+            "seed": 0,
             "versions": {
                 "horizonopt": __version__,
                 "python": sys.version.split()[0],
@@ -86,11 +89,24 @@ class Manifest:
             "status": "running",
         }
         self._clock = time.perf_counter()
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(self.path, self.payload)
+        if self.out_dir is not None:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
 
-    def add_output(self, path: Path):
+    def begin(self, cfg: dict, seed: int):
+        """Record the resolved configuration and seed, and write the manifest
+        as ``running``."""
+        self.payload["config"] = cfg
+        self.payload["seed"] = seed
+        self._write()
+
+    def output(self, name: str) -> Path:
+        """Path of the output file ``name`` in the run directory, recorded in
+        the manifest; the null device when there is no run directory."""
+        if self.out_dir is None:
+            return Path(os.devnull)
+        path = self.out_dir / name
         self.payload["outputs"].append(str(path))
+        return path
 
     def stage(self, name: str):
         now = time.perf_counter()
@@ -99,7 +115,11 @@ class Manifest:
 
     def finalize(self, status: str = "complete"):
         self.payload["status"] = status
-        write_json(self.path, self.payload)
+        self._write()
+
+    def _write(self):
+        if self.out_dir is not None:
+            write_json(self.out_dir / "manifest.json", self.payload)
 
     def __enter__(self):
         return self
@@ -152,195 +172,124 @@ def _svg_decay_plot(path: Path, horizons, errors) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _load(args) -> dict:
-    cfg = load_config(args.config)
-    if args.set:
-        cfg = apply_overrides(cfg, args.set)
-    return cfg
-
-
-def cmd_validate(args) -> int:
-    cfg = _load(args)
-    spec = build_problem(cfg)
+def cmd_validate(args, cfg, spec, manifest) -> int:
     report = validate_assumptions(spec)
     for item in report.items:
-        tag = "PASS" if item.passed else "FAIL"
-        print(f"{tag} {item.key}: {item.requirement} [{item.detail}]")
+        print(item)
     print(f"overall: {'pass' if report.passed else 'fail'}")
-    if args.out:
-        out = Path(args.out)
-        with Manifest(out, "validate", cfg) as manifest:
-            path = out / "validation.json"
-            write_json(path, report.to_dict())
-            manifest.add_output(path)
-            manifest.stage("validate")
-            manifest.finalize()
+    write_json(manifest.output("validation.json"), report.to_dict())
+    manifest.stage("validate")
     return EXIT_OK if report.passed else EXIT_FAILED
 
 
-def cmd_solve_forward(args) -> int:
-    cfg = _load(args)
-    spec = build_problem(cfg)
-    out = Path(args.out)
-    with Manifest(out, "solve-forward", cfg) as manifest:
-        state = solve_forward(spec, spec.zero_control())
-        manifest.stage("solve")
-        path = out / "state.csv"
-        state.to_csv(path)
-        manifest.add_output(path)
-        summary = out / "summary.json"
-        write_json(summary, {
-            "schema": "horizonopt-forward v1",
-            "final_time": spec.grid.horizon,
-            "state_norm_discounted": weighted_l2_norm(
-                state, spec.discounts.state_rate, spec.operators.mass),
-        })
-        manifest.add_output(summary)
-        manifest.stage("write")
-        manifest.finalize()
+def cmd_solve_forward(args, cfg, spec, manifest) -> int:
+    state = solve_forward(spec, spec.zero_control())
+    manifest.stage("solve")
+    state.to_csv(manifest.output("state.csv"))
+    write_json(manifest.output("summary.json"), {
+        "schema": "horizonopt-forward v1",
+        "final_time": spec.grid.horizon,
+        "state_norm_discounted": weighted_l2_norm(
+            state, spec.discounts.state_rate, spec.operators.mass),
+    })
+    manifest.stage("write")
     return EXIT_OK
 
 
-def cmd_gradient_check(args) -> int:
-    cfg = _load(args)
-    spec = build_problem(cfg)
-    out = Path(args.out)
-    with Manifest(out, "gradient-check", cfg) as manifest:
-        manifest.payload["seed"] = args.seed
-        rng = np.random.default_rng(args.seed)
-        shape = (spec.grid.n_steps + 1, spec.control_count)
-        u_vals = project_values(spec.admissible, 0.3 * rng.standard_normal(shape),
-                                spec.operators.control_weights)
-        u = Trajectory(spec.grid, u_vals, "control")
-        v = Trajectory(spec.grid, rng.standard_normal(shape), "control")
-        grad, state, _ = gradient_with_state(spec, u)
-        adj_value = weighted_inner(grad, v, spec.discounts.control_rate,
-                                   spec.operators.control_weights)
-        sweep = []
-        for eps in args.epsilons:
-            up = Trajectory(spec.grid, u.values + eps * v.values, "control")
-            dn = Trajectory(spec.grid, u.values - eps * v.values, "control")
-            fd = (cost(spec, up).total - cost(spec, dn).total) / (2.0 * eps)
-            rel = abs(adj_value - fd) / max(abs(adj_value), 1e-300)
-            sweep.append({"epsilon": eps, "fd_value": fd, "adjoint_value": adj_value,
-                          "rel_error": rel})
-        manifest.stage("sweep")
-        path = out / "gradient_check.json"
-        write_json(path, {"schema": "horizonopt-gradcheck v1", "seed": args.seed,
-                          "sweep": sweep})
-        manifest.add_output(path)
-        manifest.finalize()
+def cmd_gradient_check(args, cfg, spec, manifest) -> int:
+    rng = np.random.default_rng(args.seed)
+    shape = (spec.grid.n_steps + 1, spec.control_count)
+    u_vals = project_values(spec.admissible, 0.3 * rng.standard_normal(shape),
+                            spec.operators.control_weights)
+    u = Trajectory(spec.grid, u_vals, "control")
+    v = Trajectory(spec.grid, rng.standard_normal(shape), "control")
+    grad, state, _ = gradient_with_state(spec, u)
+    adj_value = weighted_inner(grad, v, spec.discounts.control_rate,
+                               spec.operators.control_weights)
+    sweep = []
+    for eps in args.epsilons:
+        up = Trajectory(spec.grid, u.values + eps * v.values, "control")
+        dn = Trajectory(spec.grid, u.values - eps * v.values, "control")
+        fd = (cost(spec, up).total - cost(spec, dn).total) / (2.0 * eps)
+        rel = abs(adj_value - fd) / max(abs(adj_value), 1e-300)
+        sweep.append({"epsilon": eps, "fd_value": fd, "adjoint_value": adj_value,
+                      "rel_error": rel})
+    manifest.stage("sweep")
+    write_json(manifest.output("gradient_check.json"),
+               {"schema": "horizonopt-gradcheck v1", "seed": args.seed, "sweep": sweep})
     best = min(s["rel_error"] for s in sweep)
     print(f"best relative error over sweep: {best:.3e}")
     return EXIT_OK if best <= GRADIENT_TOLERANCE else EXIT_FAILED
 
 
-def cmd_optimize(args) -> int:
-    cfg = _load(args)
-    spec = build_problem(cfg)
-    report_v = validate_assumptions(spec)
-    if not report_v.passed:
-        for item in report_v.failures():
-            print(f"FAIL {item.key}: {item.requirement} [{item.detail}]", file=sys.stderr)
-        return EXIT_FAILED
-    out = Path(args.out)
-    with Manifest(out, "optimize", cfg) as manifest:
-        ocfg = build_optimizer_config(cfg)
-        u, report = optimize(spec, ocfg)
-        manifest.stage("optimize")
-        for name, traj in (("u_star", u), ("state", report.state), ("adjoint", report.adjoint)):
-            path = out / f"{name}.csv"
-            traj.to_csv(path)
-            manifest.add_output(path)
-        path = out / "report.json"
-        write_json(path, {"schema": "horizonopt-solve v1", **report.to_dict()})
-        manifest.add_output(path)
-        manifest.stage("write")
-        manifest.finalize()
+def cmd_optimize(args, cfg, spec, manifest) -> int:
+    u, report = optimize(spec, build_optimizer_config(cfg))
+    manifest.stage("optimize")
+    for name, traj in (("u_star", u), ("state", report.state), ("adjoint", report.adjoint)):
+        traj.to_csv(manifest.output(f"{name}.csv"))
+    write_json(manifest.output("report.json"),
+               {"schema": "horizonopt-solve v1", **report.to_dict()})
+    manifest.stage("write")
     print(f"converged={report.converged} iterations={report.iterations} "
           f"residual={report.residual:.3e} cost={report.cost.total:.6e}")
     return EXIT_OK if report.converged else EXIT_FAILED
 
 
-def cmd_horizon_study(args) -> int:
-    cfg = _load(args)
-    spec = build_problem(cfg)
-    out = Path(args.out)
-    with Manifest(out, "horizon-study", cfg) as manifest:
-        hcfg = build_horizon_config(cfg)
-        report = run_horizon_study(spec, hcfg, threads=args.threads)
-        manifest.stage("sweep")
-        columns = ["T", "control_error", "state_error_energy", "state_error_sup",
-                   "bound_terminal", "bound_target_tail", "bound_source_tail",
-                   "bound_total", "cost_optimal", "cost_reference", "cost_gap"]
-        rows = [[r.horizon, r.control_error, r.state_error_energy, r.state_error_sup,
-                 r.bound_terminal, r.bound_target_tail, r.bound_source_tail,
-                 r.bound_total, r.cost_optimal, r.cost_reference, r.cost_gap]
-                for r in report.records]
-        sweep_path = out / "sweep.csv"
-        write_csv(sweep_path, "horizon-sweep", columns, rows)
-        manifest.add_output(sweep_path)
-        fit_path = out / "fit.json"
-        payload = report.to_dict()
-        payload["schema"] = "horizonopt-horizon-fit v1"
-        write_json(fit_path, payload)
-        manifest.add_output(fit_path)
-        if args.plot:
-            svg_path = out / "decay.svg"
-            _svg_decay_plot(svg_path, [r.horizon for r in report.records],
-                            [r.control_error for r in report.records])
-            manifest.add_output(svg_path)
-        manifest.stage("write")
-        manifest.finalize()
+def cmd_horizon_study(args, cfg, spec, manifest) -> int:
+    report = run_horizon_study(spec, build_horizon_config(cfg), threads=args.threads)
+    manifest.stage("sweep")
+    # every column after T is the record attribute of the same name
+    columns = ["T", "control_error", "state_error_energy", "state_error_sup",
+               "bound_terminal", "bound_target_tail", "bound_source_tail",
+               "bound_total", "cost_optimal", "cost_reference", "cost_gap"]
+    rows = [[r.horizon] + [getattr(r, c) for c in columns[1:]] for r in report.records]
+    write_csv(manifest.output("sweep.csv"), "horizon-sweep", columns, rows)
+    write_json(manifest.output("fit.json"),
+               {**report.to_dict(), "schema": "horizonopt-horizon-fit v1"})
+    if args.plot:
+        _svg_decay_plot(manifest.output("decay.svg"), [r.horizon for r in report.records],
+                        [r.control_error for r in report.records])
+    manifest.stage("write")
     print(f"slope={report.slope:.4f} rate_status={report.rate_status} "
           f"monotone={report.monotone_ok} cost_check={report.cost_check_ok}")
     return EXIT_OK
 
 
-def cmd_socheck(args) -> int:
-    cfg = _load(args)
-    spec = build_problem(cfg)
-    out = Path(args.out)
-    with Manifest(out, "socheck", cfg) as manifest:
-        manifest.payload["seed"] = args.seed
-        ocfg = build_optimizer_config(cfg)
-        u, report = optimize(spec, ocfg)
-        manifest.stage("optimize")
-        adjoint = report.adjoint
-        model = SecondOrderModel(spec, u, state=report.state, adjoint=adjoint)
-        w = spec.operators.control_weights
-        payload = {"schema": "horizonopt-socheck v1",
-                   "stationarity_residual": report.residual,
-                   "admissible_kind": spec.admissible.kind}
+def cmd_socheck(args, cfg, spec, manifest) -> int:
+    ocfg = build_optimizer_config(cfg)
+    u, report = optimize(spec, ocfg)
+    manifest.stage("optimize")
+    adjoint = report.adjoint
+    model = SecondOrderModel(spec, u, state=report.state, adjoint=adjoint)
+    w = spec.operators.control_weights
+    payload = {"schema": "horizonopt-socheck v1",
+               "stationarity_residual": report.residual,
+               "admissible_kind": spec.admissible.kind}
 
-        multiplier = None
+    multiplier = None
+    if spec.admissible.kind == "ball":
+        multiplier = multiplier_and_cone(spec, u, adjoint)
+        rows = [[t, m, float(a)] for t, m, a in zip(
+            spec.grid.times, multiplier.values, multiplier.activity)]
+        write_csv(manifest.output("multiplier.csv"), "ball-multiplier",
+                  ["t", "multiplier", "activity"], rows)
+    directions = sample_critical_directions(
+        spec, u, adjoint, multiplier, count=args.directions, seed=args.seed)
+    forms = []
+    for v in directions:
+        nrm2 = weighted_l2_norm(v, spec.discounts.control_rate, w) ** 2
         if spec.admissible.kind == "ball":
-            multiplier = multiplier_and_cone(spec, u, adjoint)
-            rows = [[t, m, float(a)] for t, m, a in zip(
-                spec.grid.times, multiplier.values, multiplier.activity)]
-            mpath = out / "multiplier.csv"
-            write_csv(mpath, "ball-multiplier", ["t", "multiplier", "activity"], rows)
-            manifest.add_output(mpath)
-        directions = sample_critical_directions(
-            spec, u, adjoint, multiplier, count=args.directions, seed=args.seed)
-        forms = []
-        for v in directions:
-            nrm2 = weighted_l2_norm(v, spec.discounts.control_rate, w) ** 2
-            if spec.admissible.kind == "ball":
-                val = model.lagrangian_form(v, multiplier)
-            else:
-                val = model.quadratic_form(v, v)
-            forms.append(val / max(nrm2, 1e-300))
-        payload["directions_sampled"] = len(directions)
-        payload["min_normalized_form"] = min(forms) if forms else None
-        growth = verify_growth(spec, u, radius=args.radius, samples=args.samples,
-                               seed=args.seed, newton=ocfg.newton, state=report.state)
-        payload["growth"] = growth.to_dict()
-        manifest.stage("checks")
-        path = out / "socheck.json"
-        write_json(path, payload)
-        manifest.add_output(path)
-        manifest.finalize()
+            val = model.lagrangian_form(v, multiplier)
+        else:
+            val = model.quadratic_form(v, v)
+        forms.append(val / max(nrm2, 1e-300))
+    payload["directions_sampled"] = len(directions)
+    payload["min_normalized_form"] = min(forms) if forms else None
+    growth = verify_growth(spec, u, radius=args.radius, samples=args.samples,
+                           seed=args.seed, newton=ocfg.newton, state=report.state)
+    payload["growth"] = growth.to_dict()
+    manifest.stage("checks")
+    write_json(manifest.output("socheck.json"), payload)
     print(f"min normalized quadratic form: {payload['min_normalized_form']}, "
           f"growth kappa: {growth.kappa:.6g}")
     return EXIT_OK
@@ -353,55 +302,69 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    # ``gated`` commands rest on the paper's standing assumptions and refuse a
+    # problem that fails them; the others check the discretization itself,
+    # and validate is the report
+    def command(name, summary, func, gated, needs_out=True):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="configuration JSON file")
         p.add_argument("--set", action="append", default=[],
                        metavar="PATH=VALUE", help="override a scalar config field")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=needs_out, help="output directory")
+        p.set_defaults(func=func, gated=gated)
+        return p
 
-    p = sub.add_parser("validate", help="check the standing assumptions")
-    common(p, needs_out=False)
-    p.add_argument("--out", help="optional output directory")
-    p.set_defaults(func=cmd_validate)
+    command("validate", "check the standing assumptions", cmd_validate, gated=False,
+            needs_out=False)
+    command("solve-forward", "forward solve with zero control", cmd_solve_forward,
+            gated=False)
 
-    p = sub.add_parser("solve-forward", help="forward solve with zero control")
-    common(p)
-    p.set_defaults(func=cmd_solve_forward)
-
-    p = sub.add_parser("gradient-check", help="adjoint vs central differences")
-    common(p)
+    p = command("gradient-check", "adjoint vs central differences", cmd_gradient_check,
+                gated=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilons", type=float, nargs="+",
                    default=[1e-3, 1e-4, 1e-5, 1e-6])
-    p.set_defaults(func=cmd_gradient_check)
 
-    p = sub.add_parser("optimize", help="projected-gradient solve")
-    common(p)
-    p.set_defaults(func=cmd_optimize)
+    command("optimize", "projected-gradient solve", cmd_optimize, gated=True)
 
-    p = sub.add_parser("horizon-study", help="finite-horizon convergence sweep")
-    common(p)
+    p = command("horizon-study", "finite-horizon convergence sweep", cmd_horizon_study,
+                gated=True)
     p.add_argument("--threads", type=int, default=None,
                    help="parallel solves (default: HORIZONOPT_THREADS or 1)")
     p.add_argument("--plot", action="store_true", help="write decay.svg")
-    p.set_defaults(func=cmd_horizon_study)
 
-    p = sub.add_parser("socheck", help="second-order checks at an optimum")
-    common(p)
+    p = command("socheck", "second-order checks at an optimum", cmd_socheck, gated=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--directions", type=int, default=50)
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--radius", type=float, default=0.1)
-    p.set_defaults(func=cmd_socheck)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand: load the configuration, build the problem, refuse
+    it when the command is gated and the standing assumptions fail, run the
+    command body and finalize the manifest.  A failure at any step finalizes
+    the manifest as ``failed`` and maps to the documented exit code."""
+    args = build_parser().parse_args(argv)
+    manifest = Manifest(args.out, args.command)
     try:
-        return args.func(args)
+        with manifest:
+            cfg = load_config(args.config)
+            if args.set:
+                cfg = apply_overrides(cfg, args.set)
+            manifest.begin(cfg, getattr(args, "seed", cfg.get("seed", 0)))
+            spec = build_problem(cfg)
+            if args.gated:
+                failures = validate_assumptions(spec).failures()
+                for item in failures:
+                    print(item, file=sys.stderr)
+                if failures:
+                    raise AssumptionError("standing assumptions fail: "
+                                          + ", ".join(item.key for item in failures))
+            code = args.func(args, cfg, spec, manifest)
+            manifest.finalize()
+        return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

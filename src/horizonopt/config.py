@@ -243,7 +243,7 @@ def build_optimizer_config(cfg: dict) -> OptimizerConfig:
     ocfg = dict(cfg.get("optimizer", {}))
     newton = NewtonConfig(**ocfg.pop("newton", {}))
     known = {"initial_step", "armijo_slope", "backtrack", "tolerance",
-             "max_iterations", "min_step", "seed", "initial_control"}
+             "max_iterations", "min_step"}
     unknown = set(ocfg) - known
     if unknown:
         raise ConfigError(f"unknown optimizer options: {sorted(unknown)}")

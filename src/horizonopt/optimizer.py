@@ -41,8 +41,6 @@ class OptimizerConfig:
     tolerance: float = 1e-9
     max_iterations: int = 2000
     min_step: float = 1e-14
-    seed: int = 0
-    initial_control: str = "zero"
     warm_start: Trajectory | None = None
     newton: NewtonConfig = field(default_factory=NewtonConfig)
 
@@ -94,9 +92,6 @@ def _initial_control(spec: ProblemSpec, config: OptimizerConfig) -> Trajectory:
         vals = config.warm_start.values.copy()
         if vals.shape != (spec.grid.n_steps + 1, spec.control_count):
             raise ValueError("warm start does not match the grid/control layout")
-    elif config.initial_control == "random":
-        rng = np.random.default_rng(config.seed)
-        vals = rng.standard_normal((spec.grid.n_steps + 1, spec.control_count))
     else:
         vals = np.zeros((spec.grid.n_steps + 1, spec.control_count))
     vals = project_values(spec.admissible, vals, ops.control_weights)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sps
 
 from .admissible import AdmissibleSet
@@ -175,6 +176,8 @@ class ProblemSpec:
     control_weight: float
     admissible: AdmissibleSet
     track_on_observation: bool = True
+    # assembled on first use of ``operators``; ``with_horizon`` passes them on
+    _operators: Operators | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.isfinite(self.control_weight) or self.control_weight <= 0:
@@ -182,9 +185,11 @@ class ProblemSpec:
 
     # -- assembled operators ------------------------------------------------
 
-    @cached_property
+    @property
     def operators(self) -> "Operators":
-        return assemble_operators(self.mesh, self.operator)
+        if self._operators is None:
+            self._operators = assemble_operators(self.mesh, self.operator)
+        return self._operators
 
     @property
     def observation_mask(self) -> np.ndarray | None:
@@ -246,9 +251,8 @@ class ProblemSpec:
 
     def with_horizon(self, horizon: float) -> "ProblemSpec":
         """Same problem truncated/extended to a different final time."""
-        new = replace(self, grid=TimeGrid(horizon, self.grid.step))
-        new.__dict__["operators"] = self.operators  # mesh unchanged
-        return new
+        return replace(self, grid=TimeGrid(horizon, self.grid.step),
+                       _operators=self.operators)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +318,19 @@ def _accumulate(n, elements, data):
     return mat.tocsr()
 
 
+def band_storage(mat):
+    """Half-bandwidth k of a sparse matrix, read from its sparsity pattern, and
+    the matrix in LAPACK band storage for kl = ku = k: entry (i, j) sits at
+    ab[2k + i - j, j], and rows 0..k-1 are room for the fill of the LU.  Rows
+    k..2k hold the upper triangle in the upper band form of ``pbtrf``."""
+    coo = mat.tocoo()
+    coo.sum_duplicates()
+    k = int(np.abs(coo.row - coo.col).max())
+    ab = np.zeros((3 * k + 1, mat.shape[0]), order="F")
+    ab[2 * k + coo.row - coo.col, coo.col] = coo.data
+    return k, ab
+
+
 def assemble_operators(mesh: SpatialMesh, form: EllipticForm) -> Operators:
     """Assemble stiffness, consistent and lumped mass, and control weights.
 
@@ -377,6 +394,10 @@ class CheckItem:
         return {"key": self.key, "requirement": self.requirement,
                 "passed": self.passed, "detail": self.detail, "mandatory": self.mandatory}
 
+    def __str__(self):
+        tag = "PASS" if self.passed else "FAIL"
+        return f"{tag} {self.key}: {self.requirement} [{self.detail}]"
+
 
 @dataclass
 class ValidationReport:
@@ -398,6 +419,35 @@ class ValidationReport:
             "sample_count": self.sample_count,
             "items": [it.to_dict() for it in self.items],
         }
+
+
+# Rounding lets the Cholesky factorization of an exactly singular step matrix
+# succeed with tiny pivots, so a smallest squared pivot below this fraction of
+# the largest diagonal entry also counts as singular.
+STEP_PIVOT_FLOOR = 1e-10
+
+
+def _discrete_step_item(spec: ProblemSpec) -> CheckItem:
+    """Every implicit step equation has a unique solution when the step map
+    y -> (M/dt + K) y + M_L f(y) is strongly monotone, that is when
+    M/dt + K + min_slope*M_L is positive definite: one band Cholesky."""
+    key = "discrete_step_monotone"
+    requirement = "M/dt + K + min_slope*M_L positive definite"
+    try:
+        ops = spec.operators
+    except AssumptionError as exc:
+        return CheckItem(key, requirement, False, f"assembly failed: {exc}")
+    k, ab = band_storage(ops.mass * (1.0 / spec.grid.step) + ops.stiffness)
+    upper = ab[k:2 * k + 1]
+    upper[k] += spec.nonlinearity.min_slope * ops.lumped_mass
+    try:
+        factor = sla.cholesky_banded(upper, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        return CheckItem(key, requirement, False, str(exc))
+    ratio = float((factor[k] ** 2).min() / upper[k].max())
+    return CheckItem(key, requirement, ratio >= STEP_PIVOT_FLOOR,
+                     f"smallest squared pivot / largest diagonal = {ratio:.3g}, "
+                     f"required >= {STEP_PIVOT_FLOOR:g}")
 
 
 def validate_assumptions(spec: ProblemSpec, sample_range=(-50.0, 50.0),
@@ -494,4 +544,5 @@ def validate_assumptions(spec: ProblemSpec, sample_range=(-50.0, 50.0),
         "control_weight_positive", "control_weight > 0",
         spec.control_weight > 0, f"control_weight = {spec.control_weight:.6g}"))
 
+    items.append(_discrete_step_item(spec))
     return ValidationReport(items, sample_range, sample_count)

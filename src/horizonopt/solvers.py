@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .problem import ProblemSpec
+from .problem import ProblemSpec, band_storage
 from .spaces import (Trajectory, quad_energies, weighted_l2_norm,
                      weighted_sup_norm)
 
@@ -64,18 +64,6 @@ class NewtonConfig:
             raise ValueError("damping factor must lie in (0, 1)")
 
 
-def _band_storage(mat):
-    """Half-bandwidth k of a sparse matrix, read from its sparsity pattern, and
-    the matrix in LAPACK band storage for kl = ku = k: entry (i, j) sits at
-    ab[2k + i - j, j], and rows 0..k-1 are room for the fill of the LU."""
-    coo = mat.tocoo()
-    coo.sum_duplicates()
-    k = int(np.abs(coo.row - coo.col).max())
-    ab = np.zeros((3 * k + 1, mat.shape[0]), order="F")
-    ab[2 * k + coo.row - coo.col, coo.col] = coo.data
-    return k, ab
-
-
 def _tridiagonals(ab):
     """(lower, diagonal, upper) of a matrix in band storage with k = 1."""
     return (np.ascontiguousarray(ab[3, :-1]), np.ascontiguousarray(ab[2]),
@@ -97,10 +85,10 @@ class _StepSolver:
         self.lumped = ops.lumped_mass
         self.base = (ops.mass * (1.0 / dt) + ops.stiffness).tocsr()
         self.mass = ops.mass.tocsr()
-        self.k, self.ab = _band_storage(self.base)
+        self.k, self.ab = band_storage(self.base)
         if self.k == 1:
             self._lo, self._di, self._up = _tridiagonals(self.ab)
-            self._mlo, self._mdi, self._mup = _tridiagonals(_band_storage(self.mass)[1])
+            self._mlo, self._mdi, self._mup = _tridiagonals(band_storage(self.mass)[1])
             self._gtsv = sla.get_lapack_funcs(("gtsv",), (self.ab,))[0]
         else:
             self._gbsv = sla.get_lapack_funcs(("gbsv",), (self.ab,))[0]

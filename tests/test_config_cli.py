@@ -75,10 +75,11 @@ class TestConfigLoading:
             apply_overrides(cfg, ["no-equals-sign"])
 
     def test_optimizer_unknown_option_rejected(self):
-        cfg = load_config(CONFIG_DIR / "lq_small.json")
-        cfg["optimizer"]["wrong"] = 1
-        with pytest.raises(ConfigError):
-            build_optimizer_config(cfg)
+        for option in ("wrong", "initial_control"):
+            cfg = load_config(CONFIG_DIR / "lq_small.json")
+            cfg["optimizer"][option] = 1
+            with pytest.raises(ConfigError):
+                build_optimizer_config(cfg)
 
 
 class TestValidateCommand:
@@ -123,6 +124,12 @@ class TestValidateCommand:
             report = ho.validate_assumptions(spec)
             assert not report.passed, name
             assert key in [i.key for i in report.failures()], name
+
+    def test_every_shipped_valid_config_passes(self):
+        for path in sorted(CONFIG_DIR.glob("*.json")):
+            if not path.name.startswith("invalid_"):
+                report = ho.validate_assumptions(build_problem(load_config(path)))
+                assert report.passed, (path.name, [i.key for i in report.failures()])
 
 
 class TestGradientCheckCommand:
@@ -261,6 +268,46 @@ class TestSocheckCommand:
         assert payload["growth"]["kappa"] > 0
         assert payload["min_normalized_form"] is None or \
             payload["min_normalized_form"] > -1e-6
+
+
+class TestRunnerFailures:
+    @pytest.mark.parametrize("command, name", [
+        ("optimize", "ball_cubic"), ("socheck", "ball_cubic"),
+        ("horizon-study", "horizon_compact"),
+    ])
+    def test_gated_command_refuses_invalid_problem(self, tmp_path, capsys, command, name):
+        out = tmp_path / "run"
+        code = main([command, "--config", str(CONFIG_DIR / f"{name}.json"),
+                     "--set", "discounts.control_discount=0", "--out", str(out)])
+        assert code == 1
+        assert "FAIL control_discount_positive" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert "control_discount_positive" in manifest["error"]
+        assert manifest["outputs"] == []
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize("malformed, override", [
+        (True, None), (False, "nonlinearity.name=quartic"), (False, "no-equals-sign"),
+    ])
+    def test_config_error_leaves_failed_manifest(self, tmp_path, capsys, malformed,
+                                                 override):
+        path = CONFIG_DIR / "ball_cubic.json"
+        if malformed:
+            path = tmp_path / "bad.json"
+            path.write_text('{"mesh": [,}')
+        out = tmp_path / "run"
+        argv = ["optimize", "--config", str(path), "--out", str(out)]
+        if override:
+            argv += ["--set", override]
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"]
+        # the resolved document is recorded when resolution got that far
+        resolved = override == "nonlinearity.name=quartic"
+        assert (manifest["config"] is not None) == resolved
 
 
 class TestSmokeRuns:

@@ -1,12 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import horizonopt as ho
+from horizonopt.config import apply_overrides
 from horizonopt.mesh import MeshError
 from horizonopt.problem import AssumptionError, default_aux_rate
 
 from conftest import make_spec
 from oracles import discounted_power_sum
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def ops_for(diffusion=1.0, reaction=0.0, n=21):
@@ -147,6 +152,28 @@ class TestValidation:
                             enforce_second_order=True)
         report = ho.validate_assumptions(flagged)
         assert any(i.key == "second_order_margin" for i in report.failures())
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("step, passes", [(1.0, False), (0.5, True)])
+    def test_discrete_step_must_be_monotone(self, dimension, step, passes):
+        # f' >= -1: at dt = 1, M/dt + K - M_L annihilates constants (M 1 = M_L 1,
+        # K 1 = 0), so the implicit step has no unique solution
+        overrides = ["nonlinearity.name=cubic_minus_linear", "discounts.state_discount=12",
+                     "discounts.control_discount=0.5", "discounts.aux_rate=2.2",
+                     f"time.step={step}"]
+        if dimension == 2:
+            overrides += ["mesh.dimension=2", "mesh.shape=[16,16]",
+                          "mesh.control.box=[[0.2,0.8],[0.2,0.8]]"]
+        cfg = apply_overrides(ho.load_config(CONFIG_DIR / "ball_cubic.json"), overrides)
+        report = ho.validate_assumptions(ho.build_problem(cfg))
+        assert report.passed is passes
+        assert [i.key for i in report.failures()] == ([] if passes
+                                                      else ["discrete_step_monotone"])
+
+    def test_assembly_failure_is_reported_not_raised(self):
+        report = ho.validate_assumptions(make_spec(diffusion=-1.0))
+        keys = [i.key for i in report.failures()]
+        assert "diffusion_ellipticity" in keys and "discrete_step_monotone" in keys
 
     def test_validation_is_pure(self):
         spec = make_spec()
