@@ -5,9 +5,8 @@ horizon-study, socheck.  ``main`` runs each one the same way and owns its
 manifest: it records the resolved configuration before doing work and
 finalizes the manifest with timings afterwards, as ``failed`` on any error.
 Numerical CSV outputs are formatted at 17 significant digits and carry a
-schema version header, so repeated runs with fixed seeds and any thread
-count are byte-identical; wall-clock times appear only in manifest.json
-and report.json.
+schema version header, so repeated runs with fixed seeds are byte-identical;
+wall-clock times appear only in manifest.json and report.json.
 """
 
 from __future__ import annotations
@@ -236,7 +235,7 @@ def cmd_optimize(args, cfg, spec, manifest) -> int:
 
 
 def cmd_horizon_study(args, cfg, spec, manifest) -> int:
-    report = run_horizon_study(spec, build_horizon_config(cfg), threads=args.threads)
+    report = run_horizon_study(spec, build_horizon_config(cfg))
     manifest.stage("sweep")
     # every column after T is the record attribute of the same name
     columns = ["T", "control_error", "state_error_energy", "state_error_sup",
@@ -295,6 +294,14 @@ def cmd_socheck(args, cfg, spec, manifest) -> int:
     return EXIT_OK
 
 
+def positive_float(text: str) -> float:
+    """argparse type for a finite-difference step: a positive finite float."""
+    value = float(text)
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"not a positive finite number: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="horizonopt",
@@ -322,15 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("gradient-check", "adjoint vs central differences", cmd_gradient_check,
                 gated=False)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilons", type=float, nargs="+",
+    p.add_argument("--epsilons", type=positive_float, nargs="+",
                    default=[1e-3, 1e-4, 1e-5, 1e-6])
 
     command("optimize", "projected-gradient solve", cmd_optimize, gated=True)
 
     p = command("horizon-study", "finite-horizon convergence sweep", cmd_horizon_study,
                 gated=True)
-    p.add_argument("--threads", type=int, default=None,
-                   help="parallel solves (default: HORIZONOPT_THREADS or 1)")
     p.add_argument("--plot", action="store_true", help="write decay.svg")
 
     p = command("socheck", "second-order checks at an optimum", cmd_socheck, gated=True)

@@ -11,8 +11,6 @@ the truncated reference control.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,19 +21,6 @@ from .optimizer import OptimizerConfig, optimize
 from .problem import ProblemSpec
 from .spaces import (Trajectory, quad_energies, weighted_l2_norm,
                      weighted_sup_norm)
-
-THREADS_ENV = "HORIZONOPT_THREADS"
-
-
-def thread_count(override: int | None = None) -> int:
-    if override is not None:
-        return max(1, int(override))
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
 
 @dataclass(frozen=True)
 class HorizonStudyConfig:
@@ -137,8 +122,7 @@ def _fit_decay(horizons, errors):
     return float(slope), float(intercept), True
 
 
-def run_horizon_study(spec: ProblemSpec, config: HorizonStudyConfig,
-                      threads: int | None = None) -> HorizonStudyReport:
+def run_horizon_study(spec: ProblemSpec, config: HorizonStudyConfig) -> HorizonStudyReport:
     """Solve the truncated problems over the sweep and assemble the report."""
     step = spec.grid.step
     ref_T = config.resolved_reference()
@@ -157,8 +141,8 @@ def run_horizon_study(spec: ProblemSpec, config: HorizonStudyConfig,
 
     def solve_one(horizon):
         sub = spec.with_horizon(horizon)
-        n = sub.grid.n_steps
-        warm = Trajectory(sub.grid, u_ref.values[: n + 1].copy(), "control")
+        warm = u_ref.restrict(sub.grid)
+        ref_state = y_ref.restrict(sub.grid)
         ocfg = replace(config.optimizer, warm_start=warm)
         u_T, rep = optimize(sub, ocfg)
         y_T = rep.state
@@ -166,7 +150,7 @@ def run_horizon_study(spec: ProblemSpec, config: HorizonStudyConfig,
         gap_u = Trajectory(sub.grid, u_T.values - warm.values, "control")
         e_T = weighted_l2_norm(gap_u, d.control_rate, ops.control_weights)
 
-        gap_y = Trajectory(sub.grid, y_T.values - y_ref.values[: n + 1], "generic")
+        gap_y = Trajectory(sub.grid, y_T.values - ref_state.values, "generic")
         err_energy = weighted_l2_norm(gap_y, d.state_rate, ops.h1) \
             + weighted_sup_norm(gap_y, d.state_rate, ops.mass)
         err_sup = float(np.max(np.exp(-0.5 * d.state_rate * sub.grid.times)
@@ -180,7 +164,6 @@ def run_horizon_study(spec: ProblemSpec, config: HorizonStudyConfig,
         bound_source = tail_norm(spec, "source", d.state_rate, horizon)
 
         cost_opt = cost_from_state(sub, u_T, y_T).total
-        ref_state = Trajectory(sub.grid, y_ref.values[: n + 1].copy(), "state")
         cost_ref = cost_from_state(sub, warm, ref_state).total
 
         dominated = bound_target + bound_source <= bound_terminal + 1e-14
@@ -192,14 +175,7 @@ def run_horizon_study(spec: ProblemSpec, config: HorizonStudyConfig,
             cost_reference=cost_ref, tail_dominated=bool(dominated),
             iterations=rep.iterations)
 
-    workers = thread_count(threads)
-    horizons = list(config.horizons)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(solve_one, horizons))
-    else:
-        records = [solve_one(h) for h in horizons]
-    records.sort(key=lambda r: r.horizon)
+    records = [solve_one(h) for h in config.horizons]
 
     for rec in records:
         if not rec.tail_dominated:

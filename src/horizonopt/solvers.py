@@ -7,8 +7,7 @@ The forward step solves
 
 by damped Newton, where M is the consistent mass matrix, M_L its lumping,
 K the stiffness (including the nodal reaction term), and W the lumped
-control weights scattered to the control nodes.  The linearized and
-second-order sensitivity equations reuse the converged step Jacobians.
+control weights scattered to the control nodes.
 
 The adjoint recursion is the exact transpose of the linearized forward
 map.  Starting from zero beyond the final node (the discrete form of the
@@ -18,7 +17,10 @@ truncated terminal condition) it runs
 
 with S_i = M/dt + K + M_L diag(f'(y_i)).  This choice makes the discrete
 cost gradient exact to solver precision; consistency with the backward
-differential equation is then automatic as dt -> 0.
+differential equation is then automatic as dt -> 0.  One march serves the
+linearized, second-order and adjoint solves: the two sensitivity equations
+reuse the converged step Jacobians S_i and run the same recursion forward,
+S_i z_i = (M/dt) z_{i-1} + source_i for i = 1..N, from z_0 = 0.
 
 Every step solve with S_i, forward, adjoint or linearized, is one band LU:
 M/dt + K is held in LAPACK band storage of half-bandwidth k, and each solve
@@ -78,7 +80,7 @@ class _StepSolver:
     x-fastest node numbering.  Each solve adds the lumped shift to the
     diagonal and makes one LAPACK call: ``gtsv`` on the three diagonals when
     k = 1, ``gbsv`` on a copy of the band otherwise.  Instances are
-    stateless per call and safe to share across threads.
+    stateless per call.
     """
 
     def __init__(self, ops, dt: float):
@@ -205,61 +207,44 @@ def solve_forward(spec: ProblemSpec, control: Trajectory,
     return Trajectory(spec.grid, out, "state")
 
 
-def _linear_march(spec, coefficients, rhs_nodal, start=None):
-    """Shared linear stepping: S_i z_i = (M/dt) z_{i-1} + rhs_nodal[i]."""
-    ops = spec.operators
+def _linear_march(spec, coefficients, sources, steps):
+    """The one linear march: starting from z = 0, for each i in ``steps`` (in
+    order) solve S_i z = (M/dt) z + sources[i] and store z as row i.  Rows
+    that ``steps`` does not visit stay zero."""
     dt = spec.grid.step
     stepper = _stepper(spec)
-    n = spec.grid.n_steps
-    out = np.empty((n + 1, ops.n_nodes))
-    out[0] = 0.0 if start is None else start
-    z = out[0].copy()
-    for i in range(1, n + 1):
-        b = stepper.mass_matvec(z) / dt + rhs_nodal[i]
-        z = stepper.solve(coefficients[i], b)
+    out = np.zeros(sources.shape)
+    z = np.zeros(out.shape[1])
+    for i in steps:
+        z = stepper.solve(coefficients[i], stepper.mass_matvec(z) / dt + sources[i])
         out[i] = z
     if not np.all(np.isfinite(out)):
         raise SolverError("linear solve produced non-finite values")
     return out
 
 
-def _step_coefficients(spec, base_state, coefficient=None):
-    f = spec.nonlinearity
-    if coefficient is None:
-        return f.derivative(base_state.values)
-    coeff = np.asarray(coefficient, dtype=float)
-    if coeff.shape != base_state.values.shape:
-        raise ValueError("coefficient field shape does not match the state trajectory")
-    tol = 1e-9 * max(1.0, abs(f.min_slope))
-    if coeff.min() < f.min_slope - tol:
-        raise ValueError("coefficient field falls below the declared slope bound")
-    return coeff
-
-
 def solve_linearized(spec: ProblemSpec, base_state: Trajectory, rhs: Trajectory,
-                     rhs_on_omega: bool = True, coefficient=None) -> Trajectory:
+                     rhs_on_omega: bool = True) -> Trajectory:
     """Linearized equation around a forward trajectory, zero initial value.
 
     With ``rhs_on_omega`` the right-hand side lives on the control nodes and
     enters through the lumped control weights; otherwise it is a full-domain
-    field entering through the consistent mass matrix.  An explicit
-    ``coefficient`` field replaces f'(state) (it must respect the slope
-    bound).
+    field entering through the consistent mass matrix.
     """
     ops = spec.operators
     n = spec.grid.n_steps
     if base_state.grid.n_steps != n:
         raise ValueError("base state does not match the time grid")
-    coeffs = _step_coefficients(spec, base_state, coefficient)
     if rhs_on_omega:
         if rhs.values.shape[1] != spec.control_count:
             raise ValueError("control-supported right-hand side has the wrong width")
-        rhs_nodal = ops.scatter_control(rhs.values)
+        sources = ops.scatter_control(rhs.values)
     else:
         if rhs.values.shape[1] != ops.n_nodes:
             raise ValueError("full-domain right-hand side has the wrong width")
-        rhs_nodal = (ops.mass @ rhs.values.T).T
-    vals = _linear_march(spec, coeffs, rhs_nodal)
+        sources = (ops.mass @ rhs.values.T).T
+    coeffs = spec.nonlinearity.derivative(base_state.values)
+    vals = _linear_march(spec, coeffs, sources, range(1, n + 1))
     return Trajectory(spec.grid, vals, "generic")
 
 
@@ -267,56 +252,44 @@ def solve_second_order(spec: ProblemSpec, base_state: Trajectory,
                        z1: Trajectory, z2: Trajectory) -> Trajectory:
     """Second-order sensitivity: forcing -f''(y) z1 z2 through nodal quadrature."""
     f = spec.nonlinearity
-    ops = spec.operators
     prod = -f.second_derivative(base_state.values) * z1.values * z2.values
-    rhs_nodal = ops.lumped_mass * prod
+    sources = spec.operators.lumped_mass * prod
     coeffs = f.derivative(base_state.values)
-    vals = _linear_march(spec, coeffs, rhs_nodal)
+    vals = _linear_march(spec, coeffs, sources, range(1, spec.grid.n_steps + 1))
     return Trajectory(spec.grid, vals, "generic")
 
 
 def solve_adjoint_from_residual(spec: ProblemSpec, base_state: Trajectory,
                                 residual: np.ndarray, rate: float,
                                 masked: bool = False) -> Trajectory:
-    """Transpose recursion with source e^{-rate t_i} M residual_i.
+    """Transpose recursion with source e^{-rate t_i} M residual_i, marched
+    backward from i = N to 0.
 
     With ``masked`` the source is restricted to the observation subdomain
     (nodal indicator on both sides of the mass matrix).
     """
-    ops = spec.operators
-    f = spec.nonlinearity
-    dt = spec.grid.step
     n = spec.grid.n_steps
     residual = np.asarray(residual, dtype=float)
-    if residual.shape != (n + 1, ops.n_nodes):
+    if residual.shape != (n + 1, spec.operators.n_nodes):
         raise ValueError("residual samples have the wrong shape")
     mask = spec.observation_mask if masked else None
     stepper = _stepper(spec)
     t = spec.grid.times
-    out = np.empty((n + 1, ops.n_nodes))
-    nxt = np.zeros(ops.n_nodes)
-    for i in range(n, -1, -1):
-        r = residual[i]
-        if mask is not None:
-            src = mask * stepper.mass_matvec(mask * r)
-        else:
-            src = stepper.mass_matvec(r)
-        b = stepper.mass_matvec(nxt) / dt + np.exp(-rate * t[i]) * src
-        nxt = stepper.solve(f.derivative(base_state.values[i]), b)
-        out[i] = nxt
-    if not np.all(np.isfinite(out)):
-        raise SolverError("adjoint solve produced non-finite values")
-    return Trajectory(spec.grid, out, "adjoint")
+    sources = np.empty_like(residual)
+    for i, r in enumerate(residual):
+        src = stepper.mass_matvec(r) if mask is None else mask * stepper.mass_matvec(mask * r)
+        sources[i] = np.exp(-rate * t[i]) * src
+    coeffs = spec.nonlinearity.derivative(base_state.values)
+    vals = _linear_march(spec, coeffs, sources, range(n, -1, -1))
+    return Trajectory(spec.grid, vals, "adjoint")
 
 
-def solve_adjoint(spec: ProblemSpec, base_state: Trajectory,
-                  rate: float | None = None, target=None) -> Trajectory:
+def solve_adjoint(spec: ProblemSpec, base_state: Trajectory, target=None) -> Trajectory:
     """Adjoint of the tracking cost around a forward trajectory."""
-    if rate is None:
-        rate = spec.discounts.state_rate
     target_vals = spec.target_samples if target is None else np.asarray(target, dtype=float)
     residual = base_state.values - target_vals
-    return solve_adjoint_from_residual(spec, base_state, residual, rate, masked=True)
+    return solve_adjoint_from_residual(spec, base_state, residual,
+                                       spec.discounts.state_rate, masked=True)
 
 
 # ---------------------------------------------------------------------------

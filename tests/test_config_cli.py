@@ -160,6 +160,14 @@ class TestGradientCheckCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "complete"
 
+    def test_nonpositive_epsilon_is_a_usage_error(self, tmp_path):
+        # a zero step would divide by zero in the central difference
+        with pytest.raises(SystemExit) as exc:
+            main(["gradient-check", "--config", str(CONFIG_DIR / "ball_cubic.json"),
+                  "--out", str(tmp_path / "gc"), "--epsilons", "0", "1e-4"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "gc").exists()
+
     def test_repeated_seed_reproduces_bytes(self, tmp_path):
         outs = []
         for sub in ("a", "b"):
@@ -245,18 +253,6 @@ class TestHorizonStudyCommand:
         assert fit["rate_status"] == "pass"
         assert (out / "decay.svg").read_text().startswith("<svg")
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        cfg_path = small_study_config(tmp_path)
-        blobs = {}
-        for threads in ("1", "4"):
-            monkeypatch.setenv("HORIZONOPT_THREADS", threads)
-            out = tmp_path / f"t{threads}"
-            assert main(["horizon-study", "--config", str(cfg_path),
-                         "--out", str(out)]) == 0
-            blobs[threads] = ((out / "sweep.csv").read_bytes(),
-                              (out / "fit.json").read_bytes())
-        assert blobs["1"] == blobs["4"]
-
 
 class TestSocheckCommand:
     def test_reports_positive_growth_on_lq(self, tmp_path):
@@ -311,9 +307,8 @@ class TestRunnerFailures:
 
 
 class TestSmokeRuns:
-    def test_every_subcommand_finishes_within_budget(self, tmp_path, monkeypatch):
+    def test_every_subcommand_finishes_within_budget(self, tmp_path):
         import time
-        monkeypatch.setenv("HORIZONOPT_THREADS", "1")
         study = small_study_config(tmp_path)
         runs = [
             ["validate", "--config", str(CONFIG_DIR / "ball_cubic.json")],

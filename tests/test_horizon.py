@@ -4,7 +4,7 @@ import pytest
 import horizonopt as ho
 from horizonopt.descriptors import Field, SpaceProfile, TimeProfile
 from horizonopt.horizon import (HorizonStudyConfig, check_state_error_bounds,
-                                run_horizon_study, thread_count)
+                                run_horizon_study)
 from horizonopt.optimizer import OptimizerConfig
 from horizonopt.spaces import weighted_l2_norm
 
@@ -95,15 +95,6 @@ class TestHorizonStudy:
             offset = np.exp(-0.5 * spec.discounts.state_rate * a.horizon)
             assert a.bound_terminal - b.bound_terminal == pytest.approx(offset, rel=1e-9)
 
-    def test_thread_fanout_is_bitwise_deterministic(self):
-        spec = study_spec()
-        cfg = small_config(horizons=(2.0, 3.0, 4.0))
-        rep1 = run_horizon_study(spec, cfg, threads=1)
-        rep4 = run_horizon_study(spec, cfg, threads=4)
-        for a, b in zip(rep1.records, rep4.records):
-            assert a.to_dict() == b.to_dict()
-        assert rep1.slope == rep4.slope
-
     def test_warm_start_matches_cold_start_on_smallest_horizon(self):
         spec = study_spec()
         tol = 1e-11
@@ -153,13 +144,6 @@ class TestConfigValidation:
                                     records=small_report.records[:2])
         with pytest.raises(ValueError):
             check_state_error_bounds(short, study_spec())
-
-    def test_thread_count_env(self, monkeypatch):
-        monkeypatch.setenv("HORIZONOPT_THREADS", "3")
-        assert thread_count() == 3
-        assert thread_count(override=2) == 2
-        monkeypatch.setenv("HORIZONOPT_THREADS", "junk")
-        assert thread_count() == 1
 
 
 def test_degenerate_all_zero_sweep_trivially_passes():
