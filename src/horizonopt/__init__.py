@@ -2,7 +2,7 @@
 equations, approximated by a family of finite-horizon problems."""
 
 from .admissible import (AdmissibleSet, check_projection_formulas,
-                         project_pointwise, stationarity_residual)
+                         stationarity_residual)
 from .config import (ConfigError, build_horizon_config, build_optimizer_config,
                      build_problem, load_config)
 from .descriptors import Field, SpaceProfile, TimeProfile, tail_norm, zero_field
@@ -22,7 +22,7 @@ from .solvers import (EstimateReport, NewtonConfig, SolverError,
                       check_energy_estimate, check_linearized_estimate,
                       solve_adjoint, solve_forward, solve_linearized,
                       solve_second_order)
-from .spaces import (TimeGrid, Trajectory, trajectory_norm, weighted_l2_norm,
-                     weighted_lp_norm, weighted_sup_norm)
+from .spaces import (TimeGrid, Trajectory, weighted_l2_norm, weighted_lp_norm,
+                     weighted_sup_norm)
 
 __version__ = "0.1.0"

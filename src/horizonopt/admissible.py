@@ -56,13 +56,6 @@ def project_values(admissible: AdmissibleSet, values: np.ndarray,
     return values * scale[:, None]
 
 
-def project_pointwise(admissible: AdmissibleSet, traj: Trajectory,
-                      control_weights: np.ndarray) -> Trajectory:
-    """Pointwise-in-time projection of a control trajectory onto the set."""
-    return Trajectory(traj.grid, project_values(admissible, traj.values, control_weights),
-                      "control")
-
-
 def contains(admissible: AdmissibleSet, traj: Trajectory, control_weights: np.ndarray,
              tol: float = 1e-12) -> bool:
     if admissible.kind == "box":

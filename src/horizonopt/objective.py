@@ -93,15 +93,6 @@ def first_order_density(spec: ProblemSpec, u: Trajectory, adjoint: Trajectory) -
         + spec.control_weight * np.exp(-spec.discounts.control_rate * t)[:, None] * u.values
 
 
-def directional_derivative(spec: ProblemSpec, u: Trajectory, adjoint: Trajectory,
-                           v: Trajectory) -> float:
-    """J'(u) v through the unweighted control pairing."""
-    density = first_order_density(spec, u, adjoint)
-    w = spec.operators.control_weights
-    per_step = np.einsum("ij,j,ij->i", density[1:], w, v.values[1:])
-    return float(spec.grid.step * np.sum(per_step))
-
-
 class SecondOrderModel:
     """Caches the state/adjoint pair at a control and evaluates quadratic forms.
 
@@ -119,20 +110,29 @@ class SecondOrderModel:
         self.state = state if state is not None else solve_forward(spec, u, newton)
         self.adjoint = adjoint if adjoint is not None else solve_adjoint(spec, self.state)
 
-    def response(self, v: Trajectory) -> Trajectory:
+    def response(self, v: Trajectory | list) -> Trajectory | list:
+        """Linearized state response to a direction; a list of directions is
+        marched in one batch and gives a list of responses."""
         return solve_linearized(self.spec, self.state, v, rhs_on_omega=True)
 
-    def quadratic_form(self, v1: Trajectory, v2: Trajectory,
-                       z1: Trajectory | None = None, z2: Trajectory | None = None) -> float:
+    def quadratic_form(self, v1: Trajectory | list, v2: Trajectory | list,
+                       z1: Trajectory | list | None = None,
+                       z2: Trajectory | list | None = None) -> float | list:
+        """Second derivative of the cost in the directions v1, v2.  Lists of
+        directions are paired elementwise, their responses come from one
+        batched march, and a list of values comes back, each computed as
+        for its single pair."""
+        if z1 is None:
+            z1 = self.response(v1)
+        if z2 is None:
+            z2 = self.response(v2) if v2 is not v1 else z1
+        if not isinstance(v1, Trajectory):
+            return [self.quadratic_form(*pair) for pair in zip(v1, v2, z1, z2)]
         spec = self.spec
         ops = spec.operators
         d = spec.discounts
         dt = spec.grid.step
         t = spec.grid.times[1:]
-        if z1 is None:
-            z1 = self.response(v1)
-        if z2 is None:
-            z2 = self.response(v2) if v2 is not v1 else z1
         m1 = _masked(z1.values[1:], spec.observation_mask)
         m2 = _masked(z2.values[1:], spec.observation_mask)
         track = np.einsum("ij,ji->i", m1, np.asarray(ops.mass @ m2.T))
@@ -144,11 +144,16 @@ class SecondOrderModel:
         third = spec.control_weight * dt * float(np.sum(np.exp(-d.control_rate * t) * ctrl))
         return first + second + third
 
-    def lagrangian_form(self, v: Trajectory, multiplier: "Multiplier",
-                        z: Trajectory | None = None) -> float:
+    def lagrangian_form(self, v: Trajectory | list, multiplier: "Multiplier",
+                        z: Trajectory | list | None = None) -> float | list:
+        """``quadratic_form(v, v)`` plus the multiplier term of the ball; a
+        list of directions gives a list of values, as ``quadratic_form``."""
         spec = self.spec
         if spec.admissible.kind != "ball":
             raise ValueError("the multiplier-augmented form is defined for ball constraints")
+        if not isinstance(v, Trajectory):
+            zs = self.response(v) if z is None else z
+            return [self.lagrangian_form(vb, multiplier, zb) for vb, zb in zip(v, zs)]
         base = self.quadratic_form(v, v, z1=z, z2=z)
         w = spec.operators.control_weights
         e = np.einsum("ij,j,ij->i", v.values[1:], w, v.values[1:])

@@ -22,14 +22,21 @@ linearized, second-order and adjoint solves: the two sensitivity equations
 reuse the converged step Jacobians S_i and run the same recursion forward,
 S_i z_i = (M/dt) z_{i-1} + source_i for i = 1..N, from z_0 = 0.
 
+The march takes a batch of B right-hand sides at once (the second-order
+check marches all its directions together); each of its steps solves with
+S_i once for all B of them.
+
 Every step solve with S_i, forward, adjoint or linearized, is one band LU:
 M/dt + K is held in LAPACK band storage of half-bandwidth k, and each solve
-adds the lumped shift to its diagonal and calls ``gtsv`` when k = 1 (1D)
-or ``gbsv`` otherwise (2D, k = nx + 2).
+adds the lumped shift to its diagonal and calls ``gtsv`` with B columns
+when k = 1 (1D), or ``gbtrf`` and then ``gbtrs`` with B columns otherwise
+(2D, k = nx + 2).  LAPACK treats the columns independently, so a batch
+gives each right-hand side the bits it gets alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,10 +84,11 @@ class _StepSolver:
 
     M/dt + K is converted once into LAPACK band storage; its half-bandwidth
     k is 1 on an interval and nx + 2 on an nx x ny rectangle with the mesh's
-    x-fastest node numbering.  Each solve adds the lumped shift to the
-    diagonal and makes one LAPACK call: ``gtsv`` on the three diagonals when
-    k = 1, ``gbsv`` on a copy of the band otherwise.  Instances are
-    stateless per call.
+    x-fastest node numbering.  Every method takes arrays with the nodes on
+    the last axis: a (B, N) right-hand side is B systems.  Each solve adds
+    the lumped shift to the diagonal and factors once for all B columns:
+    ``gtsv`` on the three diagonals when k = 1, ``gbtrf`` on a copy of the
+    band and then ``gbtrs`` otherwise.  Instances are stateless per call.
     """
 
     def __init__(self, ops, dt: float):
@@ -93,38 +101,42 @@ class _StepSolver:
             self._mlo, self._mdi, self._mup = _tridiagonals(band_storage(self.mass)[1])
             self._gtsv = sla.get_lapack_funcs(("gtsv",), (self.ab,))[0]
         else:
-            self._gbsv = sla.get_lapack_funcs(("gbsv",), (self.ab,))[0]
+            self._gbtrf, self._gbtrs = sla.get_lapack_funcs(("gbtrf", "gbtrs"), (self.ab,))
 
     def _tri_matvec(self, lo, di, up, y):
         out = di * y
-        out[:-1] += up * y[1:]
-        out[1:] += lo * y[:-1]
+        out[..., :-1] += up * y[..., 1:]
+        out[..., 1:] += lo * y[..., :-1]
         return out
 
     def mass_matvec(self, y: np.ndarray) -> np.ndarray:
         if self.k == 1:
             return self._tri_matvec(self._mlo, self._mdi, self._mup, y)
-        return self.mass @ y
+        return (self.mass @ y.T).T
 
     def apply_base(self, y: np.ndarray) -> np.ndarray:
         if self.k == 1:
             return self._tri_matvec(self._lo, self._di, self._up, y)
-        return self.base @ y
+        return (self.base @ y.T).T
 
     def solve(self, shift: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        # LAPACK solves for the columns of rhs.T, one per right-hand side
         if self.k == 1:
             d = self._di + self.lumped * shift
-            _, _, _, x, info = self._gtsv(self._lo, d, self._up, rhs,
+            _, _, _, x, info = self._gtsv(self._lo, d, self._up, rhs.T,
                                           overwrite_d=True)
             if info != 0:
                 raise SolverError(f"singular step matrix (gtsv info {info})")
-            return x
+            return x.T
         ab = self.ab.copy(order="F")
         ab[2 * self.k] += self.lumped * shift
-        _, _, x, info = self._gbsv(self.k, self.k, ab, rhs, overwrite_ab=True)
+        lu, piv, info = self._gbtrf(ab, self.k, self.k, overwrite_ab=True)
         if info != 0:
-            raise SolverError(f"singular step matrix (gbsv info {info})")
-        return x
+            raise SolverError(f"singular step matrix (gbtrf info {info})")
+        x, info = self._gbtrs(lu, self.k, self.k, rhs.T, piv)
+        if info != 0:
+            raise SolverError(f"step solve failed (gbtrs info {info})")
+        return x.T
 
 
 def _stepper(spec) -> _StepSolver:
@@ -149,7 +161,7 @@ def _forcing_terms(spec: ProblemSpec, control: Trajectory) -> np.ndarray:
 
 def _residual_norm(r: np.ndarray, lumped: np.ndarray) -> float:
     # lumped-mass-weighted dual norm, comparable to an L2 function norm
-    return float(np.sqrt(np.sum(r * r / lumped)))
+    return math.sqrt((r * r / lumped).sum())
 
 
 def solve_forward(spec: ProblemSpec, control: Trajectory,
@@ -160,10 +172,13 @@ def solve_forward(spec: ProblemSpec, control: Trajectory,
     if control.grid.n_steps != spec.grid.n_steps:
         raise ValueError("control trajectory does not match the time grid")
     cfg = newton or NewtonConfig()
-    ops = spec.operators
-    f = spec.nonlinearity
+    tolerance, damping = cfg.tolerance, cfg.damping
+    iterations = range(cfg.max_iterations)
+    value, derivative = spec.nonlinearity.value, spec.nonlinearity.derivative
     dt = spec.grid.step
     stepper = _stepper(spec)
+    mass_matvec, apply_base, solve = stepper.mass_matvec, stepper.apply_base, stepper.solve
+    ops = spec.operators
     ml = ops.lumped_mass
     forcing = _forcing_terms(spec, control)
 
@@ -172,32 +187,31 @@ def solve_forward(spec: ProblemSpec, control: Trajectory,
     out[0] = spec.initial_values
     y = out[0].copy()
     for i in range(1, n + 1):
-        b = stepper.mass_matvec(y) / dt + forcing[i]
-
-        def residual(v):
-            return stepper.apply_base(v) + ml * f.value(v) - b
-
-        r = residual(y)
+        b = mass_matvec(y) / dt + forcing[i]
+        r = apply_base(y) + ml * value(y) - b
         rn = _residual_norm(r, ml)
         history = [rn]
-        for _ in range(cfg.max_iterations):
-            if rn <= cfg.tolerance:
+        for _ in iterations:
+            if rn <= tolerance:
                 break
-            delta = stepper.solve(f.derivative(y), -r)
+            # the Newton update is -delta; solving for r instead of -r and
+            # subtracting gives the same bits, since the solve is linear in
+            # its right-hand side and negation is exact
+            delta = solve(derivative(y), r)
             alpha = 1.0
             while True:
-                y_try = y + alpha * delta
-                r_try = residual(y_try)
+                y_try = y - delta if alpha == 1.0 else y - alpha * delta
+                r_try = apply_base(y_try) + ml * value(y_try) - b
                 rn_try = _residual_norm(r_try, ml)
-                if np.isfinite(rn_try) and (rn_try < rn or rn_try <= cfg.tolerance):
+                if math.isfinite(rn_try) and (rn_try < rn or rn_try <= tolerance):
                     break
-                alpha *= cfg.damping
+                alpha *= damping
                 if alpha < 1e-10:
                     raise SolverError(
                         f"Newton damping stalled at time step {i}", step=i, history=history)
             y, r, rn = y_try, r_try, rn_try
             history.append(rn)
-        if rn > cfg.tolerance:
+        if rn > tolerance:
             raise SolverError(
                 f"Newton did not converge at time step {i} (residual {rn:.3e})",
                 step=i, history=history)
@@ -210,11 +224,18 @@ def solve_forward(spec: ProblemSpec, control: Trajectory,
 def _linear_march(spec, coefficients, sources, steps):
     """The one linear march: starting from z = 0, for each i in ``steps`` (in
     order) solve S_i z = (M/dt) z + sources[i] and store z as row i.  Rows
-    that ``steps`` does not visit stay zero."""
+    that ``steps`` does not visit stay zero.
+
+    ``sources`` has shape (n+1, N) for one right-hand side, or (n+1, B, N)
+    for B of them marched together: one step solve with B columns per step,
+    each column bitwise what it gives alone.  The result has the shape of
+    ``sources``, and each right-hand side's trajectory ``out[:, b]`` is
+    contiguous."""
     dt = spec.grid.step
     stepper = _stepper(spec)
-    out = np.zeros(sources.shape)
-    z = np.zeros(out.shape[1])
+    n1, nodes = sources.shape[0], sources.shape[-1]
+    out = np.moveaxis(np.zeros(sources.shape[1:-1] + (n1, nodes)), -2, 0)
+    z = np.zeros(sources.shape[1:])
     for i in steps:
         z = stepper.solve(coefficients[i], stepper.mass_matvec(z) / dt + sources[i])
         out[i] = z
@@ -223,29 +244,42 @@ def _linear_march(spec, coefficients, sources, steps):
     return out
 
 
-def solve_linearized(spec: ProblemSpec, base_state: Trajectory, rhs: Trajectory,
-                     rhs_on_omega: bool = True) -> Trajectory:
+def solve_linearized(spec: ProblemSpec, base_state: Trajectory, rhs: Trajectory | list,
+                     rhs_on_omega: bool = True) -> Trajectory | list:
     """Linearized equation around a forward trajectory, zero initial value.
 
     With ``rhs_on_omega`` the right-hand side lives on the control nodes and
     enters through the lumped control weights; otherwise it is a full-domain
-    field entering through the consistent mass matrix.
+    field entering through the consistent mass matrix.  A list of
+    right-hand sides is solved in one batched march and gives a list of
+    responses, each bitwise equal to its own solve.
     """
     ops = spec.operators
     n = spec.grid.n_steps
     if base_state.grid.n_steps != n:
         raise ValueError("base state does not match the time grid")
-    if rhs_on_omega:
-        if rhs.values.shape[1] != spec.control_count:
-            raise ValueError("control-supported right-hand side has the wrong width")
-        sources = ops.scatter_control(rhs.values)
+    single = isinstance(rhs, Trajectory)
+    if single:
+        values = rhs.values
     else:
-        if rhs.values.shape[1] != ops.n_nodes:
+        rhs = list(rhs)
+        if not rhs:
+            return []
+        values = np.stack([r.values for r in rhs], axis=1)
+    if rhs_on_omega:
+        if values.shape[-1] != spec.control_count:
+            raise ValueError("control-supported right-hand side has the wrong width")
+        sources = ops.scatter_control(values)
+    else:
+        if values.shape[-1] != ops.n_nodes:
             raise ValueError("full-domain right-hand side has the wrong width")
-        sources = (ops.mass @ rhs.values.T).T
+        flat = values.reshape(-1, ops.n_nodes)
+        sources = (ops.mass @ flat.T).T.reshape(values.shape)
     coeffs = spec.nonlinearity.derivative(base_state.values)
     vals = _linear_march(spec, coeffs, sources, range(1, n + 1))
-    return Trajectory(spec.grid, vals, "generic")
+    if single:
+        return Trajectory(spec.grid, vals, "generic")
+    return [Trajectory(spec.grid, vals[:, b], "generic") for b in range(len(rhs))]
 
 
 def solve_second_order(spec: ProblemSpec, base_state: Trajectory,
@@ -273,12 +307,9 @@ def solve_adjoint_from_residual(spec: ProblemSpec, base_state: Trajectory,
     if residual.shape != (n + 1, spec.operators.n_nodes):
         raise ValueError("residual samples have the wrong shape")
     mask = spec.observation_mask if masked else None
-    stepper = _stepper(spec)
-    t = spec.grid.times
-    sources = np.empty_like(residual)
-    for i, r in enumerate(residual):
-        src = stepper.mass_matvec(r) if mask is None else mask * stepper.mass_matvec(mask * r)
-        sources[i] = np.exp(-rate * t[i]) * src
+    mass_matvec = _stepper(spec).mass_matvec
+    src = mass_matvec(residual) if mask is None else mask * mass_matvec(mask * residual)
+    sources = np.exp(-rate * spec.grid.times)[:, None] * src
     coeffs = spec.nonlinearity.derivative(base_state.values)
     vals = _linear_march(spec, coeffs, sources, range(n, -1, -1))
     return Trajectory(spec.grid, vals, "adjoint")

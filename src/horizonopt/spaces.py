@@ -155,25 +155,3 @@ def weighted_inner(a: Trajectory, b: Trajectory, rate: float, form) -> float:
         raise ValueError("trajectory shapes do not match")
     cross = _pairings(a.values[1:], b.values[1:], form)
     return float(np.sum(_quad_weights(a.grid, rate) * cross))
-
-
-def trajectory_norm(ops, traj: Trajectory, rate: float, metric: str = "mass",
-                    p: float | None = None) -> float:
-    """Weighted norm with the metric resolved from assembled operators.
-
-    metric: "mass" | "h1" (mass + stiffness) | "control".  Control
-    trajectories must use the control metric and vice versa.
-    """
-    if metric == "control":
-        if traj.kind != "control":
-            raise ValueError("control metric requires a control trajectory")
-        form = ops.control_weights
-    elif metric in ("mass", "h1"):
-        if traj.kind == "control":
-            raise ValueError(f"metric {metric!r} is not defined for control trajectories")
-        form = ops.mass if metric == "mass" else ops.h1
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
-    if p is None or p == 2:
-        return weighted_l2_norm(traj, rate, form)
-    return weighted_lp_norm(traj, rate, p, form)

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from horizonopt import (AdmissibleSet, Discounts, EllipticForm, ProblemSpec,
                         TimeGrid, Trajectory, builtin_nonlinearities,
                         interval_mesh)
 from horizonopt.problem import default_aux_rate
+
+# every property test reruns the same examples, with no per-example deadline
+settings.register_profile("horizonopt", derandomize=True, deadline=None)
+settings.load_profile("horizonopt")
 
 
 def make_spec(n_nodes=21, horizon=1.0, step=0.05, nonlinearity="cubic",
@@ -80,8 +85,9 @@ def random_instance(seed, set_kind="ball", nonlinearity="cubic"):
         control_weight=rng.uniform(0.3, 1.0), admissible=admissible,
         initial=initial, source=source, target=target)
     u = random_control(spec, seed=seed + 1, scale=0.4)
-    from horizonopt.admissible import project_pointwise
-    u = project_pointwise(spec.admissible, u, spec.operators.control_weights)
+    from horizonopt.admissible import project_values
+    u = Trajectory(spec.grid, project_values(spec.admissible, u.values,
+                                             spec.operators.control_weights), "control")
     return spec, u
 
 

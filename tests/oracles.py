@@ -5,9 +5,16 @@ from the library's solve paths: closed-form discounted sums, scalar
 implicit-Euler recursions (forward and transposed), a high-accuracy
 Runge-Kutta integrator, and a dense saddle-point solve of the
 linear-quadratic problem.
+
+The reference marches at the end are the plain loops the library's march
+kernels must match bit for bit: one right-hand side and one LAPACK call per
+step solve (``gtsv`` in 1D, ``gbsv`` in 2D), a residual closure in the
+Newton step, and the adjoint sources built one time row at a time.  They
+read only the step operator's matrices, never its methods.
 """
 
 import numpy as np
+import scipy.linalg as sla
 
 
 def discounted_power_sum(rate, dt, n_steps, power=2.0, value=1.0):
@@ -153,3 +160,115 @@ def dense_lq_solution(ops, grid, state_rate, control_rate, control_weight,
     for i in range(1, n + 1):
         u[i] = sol[upos(i):upos(i) + nc]
     return u
+
+
+# ---------------------------------------------------------------------------
+# reference marches, one right-hand side and one LAPACK call at a time
+
+
+class ReferenceStep:
+    """Single right-hand-side products and step solves with the step matrix
+    M/dt + K + M_L diag(shift), built from a step operator's band storage
+    and sparse matrices."""
+
+    def __init__(self, stepper):
+        self.k, self.ab, self.lumped = stepper.k, stepper.ab, stepper.lumped
+        self.base, self.mass = stepper.base, stepper.mass
+        self.mass_ab = np.zeros_like(self.ab)
+        coo = self.mass.tocoo()
+        coo.sum_duplicates()
+        self.mass_ab[2 * self.k + coo.row - coo.col, coo.col] = coo.data
+
+    @staticmethod
+    def _tri_matvec(ab, y):
+        out = ab[2] * y
+        out[:-1] += ab[1, 1:] * y[1:]
+        out[1:] += ab[3, :-1] * y[:-1]
+        return out
+
+    def mass_matvec(self, y):
+        return self._tri_matvec(self.mass_ab, y) if self.k == 1 else self.mass @ y
+
+    def apply_base(self, y):
+        return self._tri_matvec(self.ab, y) if self.k == 1 else self.base @ y
+
+    def solve(self, shift, rhs):
+        if self.k == 1:
+            gtsv = sla.get_lapack_funcs("gtsv", (self.ab,))
+            d = self.ab[2] + self.lumped * shift
+            _, _, _, x, info = gtsv(self.ab[3, :-1], d, self.ab[1, 1:], rhs)
+        else:
+            gbsv = sla.get_lapack_funcs("gbsv", (self.ab,))
+            ab = self.ab.copy(order="F")
+            ab[2 * self.k] += self.lumped * shift
+            _, _, x, info = gbsv(self.k, self.k, ab, rhs)
+        assert info == 0
+        return x
+
+
+def reference_forward(spec, stepper, control, tolerance=1e-12, max_iterations=30,
+                      damping=0.5):
+    """Damped Newton implicit-Euler march with a residual closure per step.
+
+    Returns the state values and the number of damped trial steps taken."""
+    step = ReferenceStep(stepper)
+    ops = spec.operators
+    f = spec.nonlinearity
+    dt = spec.grid.step
+    ml = ops.lumped_mass
+    forcing = (ops.mass @ spec.source_samples.T).T.copy()
+    forcing[:, ops.control_index] += control.values * ops.control_weights
+    n = spec.grid.n_steps
+    out = np.empty((n + 1, ops.n_nodes))
+    out[0] = spec.initial_values
+    y = out[0].copy()
+    damped = 0
+    for i in range(1, n + 1):
+        b = step.mass_matvec(y) / dt + forcing[i]
+
+        def residual(v):
+            return step.apply_base(v) + ml * f.value(v) - b
+
+        def norm(r):
+            return float(np.sqrt(np.sum(r * r / ml)))
+
+        r = residual(y)
+        rn = norm(r)
+        for _ in range(max_iterations):
+            if rn <= tolerance:
+                break
+            delta = step.solve(f.derivative(y), -r)
+            alpha = 1.0
+            while True:
+                y_try = y + alpha * delta
+                r_try = residual(y_try)
+                rn_try = norm(r_try)
+                if np.isfinite(rn_try) and (rn_try < rn or rn_try <= tolerance):
+                    break
+                alpha *= damping
+                damped += 1
+                assert alpha >= 1e-10
+            y, r, rn = y_try, r_try, rn_try
+        assert rn <= tolerance
+        out[i] = y
+    return out, damped
+
+
+def reference_adjoint(spec, stepper, base_state, residual, rate, masked):
+    """Backward march from i = N to 0 with the sources
+    e^{-rate t_i} [mask] M ([mask] residual_i) built one row at a time."""
+    step = ReferenceStep(stepper)
+    mask = spec.observation_mask if masked else None
+    t = spec.grid.times
+    sources = np.empty_like(residual)
+    for i, r in enumerate(residual):
+        src = step.mass_matvec(r) if mask is None else mask * step.mass_matvec(mask * r)
+        sources[i] = np.exp(-rate * t[i]) * src
+    coeffs = spec.nonlinearity.derivative(base_state.values)
+    dt = spec.grid.step
+    out = np.zeros(sources.shape)
+    z = np.zeros(out.shape[1])
+    for i in range(spec.grid.n_steps, -1, -1):
+        z = step.solve(coeffs[i], step.mass_matvec(z) / dt + sources[i])
+        out[i] = z
+    return out

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import horizonopt as ho
 from horizonopt.admissible import (check_projection_formulas, contains,
-                                   project_pointwise, project_values,
-                                   stationarity_residual)
+                                   project_values, stationarity_residual)
 from horizonopt.spaces import weighted_l2_norm
 
 from conftest import make_spec, random_control
@@ -14,8 +15,8 @@ class TestProjection:
     def test_admissible_point_is_fixed(self):
         spec = make_spec(admissible=ho.AdmissibleSet("ball", radius=5.0))
         u = random_control(spec, seed=1, scale=0.1)
-        p = project_pointwise(spec.admissible, u, spec.operators.control_weights)
-        assert np.array_equal(p.values, u.values)
+        p = project_values(spec.admissible, u.values, spec.operators.control_weights)
+        assert np.array_equal(p, u.values)
 
     def test_ball_radial_scaling(self):
         spec = make_spec(admissible=ho.AdmissibleSet("ball", radius=1.0))
@@ -25,8 +26,8 @@ class TestProjection:
         norms = np.sqrt(np.einsum("ij,j,ij->i", vals, w, vals))
         vals = 2.0 * vals / norms[:, None]  # every step at radius 2
         u = ho.Trajectory(spec.grid, vals, "control")
-        p = project_pointwise(spec.admissible, u, w)
-        assert np.allclose(p.values, 0.5 * vals, rtol=1e-13)
+        p = project_values(spec.admissible, u.values, w)
+        assert np.allclose(p, 0.5 * vals, rtol=1e-13)
 
     def test_box_clamp(self):
         spec = make_spec(admissible=ho.AdmissibleSet("box", lower=-1.0, upper=1.0))
@@ -51,6 +52,29 @@ class TestProjection:
                 gap = ho.Trajectory(spec.grid, a - b, "control")
                 assert weighted_l2_norm(gap_p, rate, w) <= \
                     weighted_l2_norm(gap, rate, w) + 1e-13
+
+    @settings(max_examples=50)
+    @given(kind=st.sampled_from(["ball", "box"]), seed=st.integers(0, 2**16),
+           n_steps=st.integers(1, 12), width=st.integers(1, 8),
+           spread=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_idempotent_and_nonexpansive_with_random_weights(self, kind, seed, n_steps,
+                                                             width, spread):
+        # per step the ball projection is nonexpansive in the w-weighted
+        # Euclidean norm and the box clamp in any diagonal one, so both are
+        # nonexpansive in the time-discounted norm for any positive weights
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.05, 2.0, width)
+        adm = ho.AdmissibleSet(kind, radius=rng.uniform(0.1, 2.0),
+                               lower=-rng.uniform(0.1, 1.0), upper=rng.uniform(0.1, 1.0))
+        grid = ho.TimeGrid(n_steps * 0.1, 0.1)
+        a, b = spread * rng.standard_normal((2, n_steps + 1, width))
+        pa, pb = project_values(adm, a, w), project_values(adm, b, w)
+        assert np.allclose(project_values(adm, pa, w), pa, rtol=1e-13, atol=0.0)
+
+        def norm(values):
+            return weighted_l2_norm(ho.Trajectory(grid, values, "control"), 0.4, w)
+        scale = norm(a) + norm(b)
+        assert norm(pa - pb) <= norm(a - b) + 1e-13 * scale
 
     def test_projection_commutes_with_time_permutation(self):
         adm = ho.AdmissibleSet("ball", radius=0.5)
@@ -125,7 +149,8 @@ class TestStationarityResidual:
                              target=0.3 * np.ones((21, 21)), admissible=adm)
             ops = spec.operators
             u = random_control(spec, seed=11, scale=0.2)
-            u = project_pointwise(adm, u, ops.control_weights)
+            u = ho.Trajectory(spec.grid, project_values(adm, u.values, ops.control_weights),
+                              "control")
             state = ho.solve_forward(spec, u)
             adjoint = ho.solve_adjoint(spec, state)
             t = spec.grid.times

@@ -12,11 +12,14 @@ from hypothesis import strategies as st
 
 import horizonopt as ho
 from horizonopt.problem import Discounts
-from horizonopt.solvers import SolverError, _stepper, solve_adjoint_from_residual
+from horizonopt.objective import SecondOrderModel
+from horizonopt.solvers import (SolverError, _linear_march, _stepper,
+                                solve_adjoint_from_residual)
 from horizonopt.spaces import weighted_sup_norm
 
 from conftest import make_spec, random_control
-from oracles import (rk4, scalar_adjoint_recursion, scalar_forward_recursion,
+from oracles import (reference_adjoint, reference_forward, rk4,
+                     scalar_adjoint_recursion, scalar_forward_recursion,
                      scalar_newton_recursion)
 
 
@@ -386,6 +389,78 @@ class TestBandStepOperator:
         rhs = sum(dt * (phi.values[i, ops.control_index] * ops.control_weights)
                   @ v.values[i] for i in range(1, n + 1))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+def small_spec_of(dimension, size, seed):
+    """Small 1D or 2D cubic instance with an observation subdomain."""
+    if dimension == 1:
+        return make_spec(n_nodes=3 * size, horizon=0.3, step=0.05,
+                         initial=0.4 * np.ones(3 * size), observation=(0.1, 0.6))
+    return rectangle_spec((size, 8 - size), seed=seed, horizon=0.3,
+                          observation=((0.1, 0.6), (0.3, 0.9)))
+
+
+class TestKernelsMatchReference:
+    """The march kernels against the plain one-column loops of oracles.py:
+    equal bit for bit, not to a tolerance."""
+
+    @settings(max_examples=20)
+    @given(dimension=st.sampled_from([1, 2]), size=st.integers(3, 5),
+           seed=st.integers(0, 2**16), masked=st.booleans(),
+           scale=st.sampled_from([0.2, 3000.0]))
+    def test_forward_and_adjoint_are_bitwise_reference(self, dimension, size, seed,
+                                                       masked, scale):
+        spec = small_spec_of(dimension, size, seed)
+        stepper = _stepper(spec)
+        u = random_control(spec, seed=seed, scale=scale)
+        y = ho.solve_forward(spec, u)
+        expected, _ = reference_forward(spec, stepper, u)
+        assert np.array_equal(y.values, expected)
+        residual = np.random.default_rng(seed).standard_normal(y.values.shape)
+        rate = spec.discounts.state_rate
+        phi = solve_adjoint_from_residual(spec, y, residual, rate, masked=masked)
+        assert np.array_equal(phi.values,
+                              reference_adjoint(spec, stepper, y, residual, rate, masked))
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_damped_newton_steps_are_bitwise_reference(self, dimension):
+        spec = small_spec_of(dimension, 4, seed=3)
+        u = random_control(spec, seed=0, scale=3000.0)
+        expected, damped = reference_forward(spec, _stepper(spec), u)
+        assert damped > 0
+        assert np.array_equal(ho.solve_forward(spec, u).values, expected)
+
+
+class TestBatchedMarch:
+    @settings(max_examples=15)
+    @given(dimension=st.sampled_from([1, 2]), size=st.integers(3, 5),
+           seed=st.integers(0, 2**16), batch=st.integers(1, 6))
+    def test_batch_is_bitwise_per_right_hand_side(self, dimension, size, seed, batch):
+        spec = small_spec_of(dimension, size, seed)
+        n = spec.grid.n_steps
+        u = random_control(spec, seed=seed, scale=0.3)
+        model = SecondOrderModel(spec, u)
+        coeffs = spec.nonlinearity.derivative(model.state.values)
+        rng = np.random.default_rng(seed)
+        sources = rng.standard_normal((n + 1, batch, spec.operators.n_nodes))
+        for steps in (range(1, n + 1), range(n, -1, -1)):
+            joint = _linear_march(spec, coeffs, sources, steps)
+            for b in range(batch):
+                alone = _linear_march(spec, coeffs, sources[:, b], steps)
+                assert np.array_equal(joint[:, b], alone)
+                assert joint[:, b].flags.c_contiguous
+        directions = [random_control(spec, seed=seed + 1 + b) for b in range(batch)]
+        responses = model.response(directions)
+        forms = model.quadratic_form(directions, directions)
+        for v, z, form in zip(directions, responses, forms):
+            assert np.array_equal(z.values, model.response(v).values)
+            assert form == model.quadratic_form(v, v)
+
+    def test_empty_batch_gives_empty_list(self):
+        spec = make_spec()
+        model = SecondOrderModel(spec, random_control(spec, seed=1, scale=0.3))
+        assert model.response([]) == []
+        assert model.quadratic_form([], []) == []
 
 
 def test_import_does_not_load_scipy_sparse_linalg():
