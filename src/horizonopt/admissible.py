@@ -36,12 +36,10 @@ class AdmissibleSet:
         else:
             raise ValueError(f"unknown admissible set kind {self.kind!r}")
 
-    def bound_norm(self, control_weights: np.ndarray) -> float:
-        """sup of |v|_{L2(control)} over the set."""
-        if self.kind == "ball":
-            return self.radius
-        vol = float(np.sum(control_weights))
-        return max(abs(self.lower), abs(self.upper)) * np.sqrt(vol)
+    @property
+    def active_tol(self) -> float:
+        """Distance from the radius within which a ball step counts as active."""
+        return 1e-8 * self.radius
 
 
 def project_values(admissible: AdmissibleSet, values: np.ndarray,
@@ -54,15 +52,6 @@ def project_values(admissible: AdmissibleSet, values: np.ndarray,
     over = norms > admissible.radius
     scale[over] = admissible.radius / norms[over]
     return values * scale[:, None]
-
-
-def contains(admissible: AdmissibleSet, traj: Trajectory, control_weights: np.ndarray,
-             tol: float = 1e-12) -> bool:
-    if admissible.kind == "box":
-        return bool(np.all(traj.values >= admissible.lower - tol)
-                    and np.all(traj.values <= admissible.upper + tol))
-    norms = np.sqrt(np.einsum("ij,j,ij->i", traj.values, control_weights, traj.values))
-    return bool(np.all(norms <= admissible.radius * (1.0 + tol) + tol))
 
 
 def stationarity_residual(spec, u: Trajectory, grad: Trajectory,
@@ -108,15 +97,14 @@ class FormulaReport:
         }
 
 
-def check_projection_formulas(spec, u: Trajectory, adjoint: Trajectory,
-                              active_tol: float | None = None) -> FormulaReport:
+def check_projection_formulas(spec, u: Trajectory, adjoint: Trajectory) -> FormulaReport:
     """Evaluate the pointwise optimality relations at a claimed stationary pair.
 
-    Ball sets: at inactive times the combined density
-    adjoint + weight*e^{-rate t} u must vanish; at active times the control
-    must be the negatively scaled adjoint of norm ``radius``.  Box sets: the
-    control must equal the clamped scaled adjoint; the sup-norm gap per step
-    is recorded.
+    Ball sets: at inactive times (control norm below ``radius - active_tol``)
+    the combined density adjoint + weight*e^{-rate t} u must vanish; at
+    active times the control must be the negatively scaled adjoint of norm
+    ``radius``.  Box sets: the control must equal the clamped scaled
+    adjoint; the sup-norm gap per step is recorded.
     """
     ops = spec.operators
     nu = spec.control_weight
@@ -127,13 +115,11 @@ def check_projection_formulas(spec, u: Trajectory, adjoint: Trajectory,
     records = []
     adm = spec.admissible
     if adm.kind == "ball":
-        if active_tol is None:
-            active_tol = 1e-8 * adm.radius
         for i in range(1, spec.grid.n_steps + 1):
             ui = u.values[i]
             unorm = np.sqrt(float(np.dot(ui * w, ui)))
             density = phi[i] + nu * np.exp(-rate_c * t[i]) * ui
-            if unorm < adm.radius - active_tol:
+            if unorm < adm.radius - adm.active_tol:
                 res = np.sqrt(float(np.dot(density * w, density)))
                 case = "interior"
             else:

@@ -204,7 +204,6 @@ def build_problem(cfg: dict) -> ProblemSpec:
         state_rate=float(dcfg["state_discount"]),
         control_rate=float(dcfg["control_discount"]),
         aux_rate=float(aux),
-        growth_exponent=nonlin.growth_exponent,
         integrability_exponent=float(p),
         enforce_second_order=bool(dcfg.get("enforce_second_order", False)),
     )
@@ -231,23 +230,38 @@ def build_problem(cfg: dict) -> ProblemSpec:
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"data field: {exc}") from exc
     ccfg = cfg["cost"]
-    return ProblemSpec(
+    spec = ProblemSpec(
         mesh=mesh, operator=form, nonlinearity=nonlin, discounts=discounts,
         grid=grid, initial_state=initial, source=source, target=target,
         control_weight=float(ccfg["control_weight"]), admissible=admissible,
         track_on_observation=bool(ccfg.get("track_on_observation", True)),
     )
+    # sampling checks every field against the mesh and the grid here, so a
+    # template that cannot be sampled is a configuration error, not a failure
+    # of the first solve
+    try:
+        for name in ("initial_values", "source_samples", "target_samples"):
+            getattr(spec, name)
+    except ValueError as exc:
+        raise ConfigError(f"data field: {exc}") from exc
+    return spec
 
 
 def build_optimizer_config(cfg: dict) -> OptimizerConfig:
+    """The optimizer section as an OptimizerConfig; an unknown name or a value
+    its constructor rejects is a ConfigError."""
     ocfg = dict(cfg.get("optimizer", {}))
-    newton = NewtonConfig(**ocfg.pop("newton", {}))
+    newton = ocfg.pop("newton", {})
+    # warm_start is set by the horizon sweep only, never by a configuration
     known = {"initial_step", "armijo_slope", "backtrack", "tolerance",
              "max_iterations", "min_step"}
     unknown = set(ocfg) - known
     if unknown:
         raise ConfigError(f"unknown optimizer options: {sorted(unknown)}")
-    return OptimizerConfig(newton=newton, **ocfg)
+    try:
+        return OptimizerConfig(newton=NewtonConfig(**newton), **ocfg)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"optimizer options: {exc}") from exc
 
 
 def build_horizon_config(cfg: dict) -> HorizonStudyConfig:

@@ -106,7 +106,6 @@ class SecondOrderModel:
                  state: Trajectory | None = None,
                  adjoint: Trajectory | None = None):
         self.spec = spec
-        self.control = u
         self.state = state if state is not None else solve_forward(spec, u, newton)
         self.adjoint = adjoint if adjoint is not None else solve_adjoint(spec, self.state)
 
@@ -188,22 +187,19 @@ class Multiplier:
         return np.flatnonzero(self.activity == ACTIVE_STRICT)
 
 
-def multiplier_and_cone(spec: ProblemSpec, u: Trajectory, adjoint: Trajectory,
-                        active_tol: float | None = None,
-                        strict_tol: float | None = None) -> Multiplier:
+def multiplier_and_cone(spec: ProblemSpec, u: Trajectory, adjoint: Trajectory) -> Multiplier:
     """Multiplier value and active-set classification (ball constraint only).
 
     The multiplier at a step is the control-space norm of the first-order
-    density; activity is classified against the ball radius with a relative
-    tolerance.
+    density.  A step is active when its control norm is within
+    ``admissible.active_tol`` of the radius, and strictly active when its
+    multiplier also exceeds 1e-8 * control_weight * radius.
     """
     adm = spec.admissible
     if adm.kind != "ball":
         raise ValueError("multiplier is defined for ball-constrained problems")
-    if active_tol is None:
-        active_tol = 1e-8 * adm.radius
-    if strict_tol is None:
-        strict_tol = 1e-8 * spec.control_weight * adm.radius
+    active_tol = adm.active_tol
+    strict_tol = 1e-8 * spec.control_weight * adm.radius
     w = spec.operators.control_weights
     density = first_order_density(spec, u, adjoint)
     mu = np.sqrt(np.einsum("ij,j,ij->i", density, w, density))

@@ -151,7 +151,6 @@ class Discounts:
     state_rate: float
     control_rate: float
     aux_rate: float
-    growth_exponent: float = 0.0
     integrability_exponent: float = 2.0
     enforce_second_order: bool = False
 
@@ -450,18 +449,22 @@ def _discrete_step_item(spec: ProblemSpec) -> CheckItem:
                      f"required >= {STEP_PIVOT_FLOOR:g}")
 
 
-def validate_assumptions(spec: ProblemSpec, sample_range=(-50.0, 50.0),
-                         sample_count: int = 10000) -> ValidationReport:
+SAMPLE_RANGE = (-50.0, 50.0)
+SAMPLE_COUNT = 10000
+
+
+def validate_assumptions(spec: ProblemSpec) -> ValidationReport:
     """Check every standing inequality on the problem data.
 
-    Derivative bounds are sampled on a documented grid (they are stated for
-    all real arguments, which is not numerically verifiable); the report
-    records the grid.  Failures are reported, never raised.
+    Derivative bounds are stated for all real arguments, which is not
+    numerically verifiable; they are sampled at ``SAMPLE_COUNT`` evenly
+    spaced points of ``SAMPLE_RANGE``, which the report records.  Failures
+    are reported, never raised.
     """
     f = spec.nonlinearity
     d = spec.discounts
     items = []
-    s = np.linspace(sample_range[0], sample_range[1], sample_count)
+    s = np.linspace(SAMPLE_RANGE[0], SAMPLE_RANGE[1], SAMPLE_COUNT)
 
     v0 = float(np.asarray(f.value(np.array([0.0])))[0])
     items.append(CheckItem(
@@ -545,4 +548,4 @@ def validate_assumptions(spec: ProblemSpec, sample_range=(-50.0, 50.0),
         spec.control_weight > 0, f"control_weight = {spec.control_weight:.6g}"))
 
     items.append(_discrete_step_item(spec))
-    return ValidationReport(items, sample_range, sample_count)
+    return ValidationReport(items, SAMPLE_RANGE, SAMPLE_COUNT)

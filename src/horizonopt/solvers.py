@@ -58,19 +58,17 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Damped Newton controls for the implicit step equations."""
+    """Newton controls for the implicit step equations; a step that does not
+    reduce the residual is halved until it does."""
 
     tolerance: float = 1e-12
     max_iterations: int = 30
-    damping: float = 0.5
 
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not 0 < self.damping < 1:
-            raise ValueError("damping factor must lie in (0, 1)")
 
 
 def _tridiagonals(ab):
@@ -172,7 +170,7 @@ def solve_forward(spec: ProblemSpec, control: Trajectory,
     if control.grid.n_steps != spec.grid.n_steps:
         raise ValueError("control trajectory does not match the time grid")
     cfg = newton or NewtonConfig()
-    tolerance, damping = cfg.tolerance, cfg.damping
+    tolerance = cfg.tolerance
     iterations = range(cfg.max_iterations)
     value, derivative = spec.nonlinearity.value, spec.nonlinearity.derivative
     dt = spec.grid.step
@@ -205,7 +203,7 @@ def solve_forward(spec: ProblemSpec, control: Trajectory,
                 rn_try = _residual_norm(r_try, ml)
                 if math.isfinite(rn_try) and (rn_try < rn or rn_try <= tolerance):
                     break
-                alpha *= damping
+                alpha *= 0.5
                 if alpha < 1e-10:
                     raise SolverError(
                         f"Newton damping stalled at time step {i}", step=i, history=history)
@@ -358,8 +356,7 @@ def _combined_source_norm(spec, control, rate):
 
 
 def check_energy_estimate(spec: ProblemSpec, control: Trajectory, rate: float,
-                          slack: float = 0.05,
-                          newton: NewtonConfig | None = None) -> EstimateReport:
+                          slack: float = 0.05) -> EstimateReport:
     """Discrete analog of the forward stability estimate.
 
     lhs combines the discounted sup norm of the state and its weighted
@@ -375,7 +372,7 @@ def check_energy_estimate(spec: ProblemSpec, control: Trajectory, rate: float,
     coef = min(0.5 * rate + ms, 2.0 * ell)
     if coef <= 0:
         raise ValueError("estimate coefficient is not positive for this rate")
-    y = solve_forward(spec, control, newton)
+    y = solve_forward(spec, control)
     sup_part = weighted_sup_norm(y, rate, ops.mass)
     energy_part = weighted_l2_norm(y, rate, ops.h1)
     lhs = sup_part + np.sqrt(coef) * energy_part
@@ -395,8 +392,7 @@ def check_energy_estimate(spec: ProblemSpec, control: Trajectory, rate: float,
 
 def check_linearized_estimate(spec: ProblemSpec, base_control: Trajectory,
                               rhs_field: np.ndarray, rate: float,
-                              slack: float = 0.05,
-                              newton: NewtonConfig | None = None) -> EstimateReport:
+                              slack: float = 0.05) -> EstimateReport:
     """Discrete analog of the linearized stability estimate.
 
     Solves the linearized equation around the state of ``base_control`` with
@@ -407,7 +403,7 @@ def check_linearized_estimate(spec: ProblemSpec, base_control: Trajectory,
     if rate <= -2.0 * ms:
         raise ValueError(f"rate must exceed {-2.0 * ms:g} for this estimate")
     ops = spec.operators
-    y = solve_forward(spec, base_control, newton)
+    y = solve_forward(spec, base_control)
     rhs_traj = Trajectory(spec.grid, rhs_field, "generic")
     z = solve_linearized(spec, y, rhs_traj, rhs_on_omega=False)
     lhs = weighted_sup_norm(z, rate, ops.mass) + weighted_l2_norm(z, rate, ops.h1)

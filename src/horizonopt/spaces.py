@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sps
 
 FLOAT_FMT = "%.17g"
 
@@ -109,10 +108,7 @@ def _pairings(a: np.ndarray, b: np.ndarray, form) -> np.ndarray:
     """Per-time bilinear form values a_i' X b_i, ``form`` as in quad_energies."""
     if isinstance(form, np.ndarray) and form.ndim == 1:
         return np.einsum("ij,j,ij->i", a, form, b)
-    prod = form @ b.T
-    if sps.issparse(prod):
-        prod = prod.toarray()
-    return np.einsum("ij,ji->i", a, np.asarray(prod))
+    return np.einsum("ij,ji->i", a, np.asarray(form @ b.T))
 
 
 def quad_energies(values: np.ndarray, form) -> np.ndarray:

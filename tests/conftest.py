@@ -23,7 +23,6 @@ def make_spec(n_nodes=21, horizon=1.0, step=0.05, nonlinearity="cubic",
     if aux_rate is None:
         aux_rate = default_aux_rate(state_rate, f.growth_exponent, f.min_slope)
     discounts = Discounts(state_rate, control_rate, aux_rate,
-                          growth_exponent=f.growth_exponent,
                           integrability_exponent=2.0,
                           enforce_second_order=enforce_second_order)
     grid = TimeGrid(horizon, step)
@@ -47,6 +46,17 @@ def random_control(spec, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
     vals = scale * rng.standard_normal((spec.grid.n_steps + 1, spec.control_count))
     return Trajectory(spec.grid, vals, "control")
+
+
+def admissible_contains(admissible, traj, control_weights):
+    """Whether every time step of a control trajectory lies in the set, up to
+    1e-14 (relative and absolute for the ball radius)."""
+    tol = 1e-14
+    if admissible.kind == "box":
+        return bool(np.all(traj.values >= admissible.lower - tol)
+                    and np.all(traj.values <= admissible.upper + tol))
+    norms = np.sqrt(np.einsum("ij,j,ij->i", traj.values, control_weights, traj.values))
+    return bool(np.all(norms <= admissible.radius * (1.0 + tol) + tol))
 
 
 def random_instance(seed, set_kind="ball", nonlinearity="cubic"):

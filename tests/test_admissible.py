@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import horizonopt as ho
-from horizonopt.admissible import (check_projection_formulas, contains,
-                                   project_values, stationarity_residual)
+from horizonopt.admissible import (check_projection_formulas, project_values,
+                                   stationarity_residual)
 from horizonopt.spaces import weighted_l2_norm
 
-from conftest import make_spec, random_control
+from conftest import admissible_contains, make_spec, random_control
 
 
 class TestProjection:
@@ -96,7 +96,7 @@ class TestProjection:
             vals = 3.0 * rng.standard_normal((spec.grid.n_steps + 1,
                                               spec.control_count))
             p = ho.Trajectory(spec.grid, project_values(adm, vals, w), "control")
-            assert contains(adm, p, w, tol=1e-14)
+            assert admissible_contains(adm, p, w)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -105,13 +105,6 @@ class TestProjection:
             ho.AdmissibleSet("box", lower=1.0, upper=0.0)
         with pytest.raises(ValueError):
             ho.AdmissibleSet("simplex")
-
-    def test_bound_norm(self):
-        spec = make_spec()
-        w = spec.operators.control_weights
-        assert ho.AdmissibleSet("ball", radius=2.0).bound_norm(w) == 2.0
-        box = ho.AdmissibleSet("box", lower=-1.0, upper=3.0)
-        assert box.bound_norm(w) == pytest.approx(3.0 * np.sqrt(w.sum()), rel=1e-12)
 
 
 class TestStationarityResidual:

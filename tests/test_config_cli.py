@@ -106,6 +106,16 @@ class TestValidateCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "complete"
 
+    @pytest.mark.parametrize("field", [
+        {"template": "separable", "space": {"kind": "gausian"}},
+        {"template": "nodal", "values": [0.0, 1.0, 0.0]},
+    ], ids=["misspelled-space-kind", "nodal-length-mismatch"])
+    def test_unsamplable_data_template_exits_two(self, capsys, field):
+        code = main(["validate", "--config", str(CONFIG_DIR / "ball_cubic.json"),
+                     "--set", f"data.source={json.dumps(field)}"])
+        assert code == 2
+        assert "configuration error: data field" in capsys.readouterr().err
+
     def test_malformed_document_exits_two(self, tmp_path, capsys):
         path = tmp_path / "nope.json"
         path.write_text("{]")
@@ -285,6 +295,9 @@ class TestRunnerFailures:
 
     @pytest.mark.parametrize("malformed, override", [
         (True, None), (False, "nonlinearity.name=quartic"), (False, "no-equals-sign"),
+        (False, "optimizer.newton.foo=1"), (False, "optimizer.newton=3"),
+        (False, 'optimizer.tolerance="abc"'), (False, 'optimizer.newton.tolerance="x"'),
+        (False, "optimizer.newton.damping=0.5"),
     ])
     def test_config_error_leaves_failed_manifest(self, tmp_path, capsys, malformed,
                                                  override):
@@ -297,12 +310,15 @@ class TestRunnerFailures:
         if override:
             argv += ["--set", override]
         assert main(argv) == 2
-        assert "configuration error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "Traceback" not in err
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert manifest["error"]
-        # the resolved document is recorded when resolution got that far
-        resolved = override == "nonlinearity.name=quartic"
+        # the resolved document is recorded when resolution got that far:
+        # a malformed file or an override without "=" stops before it
+        resolved = not malformed and "=" in override
         assert (manifest["config"] is not None) == resolved
 
 

@@ -288,7 +288,7 @@ class TestTwoDimensional:
         spec = ho.ProblemSpec(
             mesh=mesh, operator=ho.EllipticForm(diffusion=1.0),
             nonlinearity=f,
-            discounts=Discounts(1.0, 0.4, 0.1, growth_exponent=2.0),
+            discounts=Discounts(1.0, 0.4, 0.1),
             grid=ho.TimeGrid(0.4, 0.05),
             initial_state=0.3 * rng.standard_normal(mesh.n_nodes),
             source=np.zeros((9, mesh.n_nodes)),
@@ -318,7 +318,7 @@ def rectangle_spec(shape, seed=0, horizon=0.4, step=0.05, observation=None):
     return ho.ProblemSpec(
         mesh=mesh, operator=ho.EllipticForm(diffusion=1.0),
         nonlinearity=ho.builtin_nonlinearities()["cubic"],
-        discounts=Discounts(1.0, 0.4, 0.1, growth_exponent=2.0), grid=grid,
+        discounts=Discounts(1.0, 0.4, 0.1), grid=grid,
         initial_state=0.3 * rng.standard_normal(mesh.n_nodes),
         source=np.zeros((n + 1, mesh.n_nodes)),
         target=0.2 * np.ones((n + 1, mesh.n_nodes)), control_weight=1.0,

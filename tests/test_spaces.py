@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import horizonopt as ho
 from horizonopt.descriptors import (DivergenceError, Field, SpaceProfile,
-                                    TimeProfile, zero_field)
+                                    TimeProfile, field_from_config, zero_field)
 from horizonopt.spaces import (weighted_inner, weighted_l2_norm,
                                weighted_lp_norm, weighted_sup_norm)
 
@@ -231,6 +231,49 @@ class TestTailNorms:
         field = Field(SpaceProfile("constant", value=1.0), TimeProfile())
         with pytest.raises(DivergenceError):
             field.tail_l2(spec.mesh, spec.operators.mass, 0.0, 1.0)
+
+
+def _gauss_space(x):
+    return np.exp(-(((x - 0.3) / 0.15) ** 2))
+
+
+def _cos_space(x):
+    return np.cos(2 * np.pi * x)
+
+
+class TestFieldTemplates:
+    # closed forms on the unit interval; every time profile is cut off at
+    # t = 1.25, between two times of the sampled grid on [0, 2]
+    @pytest.mark.parametrize("cfg, space, tau", [
+        ({"template": "cosine_compact", "amplitude": 1.5, "mode": 2, "rate": 0.4,
+          "support_end": 1.25},
+         lambda x: 1.5 * _cos_space(x), lambda t: np.exp(-0.4 * t)),
+        ({"template": "nodal", "amplitude": -2.0, "values": list(np.linspace(0.0, 1.0, 21) ** 2),
+          "rate": 0.3, "support_end": 1.25},
+         lambda x: -2.0 * x ** 2, lambda t: np.exp(-0.3 * t)),
+        ({"template": "separable", "amplitude": 0.5,
+          "space": {"kind": "gaussian", "center": 0.3, "width": 0.15},
+          "time": {"rate": 0.2, "gauss_rate": 0.7, "support_end": 1.25}},
+         lambda x: 0.5 * _gauss_space(x), lambda t: np.exp(-0.2 * t - 0.7 * t * t)),
+        ({"template": "separable", "space": {"kind": "cosine", "mode": 2},
+          "time": {"gauss_rate": 0.1, "support_end": 1.25}},
+         _cos_space, lambda t: np.exp(-0.1 * t * t)),
+    ], ids=["cosine_compact", "nodal", "separable-gaussian", "separable-cosine"])
+    def test_samples_match_closed_form(self, cfg, space, tau):
+        spec = make_spec(n_nodes=21, horizon=2.0, step=0.1)
+        x, t = spec.mesh.coords[:, 0], spec.grid.times
+        expected = np.outer(np.where(t <= 1.25, tau(t), 0.0), space(x))
+        got = field_from_config(cfg).sample(spec.mesh, t)
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-15)
+
+    def test_cosine_compact_is_cosine_decay(self):
+        spec = make_spec(n_nodes=21, horizon=2.0, step=0.1)
+        cfg = {"amplitude": 1.5, "mode": 2, "rate": 0.4, "support_end": 1.25}
+        compact = field_from_config({"template": "cosine_compact", **cfg})
+        decay = field_from_config({"template": "cosine_decay", **cfg})
+        assert compact == decay
+        assert np.array_equal(compact.sample(spec.mesh, spec.grid.times),
+                              decay.sample(spec.mesh, spec.grid.times))
 
 
 def test_weighted_inner_matches_norm():
