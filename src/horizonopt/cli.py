@@ -30,7 +30,7 @@ from .objective import (SecondOrderModel, cost, gradient_with_state,
 from .optimizer import LineSearchError, optimize, verify_growth
 from .problem import AssumptionError, validate_assumptions
 from .solvers import SolverError, solve_forward
-from .spaces import FLOAT_FMT, Trajectory, weighted_inner, weighted_l2_norm
+from .spaces import Trajectory, weighted_inner, weighted_l2_norm, write_csv
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -52,14 +52,6 @@ def write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, default=_json_default, sort_keys=True)
         fh.write("\n")
-
-
-def write_csv(path: Path, kind: str, columns: list, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# horizonopt csv v1 kind={kind}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(FLOAT_FMT % v for v in row) + "\n")
 
 
 class Manifest:
@@ -131,11 +123,12 @@ class Manifest:
             self.finalize("failed")
 
 
-def _svg_decay_plot(path: Path, horizons, errors) -> None:
-    """Minimal hand-rolled log-linear scatter/line plot of the decay sweep."""
+def _svg_decay_plot(horizons, errors) -> str | None:
+    """Minimal hand-rolled log-linear scatter/line plot of the decay sweep, as
+    SVG text; None when fewer than two errors are positive."""
     pts = [(h, e) for h, e in zip(horizons, errors) if e > 0]
     if len(pts) < 2:
-        return
+        return None
     width, height, margin = 480, 320, 48
     hs = [p[0] for p in pts]
     ys = [np.log10(p[1]) for p in pts]
@@ -168,7 +161,7 @@ def _svg_decay_plot(path: Path, horizons, errors) -> None:
                  f'transform="rotate(-90 12 {height / 2})" '
                  f'text-anchor="middle">log10 control error</text>')
     lines.append("</svg>")
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_validate(args, cfg, spec, manifest) -> int:
@@ -242,12 +235,15 @@ def cmd_horizon_study(args, cfg, spec, manifest) -> int:
                "bound_terminal", "bound_target_tail", "bound_source_tail",
                "bound_total", "cost_optimal", "cost_reference", "cost_gap"]
     rows = [[r.horizon] + [getattr(r, c) for c in columns[1:]] for r in report.records]
-    write_csv(manifest.output("sweep.csv"), "horizon-sweep", columns, rows)
+    write_csv(manifest.output("sweep.csv"), "horizonopt csv v1 kind=horizon-sweep",
+              columns, rows)
     write_json(manifest.output("fit.json"),
                {**report.to_dict(), "schema": "horizonopt-horizon-fit v1"})
     if args.plot:
-        _svg_decay_plot(manifest.output("decay.svg"), [r.horizon for r in report.records],
-                        [r.control_error for r in report.records])
+        svg = _svg_decay_plot([r.horizon for r in report.records],
+                              [r.control_error for r in report.records])
+        if svg is not None:
+            manifest.output("decay.svg").write_text(svg)
     manifest.stage("write")
     print(f"slope={report.slope:.4f} rate_status={report.rate_status} "
           f"monotone={report.monotone_ok} cost_check={report.cost_check_ok}")
@@ -270,7 +266,7 @@ def cmd_socheck(args, cfg, spec, manifest) -> int:
         multiplier = multiplier_and_cone(spec, u, adjoint)
         rows = [[t, m, float(a)] for t, m, a in zip(
             spec.grid.times, multiplier.values, multiplier.activity)]
-        write_csv(manifest.output("multiplier.csv"), "ball-multiplier",
+        write_csv(manifest.output("multiplier.csv"), "horizonopt csv v1 kind=ball-multiplier",
                   ["t", "multiplier", "activity"], rows)
     directions = sample_critical_directions(
         spec, u, adjoint, multiplier, count=args.directions, seed=args.seed)
@@ -294,10 +290,18 @@ def cmd_socheck(args, cfg, spec, manifest) -> int:
 
 
 def positive_float(text: str) -> float:
-    """argparse type for a finite-difference step: a positive finite float."""
+    """argparse type for a step or a radius: a positive finite float."""
     value = float(text)
     if not (np.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"not a positive finite number: {text!r}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    """argparse type for a count: a positive integer."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
     return value
 
 
@@ -315,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="configuration JSON file")
         p.add_argument("--set", action="append", default=[],
-                       metavar="PATH=VALUE", help="override a scalar config field")
+                       metavar="PATH=VALUE",
+                       help="override a config field with a JSON value")
         p.add_argument("--out", required=needs_out, help="output directory")
         p.set_defaults(func=func, gated=gated)
         return p
@@ -339,9 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("socheck", "second-order checks at an optimum", cmd_socheck, gated=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--directions", type=int, default=50)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--radius", type=float, default=0.1)
+    p.add_argument("--directions", type=positive_int, default=50)
+    p.add_argument("--samples", type=positive_int, default=50)
+    p.add_argument("--radius", type=positive_float, default=0.1)
     return parser
 
 

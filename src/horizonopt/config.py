@@ -3,12 +3,15 @@
 A configuration has sections mesh / operator / nonlinearity / discounts /
 cost / data / admissible / time, plus optional optimizer and horizon_study
 sections.  Closed-form data fields use the named templates of
-:mod:`horizonopt.descriptors`.
+:mod:`horizonopt.descriptors`.  The builders share one boundary: an error
+raised while building objects from a document is a ConfigError.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+from dataclasses import replace
 
 import jsonschema
 
@@ -25,7 +28,8 @@ from .spaces import TimeGrid
 
 
 class ConfigError(ValueError):
-    """Malformed configuration document (parse or schema failure)."""
+    """Malformed configuration document (parse or schema failure, or a value
+    the objects built from it reject)."""
 
 
 _FIELD_SCHEMA = {
@@ -156,20 +160,35 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(f"configuration field {path}: {error.message}") from error
 
 
+def _document_errors(build):
+    """The one translation point from building to configuration errors: a
+    KeyError, TypeError or ValueError raised while ``build`` turns a document
+    into objects is a ConfigError; a ConfigError passes through unchanged."""
+    @functools.wraps(build)
+    def run(cfg):
+        try:
+            return build(cfg)
+        except ConfigError:
+            raise
+        except KeyError as exc:
+            raise ConfigError(f"missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
+    return run
+
+
 def _build_mesh(mcfg: dict):
     dim = mcfg.get("dimension", 1)
+    obs = mcfg.get("observation")
     if dim == 1:
         ctrl = mcfg["control"]
-        obs = mcfg.get("observation")
         return interval_mesh(
             mcfg.get("length", 1.0), mcfg.get("nodes", 51),
             control=(ctrl["lo"], ctrl["hi"]),
             observation=None if obs is None else (obs["lo"], obs["hi"]))
-    ctrl = mcfg["control"]["box"]
-    obs = mcfg.get("observation")
     return rectangle_mesh(
         tuple(mcfg.get("lengths", (1.0, 1.0))), tuple(mcfg.get("shape", (16, 16))),
-        control=tuple((lo, hi) for lo, hi in ctrl),
+        control=tuple((lo, hi) for lo, hi in mcfg["control"]["box"]),
         observation=None if obs is None else tuple((lo, hi) for lo, hi in obs["box"]))
 
 
@@ -184,6 +203,7 @@ def _build_nonlinearity(ncfg: dict) -> Nonlinearity:
     return catalog[name]
 
 
+@_document_errors
 def build_problem(cfg: dict) -> ProblemSpec:
     """Construct a ProblemSpec from a validated configuration dictionary."""
     validate_config(cfg)
@@ -191,6 +211,9 @@ def build_problem(cfg: dict) -> ProblemSpec:
     ocfg = cfg.get("operator", {})
     form = EllipticForm(diffusion=ocfg.get("diffusion", 1.0),
                         reaction=ocfg.get("reaction", 0.0))
+    # coefficient arrays that do not fit the mesh fail here, not at assembly
+    form.diffusion_values(mesh)
+    form.reaction_values(mesh)
     nonlin = _build_nonlinearity(cfg["nonlinearity"])
     dcfg = cfg["discounts"]
     aux = dcfg.get("aux_rate")
@@ -209,47 +232,38 @@ def build_problem(cfg: dict) -> ProblemSpec:
     )
     acfg = cfg["admissible"]
     if acfg["kind"] == "ball":
-        if "radius" not in acfg:
-            raise ConfigError("ball admissible set requires a radius")
         admissible = AdmissibleSet("ball", radius=float(acfg["radius"]))
     else:
-        if "lower" not in acfg or "upper" not in acfg:
-            raise ConfigError("box admissible set requires lower and upper bounds")
         admissible = AdmissibleSet("box", lower=float(acfg["lower"]),
                                    upper=float(acfg["upper"]))
     tcfg = cfg["time"]
-    try:
-        grid = TimeGrid(float(tcfg["horizon"]), float(tcfg["step"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    data = cfg["data"]
-    try:
-        initial = field_from_config(data["initial"])
-        source = field_from_config(data["source"])
-        target = field_from_config(data["target"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"data field: {exc}") from exc
+    grid = TimeGrid(float(tcfg["horizon"]), float(tcfg["step"]))
     ccfg = cfg["cost"]
     spec = ProblemSpec(
         mesh=mesh, operator=form, nonlinearity=nonlin, discounts=discounts,
-        grid=grid, initial_state=initial, source=source, target=target,
+        grid=grid, initial_state=None, source=None, target=None,
         control_weight=float(ccfg["control_weight"]), admissible=admissible,
         track_on_observation=bool(ccfg.get("track_on_observation", True)),
     )
+    # the data fields go in last, so that only their errors carry the label;
     # sampling checks every field against the mesh and the grid here, so a
     # template that cannot be sampled is a configuration error, not a failure
     # of the first solve
+    data = cfg["data"]
     try:
+        spec = replace(spec, initial_state=field_from_config(data["initial"]),
+                       source=field_from_config(data["source"]),
+                       target=field_from_config(data["target"]))
         for name in ("initial_values", "source_samples", "target_samples"):
             getattr(spec, name)
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"data field: {exc}") from exc
     return spec
 
 
+@_document_errors
 def build_optimizer_config(cfg: dict) -> OptimizerConfig:
-    """The optimizer section as an OptimizerConfig; an unknown name or a value
-    its constructor rejects is a ConfigError."""
+    """The optimizer section as an OptimizerConfig."""
     ocfg = dict(cfg.get("optimizer", {}))
     newton = ocfg.pop("newton", {})
     # warm_start is set by the horizon sweep only, never by a configuration
@@ -258,22 +272,26 @@ def build_optimizer_config(cfg: dict) -> OptimizerConfig:
     unknown = set(ocfg) - known
     if unknown:
         raise ConfigError(f"unknown optimizer options: {sorted(unknown)}")
-    try:
-        return OptimizerConfig(newton=NewtonConfig(**newton), **ocfg)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"optimizer options: {exc}") from exc
+    return OptimizerConfig(newton=NewtonConfig(**newton), **ocfg)
 
 
+@_document_errors
 def build_horizon_config(cfg: dict) -> HorizonStudyConfig:
+    """The horizon_study section as a HorizonStudyConfig; every swept horizon
+    and the reference horizon must be a multiple of ``time.step``."""
     hcfg = cfg.get("horizon_study")
     if hcfg is None:
         raise ConfigError("configuration has no horizon_study section")
-    return HorizonStudyConfig(
+    config = HorizonStudyConfig(
         horizons=tuple(hcfg["horizons"]),
         reference_horizon=hcfg.get("reference_horizon"),
         extension=hcfg.get("extension", "reference"),
         optimizer=build_optimizer_config(cfg),
     )
+    step = float(cfg["time"]["step"])
+    for horizon in (*config.horizons, config.resolved_reference()):
+        TimeGrid(horizon, step)
+    return config
 
 
 def apply_overrides(cfg: dict, assignments: list) -> dict:

@@ -133,52 +133,43 @@ def zero_field() -> Field:
     return Field(SpaceProfile("constant", value=0.0), TimeProfile(), amplitude=0.0)
 
 
+# named templates that are shorthands of ``separable``: the SpaceProfile kind
+# they name, with the space and time keys read from the template itself
+_SHORTHANDS = {"constant": "constant", "gauss_decay": "gaussian", "cosine_decay": "cosine",
+               "cosine_compact": "cosine", "nodal": "nodal"}
+
+
 def field_from_config(cfg: dict) -> Field:
-    """Build a field from a named template description."""
+    """Build a field from a named template description.
+
+    ``separable`` reads its profiles from ``space`` and ``time`` sub-objects;
+    the shorthands read the same keys from the template itself, except
+    ``gauss_rate``.
+    """
     template = cfg.get("template")
-    if template is None:
-        raise ValueError("field description requires a 'template' name")
-    amp = float(cfg.get("amplitude", 1.0))
-    decay = float(cfg.get("rate", 0.0))
-    end = cfg.get("support_end")
-    end = None if end is None else float(end)
-    time = TimeProfile(decay=decay, support_end=end)
     if template == "zero":
         return zero_field()
-    if template == "constant":
-        space = SpaceProfile("constant", value=float(cfg.get("value", 1.0)))
-        return Field(space, time, amplitude=amp)
-    if template == "gauss_decay":
-        center = cfg.get("center", 0.5)
-        if np.isscalar(center):
-            center = (float(center),)
-        space = SpaceProfile("gaussian", center=tuple(float(c) for c in center),
-                             width=float(cfg.get("width", 0.2)))
-        return Field(space, time, amplitude=amp)
-    if template in ("cosine_decay", "cosine_compact"):
-        space = SpaceProfile("cosine", mode=int(cfg.get("mode", 1)))
-        return Field(space, time, amplitude=amp)
-    if template == "nodal":
-        space = SpaceProfile("nodal", nodal=tuple(float(v) for v in cfg["values"]))
-        return Field(space, time, amplitude=amp)
     if template == "separable":
-        sp = cfg["space"]
+        sp, tp = cfg["space"], cfg.get("time", {})
         kind = sp["kind"]
-        space = SpaceProfile(
-            kind,
-            value=float(sp.get("value", 1.0)),
-            center=tuple(np.atleast_1d(np.asarray(sp.get("center", 0.5), dtype=float))),
-            width=float(sp.get("width", 0.2)),
-            mode=int(sp.get("mode", 1)),
-            nodal=tuple(float(v) for v in sp.get("values", ())),
-        )
-        tp = cfg.get("time", {})
-        time = TimeProfile(decay=float(tp.get("rate", 0.0)),
-                           gauss_decay=float(tp.get("gauss_rate", 0.0)),
-                           support_end=None if tp.get("support_end") is None
-                           else float(tp["support_end"]))
-        return Field(space, time, amplitude=amp)
-    raise ValueError(f"unknown field template {template!r}")
+    elif template in _SHORTHANDS:
+        sp, kind = cfg, _SHORTHANDS[template]
+        tp = {key: cfg[key] for key in ("rate", "support_end") if key in cfg}
+    else:
+        raise ValueError(f"unknown field template {template!r}")
+    space = SpaceProfile(
+        kind,
+        value=float(sp.get("value", 1.0)),
+        center=tuple(np.atleast_1d(np.asarray(sp.get("center", 0.5), dtype=float))),
+        width=float(sp.get("width", 0.2)),
+        mode=int(sp.get("mode", 1)),
+        nodal=tuple(float(v) for v in sp.get("values", ())),
+    )
+    end = tp.get("support_end")
+    time = TimeProfile(decay=float(tp.get("rate", 0.0)),
+                       gauss_decay=float(tp.get("gauss_rate", 0.0)),
+                       support_end=None if end is None else float(end))
+    return Field(space, time, amplitude=float(cfg.get("amplitude", 1.0)))
 
 
 def tail_norm(spec, which: str, rate: float, t_start: float) -> float:

@@ -11,7 +11,7 @@ the truncated reference control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -72,14 +72,7 @@ class HorizonRecord:
         return self.cost_optimal - self.cost_reference
 
     def to_dict(self):
-        d = {k: getattr(self, k) for k in (
-            "horizon", "control_error", "state_error_energy", "state_error_sup",
-            "bound_terminal", "bound_target_tail", "bound_source_tail",
-            "cost_optimal", "cost_reference", "iterations")}
-        d["bound_total"] = self.bound_total
-        d["cost_gap"] = self.cost_gap
-        d["tail_dominated"] = self.tail_dominated
-        return d
+        return {**asdict(self), "bound_total": self.bound_total, "cost_gap": self.cost_gap}
 
 
 @dataclass
@@ -96,18 +89,7 @@ class HorizonStudyReport:
     warnings: list
 
     def to_dict(self):
-        return {
-            "reference_horizon": self.reference_horizon,
-            "extension": self.extension,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "rate_status": self.rate_status,
-            "monotone_ok": self.monotone_ok,
-            "cost_check_ok": self.cost_check_ok,
-            "bound_constant": self.bound_constant,
-            "warnings": self.warnings,
-            "records": [r.to_dict() for r in self.records],
-        }
+        return {**asdict(self), "records": [r.to_dict() for r in self.records]}
 
 
 def _fit_decay(horizons, errors):
@@ -211,8 +193,7 @@ class StateErrorFit:
     passed: bool
 
     def to_dict(self):
-        return {"exponent": self.exponent, "prefactor": self.prefactor,
-                "predicted_exponent": self.predicted_exponent, "passed": self.passed}
+        return asdict(self)
 
 
 @dataclass

@@ -11,7 +11,7 @@ derivatives of the discrete cost up to Newton tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ class CostBreakdown:
         return self.tracking + self.control
 
     def to_dict(self):
-        return {"tracking": self.tracking, "control": self.control, "total": self.total}
+        return {**asdict(self), "total": self.total}
 
 
 def _masked(values: np.ndarray, mask) -> np.ndarray:

@@ -12,7 +12,7 @@ decrease.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -75,15 +75,9 @@ class SolveReport:
     message: str = ""
 
     def to_dict(self):
-        return {
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "cost": self.cost.to_dict(),
-            "residual": self.residual,
-            "history": self.history,
-            "wall_time": self.wall_time,
-            "message": self.message,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("state", "adjoint")}
+        return {**out, "cost": self.cost.to_dict()}
 
 
 def _initial_control(spec: ProblemSpec, config: OptimizerConfig) -> Trajectory:
@@ -186,7 +180,7 @@ class GrowthReport:
     distances: list
 
     def to_dict(self):
-        return {"kappa": self.kappa, "margins": self.margins, "distances": self.distances}
+        return asdict(self)
 
 
 def verify_growth(spec: ProblemSpec, u_star: Trajectory, radius: float,

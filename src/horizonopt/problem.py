@@ -11,7 +11,7 @@ adjoint-based gradient is an exact transpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -389,10 +389,6 @@ class CheckItem:
     detail: str
     mandatory: bool = True
 
-    def to_dict(self):
-        return {"key": self.key, "requirement": self.requirement,
-                "passed": self.passed, "detail": self.detail, "mandatory": self.mandatory}
-
     def __str__(self):
         tag = "PASS" if self.passed else "FAIL"
         return f"{tag} {self.key}: {self.requirement} [{self.detail}]"
@@ -412,12 +408,7 @@ class ValidationReport:
         return [it for it in self.items if it.mandatory and not it.passed]
 
     def to_dict(self):
-        return {
-            "passed": self.passed,
-            "sample_range": list(self.sample_range),
-            "sample_count": self.sample_count,
-            "items": [it.to_dict() for it in self.items],
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 # Rounding lets the Cholesky factorization of an exactly singular step matrix

@@ -37,7 +37,7 @@ gives each right-hand side the bits it gets alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -337,8 +337,7 @@ class EstimateReport:
     detail: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {"lhs": self.lhs, "rhs": self.rhs, "satisfied": self.satisfied,
-                "rate": self.rate, "slack": self.slack, "detail": self.detail}
+        return asdict(self)
 
 
 def _combined_source_norm(spec, control, rate):

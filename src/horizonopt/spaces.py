@@ -15,6 +15,15 @@ import numpy as np
 FLOAT_FMT = "%.17g"
 
 
+def write_csv(path, tag: str, columns: list, rows) -> None:
+    """Write ``rows`` as CSV under the header line ``# tag`` and a line of
+    column names, every value at 17 significant digits."""
+    line = ",".join([FLOAT_FMT] * len(columns)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(f"# {tag}\n" + ",".join(columns) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_i = i*step, i = 0..n_steps, with horizon = n_steps*step."""
@@ -76,15 +85,9 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         """Write as CSV with columns ``t, node_0..node_{w-1}`` at 17 significant digits."""
-        header = f"# horizonopt trajectory v1 kind={self.kind} columns={self.width}\n"
-        cols = ",".join(["t"] + [f"node_{k}" for k in range(self.width)])
-        t = self.grid.times
-        with open(path, "w") as fh:
-            fh.write(header)
-            fh.write(cols + "\n")
-            for i in range(self.values.shape[0]):
-                row = [FLOAT_FMT % t[i]] + [FLOAT_FMT % v for v in self.values[i]]
-                fh.write(",".join(row) + "\n")
+        write_csv(path, f"horizonopt trajectory v1 kind={self.kind} columns={self.width}",
+                  ["t"] + [f"node_{k}" for k in range(self.width)],
+                  np.column_stack((self.grid.times, self.values)).tolist())
 
     @staticmethod
     def from_csv(path, kind: str | None = None) -> "Trajectory":

@@ -116,6 +116,15 @@ class TestValidateCommand:
         assert code == 2
         assert "configuration error: data field" in capsys.readouterr().err
 
+    def test_operator_coefficient_off_mesh_exits_two(self, capsys):
+        # two diffusion values for a mesh of 40 elements
+        code = main(["validate", "--config", str(CONFIG_DIR / "ball_cubic.json"),
+                     "--set", "operator.diffusion=[1,2]"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "Traceback" not in err
+
     def test_malformed_document_exits_two(self, tmp_path, capsys):
         path = tmp_path / "nope.json"
         path.write_text("{]")
@@ -263,6 +272,36 @@ class TestHorizonStudyCommand:
         assert fit["rate_status"] == "pass"
         assert (out / "decay.svg").read_text().startswith("<svg")
 
+    def test_every_listed_output_exists(self, tmp_path):
+        # with zero data every control error is 0, so there is no decay to plot
+        zero = {"template": "zero"}
+        cfg_path = small_study_config(tmp_path)
+        cfg = json.loads(cfg_path.read_text())
+        cfg["data"] = {"initial": zero, "source": zero, "target": zero}
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "study_out"
+        assert main(["horizon-study", "--config", str(cfg_path), "--out", str(out),
+                     "--plot"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "complete"
+        assert [Path(p).name for p in manifest["outputs"]] == ["sweep.csv", "fit.json"]
+        assert all(Path(p).exists() for p in manifest["outputs"])
+        assert not (out / "decay.svg").exists()
+
+    @pytest.mark.parametrize("horizons", ["[4.0,4.0]", "[4.03,6.0]"],
+                             ids=["repeated", "off-step"])
+    def test_malformed_horizons_exit_two(self, tmp_path, capsys, horizons):
+        out = tmp_path / "run"
+        code = main(["horizon-study", "--config", str(CONFIG_DIR / "horizon_compact.json"),
+                     "--set", f"horizon_study.horizons={horizons}", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "Traceback" not in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["outputs"] == []
+
 
 class TestSocheckCommand:
     def test_reports_positive_growth_on_lq(self, tmp_path):
@@ -274,6 +313,16 @@ class TestSocheckCommand:
         assert payload["growth"]["kappa"] > 0
         assert payload["min_normalized_form"] is None or \
             payload["min_normalized_form"] > -1e-6
+
+    @pytest.mark.parametrize("option, value", [
+        ("--samples", "0"), ("--radius", "-1"), ("--radius", "nan"), ("--directions", "-5"),
+    ])
+    def test_nonpositive_count_or_radius_is_a_usage_error(self, tmp_path, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["socheck", "--config", str(CONFIG_DIR / "ball_cubic.json"),
+                  "--out", str(tmp_path / "so"), option, value])
+        assert exc.value.code == 2
+        assert not (tmp_path / "so").exists()
 
 
 class TestRunnerFailures:
@@ -298,6 +347,12 @@ class TestRunnerFailures:
         (False, "optimizer.newton.foo=1"), (False, "optimizer.newton=3"),
         (False, 'optimizer.tolerance="abc"'), (False, 'optimizer.newton.tolerance="x"'),
         (False, "optimizer.newton.damping=0.5"),
+        (False, 'admissible={"kind":"box","lower":1,"upper":0}'),
+        (False, "mesh.control={}"), (False, "mesh.dimension=2"),
+        (False, 'mesh.control={"lo":0.5,"hi":0.51}'),
+        (False, 'mesh={"dimension":2,"shape":[1,1],"control":{"box":[[0.2,0.8],[0.2,0.8]]}}'),
+        (False, 'nonlinearity={"name":"linear","coefficient":-1}'),
+        (False, "operator.diffusion=[1,2]"),
     ])
     def test_config_error_leaves_failed_manifest(self, tmp_path, capsys, malformed,
                                                  override):
@@ -320,6 +375,43 @@ class TestRunnerFailures:
         # a malformed file or an override without "=" stops before it
         resolved = not malformed and "=" in override
         assert (manifest["config"] is not None) == resolved
+
+
+class TestOutputSchemas:
+    def test_report_key_sets_are_pinned(self, tmp_path):
+        # reports serialize their dataclass fields, so a new field changes an
+        # output schema; this pin makes such a change deliberate
+        lq = str(CONFIG_DIR / "lq_small.json")
+        runs = {
+            "opt": ["optimize", "--config", lq],
+            "hs": ["horizon-study", "--config", str(small_study_config(tmp_path))],
+            "val": ["validate", "--config", str(CONFIG_DIR / "ball_cubic.json")],
+            "so": ["socheck", "--config", lq, "--directions", "5", "--samples", "5"],
+        }
+        for name, argv in runs.items():
+            assert main(argv + ["--out", str(tmp_path / name)]) == 0, name
+
+        def keys(name, file):
+            return json.loads((tmp_path / name / file).read_text())
+
+        report = keys("opt", "report.json")
+        assert set(report) == {"schema", "iterations", "converged", "cost", "residual",
+                               "history", "wall_time", "message"}
+        assert set(report["cost"]) == {"tracking", "control", "total"}
+        fit = keys("hs", "fit.json")
+        assert set(fit) == {"schema", "reference_horizon", "extension", "slope", "intercept",
+                            "rate_status", "monotone_ok", "cost_check_ok", "bound_constant",
+                            "warnings", "records"}
+        for record in fit["records"]:
+            assert set(record) == {
+                "horizon", "control_error", "state_error_energy", "state_error_sup",
+                "bound_terminal", "bound_target_tail", "bound_source_tail", "bound_total",
+                "cost_optimal", "cost_reference", "cost_gap", "tail_dominated", "iterations"}
+        validation = keys("val", "validation.json")
+        assert set(validation) == {"passed", "sample_range", "sample_count", "items"}
+        for item in validation["items"]:
+            assert set(item) == {"key", "requirement", "passed", "detail", "mandatory"}
+        assert set(keys("so", "socheck.json")["growth"]) == {"kappa", "margins", "distances"}
 
 
 class TestSmokeRuns:

@@ -275,6 +275,24 @@ class TestFieldTemplates:
         assert np.array_equal(compact.sample(spec.mesh, spec.grid.times),
                               decay.sample(spec.mesh, spec.grid.times))
 
+    @pytest.mark.parametrize("template, kind, keys", [
+        ("constant", "constant", {"value": -0.7}),
+        ("gauss_decay", "gaussian", {"center": 0.3, "width": 0.15}),
+        ("cosine_decay", "cosine", {"mode": 3}),
+        ("cosine_compact", "cosine", {"mode": 3}),
+        ("nodal", "nodal", {"values": list(np.linspace(0.0, 1.0, 21) ** 2)}),
+    ])
+    def test_shorthand_samples_as_its_separable_spelling(self, template, kind, keys):
+        spec = make_spec(n_nodes=21, horizon=2.0, step=0.1)
+        time = {"rate": 0.4, "support_end": 1.25}
+        separable = field_from_config({"template": "separable", "amplitude": 1.5,
+                                       "space": {"kind": kind, **keys}, "time": time})
+        # a shorthand reads no gauss_rate
+        shorthand = field_from_config({"template": template, "amplitude": 1.5,
+                                       "gauss_rate": 0.7, **keys, **time})
+        assert np.array_equal(shorthand.sample(spec.mesh, spec.grid.times),
+                              separable.sample(spec.mesh, spec.grid.times))
+
 
 def test_weighted_inner_matches_norm():
     spec = make_spec(horizon=1.0, step=0.05)
