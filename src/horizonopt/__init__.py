@@ -14,11 +14,11 @@ from .objective import (CostBreakdown, Multiplier, SecondOrderModel, cost,
                         multiplier_and_cone, sample_critical_directions)
 from .optimizer import (GrowthReport, OptimizerConfig, SolveReport, optimize,
                         verify_growth)
-from .problem import (Discounts, EllipticForm, Nonlinearity, ProblemSpec,
-                      ValidationReport, assemble_operators,
+from .problem import (Discounts, EllipticForm, NewtonConfig, Nonlinearity,
+                      ProblemSpec, ValidationReport, assemble_operators,
                       builtin_nonlinearities, linear_nonlinearity,
                       validate_assumptions)
-from .solvers import (EstimateReport, NewtonConfig, SolverError,
+from .solvers import (EstimateReport, SolverError,
                       check_energy_estimate, check_linearized_estimate,
                       solve_adjoint, solve_forward, solve_linearized,
                       solve_second_order)

@@ -164,7 +164,7 @@ def _svg_decay_plot(horizons, errors) -> str | None:
     return "\n".join(lines) + "\n"
 
 
-def cmd_validate(args, cfg, spec, manifest) -> int:
+def cmd_validate(args, cfg, spec, optimizer, manifest) -> int:
     report = validate_assumptions(spec)
     for item in report.items:
         print(item)
@@ -174,7 +174,7 @@ def cmd_validate(args, cfg, spec, manifest) -> int:
     return EXIT_OK if report.passed else EXIT_FAILED
 
 
-def cmd_solve_forward(args, cfg, spec, manifest) -> int:
+def cmd_solve_forward(args, cfg, spec, optimizer, manifest) -> int:
     state = solve_forward(spec, spec.zero_control())
     manifest.stage("solve")
     state.to_csv(manifest.output("state.csv"))
@@ -188,7 +188,7 @@ def cmd_solve_forward(args, cfg, spec, manifest) -> int:
     return EXIT_OK
 
 
-def cmd_gradient_check(args, cfg, spec, manifest) -> int:
+def cmd_gradient_check(args, cfg, spec, optimizer, manifest) -> int:
     rng = np.random.default_rng(args.seed)
     shape = (spec.grid.n_steps + 1, spec.control_count)
     u_vals = project_values(spec.admissible, 0.3 * rng.standard_normal(shape),
@@ -214,8 +214,8 @@ def cmd_gradient_check(args, cfg, spec, manifest) -> int:
     return EXIT_OK if best <= GRADIENT_TOLERANCE else EXIT_FAILED
 
 
-def cmd_optimize(args, cfg, spec, manifest) -> int:
-    u, report = optimize(spec, build_optimizer_config(cfg))
+def cmd_optimize(args, cfg, spec, optimizer, manifest) -> int:
+    u, report = optimize(spec, optimizer)
     manifest.stage("optimize")
     for name, traj in (("u_star", u), ("state", report.state), ("adjoint", report.adjoint)):
         traj.to_csv(manifest.output(f"{name}.csv"))
@@ -227,7 +227,7 @@ def cmd_optimize(args, cfg, spec, manifest) -> int:
     return EXIT_OK if report.converged else EXIT_FAILED
 
 
-def cmd_horizon_study(args, cfg, spec, manifest) -> int:
+def cmd_horizon_study(args, cfg, spec, optimizer, manifest) -> int:
     report = run_horizon_study(spec, build_horizon_config(cfg))
     manifest.stage("sweep")
     # every column after T is the record attribute of the same name
@@ -250,9 +250,8 @@ def cmd_horizon_study(args, cfg, spec, manifest) -> int:
     return EXIT_OK
 
 
-def cmd_socheck(args, cfg, spec, manifest) -> int:
-    ocfg = build_optimizer_config(cfg)
-    u, report = optimize(spec, ocfg)
+def cmd_socheck(args, cfg, spec, optimizer, manifest) -> int:
+    u, report = optimize(spec, optimizer)
     manifest.stage("optimize")
     adjoint = report.adjoint
     model = SecondOrderModel(spec, u, state=report.state, adjoint=adjoint)
@@ -280,7 +279,7 @@ def cmd_socheck(args, cfg, spec, manifest) -> int:
     payload["directions_sampled"] = len(directions)
     payload["min_normalized_form"] = min(forms) if forms else None
     growth = verify_growth(spec, u, radius=args.radius, samples=args.samples,
-                           seed=args.seed, newton=ocfg.newton, state=report.state)
+                           seed=args.seed, state=report.state)
     payload["growth"] = growth.to_dict()
     manifest.stage("checks")
     write_json(manifest.output("socheck.json"), payload)
@@ -351,10 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand: load the configuration, build the problem, refuse
-    it when the command is gated and the standing assumptions fail, run the
-    command body and finalize the manifest.  A failure at any step finalizes
-    the manifest as ``failed`` and maps to the documented exit code."""
+    """Run one subcommand: load the configuration, build the problem and the
+    optimizer controls, refuse the problem when the command is gated and the
+    standing assumptions fail, run the command body and finalize the
+    manifest.  A failure at any step finalizes the manifest as ``failed`` and
+    maps to the documented exit code."""
     args = build_parser().parse_args(argv)
     manifest = Manifest(args.out, args.command)
     try:
@@ -364,6 +364,8 @@ def main(argv=None) -> int:
                 cfg = apply_overrides(cfg, args.set)
             manifest.begin(cfg, getattr(args, "seed", cfg.get("seed", 0)))
             spec = build_problem(cfg)
+            # every command checks the optimizer section, used or not
+            optimizer = build_optimizer_config(cfg)
             if args.gated:
                 failures = validate_assumptions(spec).failures()
                 for item in failures:
@@ -371,7 +373,7 @@ def main(argv=None) -> int:
                 if failures:
                     raise AssumptionError("standing assumptions fail: "
                                           + ", ".join(item.key for item in failures))
-            code = args.func(args, cfg, spec, manifest)
+            code = args.func(args, cfg, spec, optimizer, manifest)
             manifest.finalize()
         return code
     except ConfigError as exc:

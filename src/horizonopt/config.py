@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import jsonschema
 
@@ -20,10 +20,9 @@ from .descriptors import field_from_config
 from .horizon import HorizonStudyConfig
 from .mesh import interval_mesh, rectangle_mesh
 from .optimizer import OptimizerConfig
-from .problem import (Discounts, EllipticForm, Nonlinearity, ProblemSpec,
-                      builtin_nonlinearities, default_aux_rate,
+from .problem import (Discounts, EllipticForm, NewtonConfig, Nonlinearity,
+                      ProblemSpec, builtin_nonlinearities, default_aux_rate,
                       default_integrability_exponent, linear_nonlinearity)
-from .solvers import NewtonConfig
 from .spaces import TimeGrid
 
 
@@ -177,19 +176,31 @@ def _document_errors(build):
     return run
 
 
+def _region(mcfg: dict, name: str, dim: int):
+    """``mesh.<name>``: {lo, hi} on an interval, {box: [[lo, hi], [lo, hi]]}
+    on a rectangle; None when the section is absent."""
+    region = mcfg.get(name)
+    if region is None:
+        return None
+    try:
+        if dim == 1:
+            return (region["lo"], region["hi"])
+        return tuple((lo, hi) for lo, hi in region["box"])
+    except (KeyError, TypeError, ValueError) as exc:
+        form = "{lo, hi}" if dim == 1 else "{box: [[lo, hi], [lo, hi]]}"
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"mesh.{name} must be {form}: {detail}") from exc
+
+
 def _build_mesh(mcfg: dict):
     dim = mcfg.get("dimension", 1)
-    obs = mcfg.get("observation")
+    control, observation = (_region(mcfg, name, dim) for name in ("control", "observation"))
     if dim == 1:
-        ctrl = mcfg["control"]
-        return interval_mesh(
-            mcfg.get("length", 1.0), mcfg.get("nodes", 51),
-            control=(ctrl["lo"], ctrl["hi"]),
-            observation=None if obs is None else (obs["lo"], obs["hi"]))
+        return interval_mesh(mcfg.get("length", 1.0), mcfg.get("nodes", 51),
+                             control=control, observation=observation)
     return rectangle_mesh(
         tuple(mcfg.get("lengths", (1.0, 1.0))), tuple(mcfg.get("shape", (16, 16))),
-        control=tuple((lo, hi) for lo, hi in mcfg["control"]["box"]),
-        observation=None if obs is None else tuple((lo, hi) for lo, hi in obs["box"]))
+        control=control, observation=observation)
 
 
 def _build_nonlinearity(ncfg: dict) -> Nonlinearity:
@@ -212,8 +223,14 @@ def build_problem(cfg: dict) -> ProblemSpec:
     form = EllipticForm(diffusion=ocfg.get("diffusion", 1.0),
                         reaction=ocfg.get("reaction", 0.0))
     # coefficient arrays that do not fit the mesh fail here, not at assembly
-    form.diffusion_values(mesh)
-    form.reaction_values(mesh)
+    for name, values, count, unit in (
+            ("diffusion", form.diffusion_values, mesh.n_elements, "element"),
+            ("reaction", form.reaction_values, mesh.n_nodes, "node")):
+        try:
+            values(mesh)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"operator.{name} must be one number or a list of one per "
+                              f"{unit} ({count} on this mesh)") from exc
     nonlin = _build_nonlinearity(cfg["nonlinearity"])
     dcfg = cfg["discounts"]
     aux = dcfg.get("aux_rate")
@@ -238,12 +255,17 @@ def build_problem(cfg: dict) -> ProblemSpec:
                                    upper=float(acfg["upper"]))
     tcfg = cfg["time"]
     grid = TimeGrid(float(tcfg["horizon"]), float(tcfg["step"]))
+    try:
+        newton = NewtonConfig(**cfg.get("optimizer", {}).get("newton", {}))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"optimizer.newton: {exc}") from exc
     ccfg = cfg["cost"]
     spec = ProblemSpec(
         mesh=mesh, operator=form, nonlinearity=nonlin, discounts=discounts,
         grid=grid, initial_state=None, source=None, target=None,
         control_weight=float(ccfg["control_weight"]), admissible=admissible,
         track_on_observation=bool(ccfg.get("track_on_observation", True)),
+        newton=newton,
     )
     # the data fields go in last, so that only their errors carry the label;
     # sampling checks every field against the mesh and the grid here, so a
@@ -263,16 +285,13 @@ def build_problem(cfg: dict) -> ProblemSpec:
 
 @_document_errors
 def build_optimizer_config(cfg: dict) -> OptimizerConfig:
-    """The optimizer section as an OptimizerConfig."""
-    ocfg = dict(cfg.get("optimizer", {}))
-    newton = ocfg.pop("newton", {})
-    # warm_start is set by the horizon sweep only, never by a configuration
-    known = {"initial_step", "armijo_slope", "backtrack", "tolerance",
-             "max_iterations", "min_step"}
-    unknown = set(ocfg) - known
+    """The optimizer section as an OptimizerConfig.  Its ``newton`` settings
+    belong to the problem: ``build_problem`` reads them."""
+    ocfg = {k: v for k, v in cfg.get("optimizer", {}).items() if k != "newton"}
+    unknown = set(ocfg) - {f.name for f in fields(OptimizerConfig)}
     if unknown:
         raise ConfigError(f"unknown optimizer options: {sorted(unknown)}")
-    return OptimizerConfig(newton=NewtonConfig(**newton), **ocfg)
+    return OptimizerConfig(**ocfg)
 
 
 @_document_errors

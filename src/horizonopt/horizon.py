@@ -11,7 +11,7 @@ the truncated reference control.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -122,8 +122,7 @@ def run_horizon_study(spec: ProblemSpec, config: HorizonStudyConfig) -> HorizonS
         horizon = sub.grid.horizon
         warm = u_ref.restrict(sub.grid)
         ref_state = y_ref.restrict(sub.grid)
-        ocfg = replace(config.optimizer, warm_start=warm)
-        u_T, rep = optimize(sub, ocfg)
+        u_T, rep = optimize(sub, config.optimizer, start=warm)
         y_T = rep.state
 
         gap_u = Trajectory(sub.grid, u_T.values - warm.values, "control")
@@ -192,9 +191,6 @@ class StateErrorFit:
     predicted_exponent: float
     passed: bool
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class StateErrorBounds:
@@ -205,10 +201,6 @@ class StateErrorBounds:
     @property
     def passed(self) -> bool:
         return self.trivial or (self.energy_fit.passed and self.sup_fit.passed)
-
-    def to_dict(self):
-        return {"passed": self.passed, "trivially_zero": self.trivial,
-                "energy": self.energy_fit.to_dict(), "sup": self.sup_fit.to_dict()}
 
 
 def _loglog_fit(x, y):

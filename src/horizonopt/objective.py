@@ -16,8 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .problem import ProblemSpec
-from .solvers import (NewtonConfig, solve_adjoint, solve_forward,
-                      solve_linearized)
+from .solvers import solve_adjoint, solve_forward, solve_linearized
 from .spaces import Trajectory, quad_energies
 
 
@@ -53,9 +52,8 @@ def cost_from_state(spec: ProblemSpec, u: Trajectory, state: Trajectory) -> Cost
     return CostBreakdown(tracking, control)
 
 
-def cost(spec: ProblemSpec, u: Trajectory,
-         newton: NewtonConfig | None = None) -> CostBreakdown:
-    return cost_from_state(spec, u, solve_forward(spec, u, newton))
+def cost(spec: ProblemSpec, u: Trajectory) -> CostBreakdown:
+    return cost_from_state(spec, u, solve_forward(spec, u))
 
 
 def riesz_gradient(spec: ProblemSpec, u: Trajectory, adjoint: Trajectory) -> Trajectory:
@@ -71,17 +69,15 @@ def riesz_gradient(spec: ProblemSpec, u: Trajectory, adjoint: Trajectory) -> Tra
     return Trajectory(spec.grid, vals, "control")
 
 
-def gradient_with_state(spec: ProblemSpec, u: Trajectory,
-                        newton: NewtonConfig | None = None):
+def gradient_with_state(spec: ProblemSpec, u: Trajectory):
     """Return (gradient, state, adjoint) for one control."""
-    state = solve_forward(spec, u, newton)
+    state = solve_forward(spec, u)
     adj = solve_adjoint(spec, state)
     return riesz_gradient(spec, u, adj), state, adj
 
 
-def gradient(spec: ProblemSpec, u: Trajectory,
-             newton: NewtonConfig | None = None) -> Trajectory:
-    return gradient_with_state(spec, u, newton)[0]
+def gradient(spec: ProblemSpec, u: Trajectory) -> Trajectory:
+    return gradient_with_state(spec, u)[0]
 
 
 def first_order_density(spec: ProblemSpec, u: Trajectory, adjoint: Trajectory) -> np.ndarray:
@@ -102,11 +98,10 @@ class SecondOrderModel:
     """
 
     def __init__(self, spec: ProblemSpec, u: Trajectory,
-                 newton: NewtonConfig | None = None,
                  state: Trajectory | None = None,
                  adjoint: Trajectory | None = None):
         self.spec = spec
-        self.state = state if state is not None else solve_forward(spec, u, newton)
+        self.state = state if state is not None else solve_forward(spec, u)
         self.adjoint = adjoint if adjoint is not None else solve_adjoint(spec, self.state)
 
     def response(self, v: Trajectory | list) -> Trajectory | list:

@@ -12,14 +12,14 @@ decrease.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .admissible import project_values, stationarity_residual
 from .objective import CostBreakdown, cost_from_state, riesz_gradient
 from .problem import ProblemSpec
-from .solvers import NewtonConfig, solve_adjoint, solve_forward
+from .solvers import solve_adjoint, solve_forward
 from .spaces import Trajectory, weighted_l2_norm
 
 
@@ -29,10 +29,10 @@ class LineSearchError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Projected-gradient controls.
+    """Projected-gradient controls, the ``optimizer`` section of a document
+    except its ``newton`` settings, which belong to the problem.
 
-    ``initial_step`` defaults to 1/control_weight.  The initial control is
-    the projection of zero unless a warm start is supplied.
+    ``initial_step`` defaults to 1/control_weight.
     """
 
     initial_step: float | None = None
@@ -41,8 +41,6 @@ class OptimizerConfig:
     tolerance: float = 1e-9
     max_iterations: int = 2000
     min_step: float = 1e-14
-    warm_start: Trajectory | None = None
-    newton: NewtonConfig = field(default_factory=NewtonConfig)
 
     def __post_init__(self):
         if self.initial_step is not None and self.initial_step <= 0:
@@ -80,20 +78,21 @@ class SolveReport:
         return {**out, "cost": self.cost.to_dict()}
 
 
-def _initial_control(spec: ProblemSpec, config: OptimizerConfig) -> Trajectory:
-    ops = spec.operators
-    if config.warm_start is not None:
-        vals = config.warm_start.values.copy()
+def _initial_control(spec: ProblemSpec, start: Trajectory | None) -> Trajectory:
+    if start is not None:
+        vals = start.values.copy()
         if vals.shape != (spec.grid.n_steps + 1, spec.control_count):
-            raise ValueError("warm start does not match the grid/control layout")
+            raise ValueError("start control does not match the grid/control layout")
     else:
         vals = np.zeros((spec.grid.n_steps + 1, spec.control_count))
-    vals = project_values(spec.admissible, vals, ops.control_weights)
+    vals = project_values(spec.admissible, vals, spec.operators.control_weights)
     return Trajectory(spec.grid, vals, "control")
 
 
-def optimize(spec: ProblemSpec, config: OptimizerConfig | None = None):
-    """Solve the discrete control problem; returns (control, report)."""
+def optimize(spec: ProblemSpec, config: OptimizerConfig | None = None,
+             start: Trajectory | None = None):
+    """Solve the discrete control problem from the projection of ``start``
+    (of zero when it is None); returns (control, report)."""
     config = config or OptimizerConfig()
     t0 = time.perf_counter()
     ops = spec.operators
@@ -101,8 +100,8 @@ def optimize(spec: ProblemSpec, config: OptimizerConfig | None = None):
     step0 = config.initial_step if config.initial_step is not None \
         else 1.0 / spec.control_weight
 
-    u = _initial_control(spec, config)
-    state = solve_forward(spec, u, config.newton)
+    u = _initial_control(spec, start)
+    state = solve_forward(spec, u)
     breakdown = cost_from_state(spec, u, state)
     history = []
     converged = False
@@ -140,7 +139,7 @@ def optimize(spec: ProblemSpec, config: OptimizerConfig | None = None):
                 accepted = True
                 trial_state, trial_cost = state, breakdown
                 break
-            trial_state = solve_forward(spec, trial, config.newton)
+            trial_state = solve_forward(spec, trial)
             trial_cost = cost_from_state(spec, trial, trial_state)
             required = config.armijo_slope / step * gap_norm**2
             if required > floor:
@@ -185,7 +184,6 @@ class GrowthReport:
 
 def verify_growth(spec: ProblemSpec, u_star: Trajectory, radius: float,
                   samples: int, seed: int = 0,
-                  newton: NewtonConfig | None = None,
                   state: Trajectory | None = None) -> GrowthReport:
     """Probe J(u) >= J(u*) + kappa/2 |u - u*|^2 with random admissible u.
 
@@ -202,7 +200,7 @@ def verify_growth(spec: ProblemSpec, u_star: Trajectory, radius: float,
     rate_c = spec.discounts.control_rate
     rng = np.random.default_rng(seed)
     if state is None:
-        state = solve_forward(spec, u_star, newton)
+        state = solve_forward(spec, u_star)
     j_star = cost_from_state(spec, u_star, state).total
     margins, distances = [], []
     for _ in range(samples):
@@ -220,7 +218,7 @@ def verify_growth(spec: ProblemSpec, u_star: Trajectory, radius: float,
         if dist <= 1e-14:
             continue
         cand_traj = Trajectory(spec.grid, cand, "control")
-        j = cost_from_state(spec, cand_traj, solve_forward(spec, cand_traj, newton)).total
+        j = cost_from_state(spec, cand_traj, solve_forward(spec, cand_traj)).total
         margins.append(2.0 * (j - j_star) / dist**2)
         distances.append(dist)
     if not margins:

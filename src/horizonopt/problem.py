@@ -155,6 +155,21 @@ class Discounts:
     enforce_second_order: bool = False
 
 
+@dataclass(frozen=True)
+class NewtonConfig:
+    """Newton controls for the implicit step equations; a step that does not
+    reduce the residual is halved until it does."""
+
+    tolerance: float = 1e-12
+    max_iterations: int = 30
+
+    def __post_init__(self):
+        if self.tolerance <= 0:
+            raise ValueError("tolerance must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
+
+
 @dataclass
 class ProblemSpec:
     """Complete description of one discounted tracking problem.
@@ -162,6 +177,8 @@ class ProblemSpec:
     ``source``/``target`` may be given as (n_steps+1, n_nodes) arrays or as
     closed-form field descriptors with a ``sample(mesh, times)`` method;
     ``initial_state`` as an (n_nodes,) array or a descriptor sampled at t=0.
+    ``newton`` governs every forward solve of the problem, so that all the
+    solves behind one cost, gradient or optimum use the same settings.
     """
 
     mesh: SpatialMesh
@@ -175,6 +192,7 @@ class ProblemSpec:
     control_weight: float
     admissible: AdmissibleSet
     track_on_observation: bool = True
+    newton: NewtonConfig = field(default_factory=NewtonConfig)
     # assembled on first use of ``operators``; ``with_horizon`` passes them on
     _operators: Operators | None = field(default=None, repr=False, compare=False)
 
@@ -198,45 +216,33 @@ class ProblemSpec:
 
     # -- sampled data -------------------------------------------------------
 
-    def _sample_field(self, obj, label: str) -> np.ndarray:
-        n = self.grid.n_steps + 1
+    def _sample_field(self, obj, label: str, times: np.ndarray) -> np.ndarray:
+        shape = (len(times), self.mesh.n_nodes)
         if hasattr(obj, "sample"):
-            vals = obj.sample(self.mesh, self.grid.times)
+            vals = obj.sample(self.mesh, times)
         else:
             vals = np.asarray(obj, dtype=float)
             if vals.ndim == 0:
-                vals = np.full((n, self.mesh.n_nodes), float(vals))
+                vals = np.full(shape, float(vals))
             elif vals.ndim == 1:
-                vals = np.broadcast_to(vals, (n, self.mesh.n_nodes)).copy()
-        if vals.shape != (n, self.mesh.n_nodes):
-            raise ValueError(f"{label} samples have shape {vals.shape}, "
-                             f"expected {(n, self.mesh.n_nodes)}")
+                vals = np.broadcast_to(vals, shape).copy()
+        if vals.shape != shape:
+            raise ValueError(f"{label} samples have shape {vals.shape}, expected {shape}")
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"{label} contains non-finite values")
         return vals
 
     @cached_property
     def source_samples(self) -> np.ndarray:
-        return self._sample_field(self.source, "source")
+        return self._sample_field(self.source, "source", self.grid.times)
 
     @cached_property
     def target_samples(self) -> np.ndarray:
-        return self._sample_field(self.target, "target")
+        return self._sample_field(self.target, "target", self.grid.times)
 
     @cached_property
     def initial_values(self) -> np.ndarray:
-        obj = self.initial_state
-        if hasattr(obj, "sample"):
-            vals = obj.sample(self.mesh, np.array([0.0]))[0]
-        else:
-            vals = np.asarray(obj, dtype=float)
-            if vals.ndim == 0:
-                vals = np.full(self.mesh.n_nodes, float(vals))
-        if vals.shape != (self.mesh.n_nodes,):
-            raise ValueError("initial state has the wrong shape")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("initial state must be bounded (finite nodal values)")
-        return vals
+        return self._sample_field(self.initial_state, "initial state", np.array([0.0]))[0]
 
     # -- helpers ------------------------------------------------------------
 

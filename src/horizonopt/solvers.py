@@ -56,21 +56,6 @@ class SolverError(RuntimeError):
         self.history = list(history) if history is not None else []
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    """Newton controls for the implicit step equations; a step that does not
-    reduce the residual is halved until it does."""
-
-    tolerance: float = 1e-12
-    max_iterations: int = 30
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-
-
 def _tridiagonals(ab):
     """(lower, diagonal, upper) of a matrix in band storage with k = 1."""
     return (np.ascontiguousarray(ab[3, :-1]), np.ascontiguousarray(ab[2]),
@@ -162,16 +147,15 @@ def _residual_norm(r: np.ndarray, lumped: np.ndarray) -> float:
     return math.sqrt((r * r / lumped).sum())
 
 
-def solve_forward(spec: ProblemSpec, control: Trajectory,
-                  newton: NewtonConfig | None = None) -> Trajectory:
-    """March the semilinear equation from the initial state under a control."""
+def solve_forward(spec: ProblemSpec, control: Trajectory) -> Trajectory:
+    """March the semilinear equation from the initial state under a control,
+    with the Newton settings ``spec.newton``."""
     if control.kind != "control" or control.values.shape[1] != spec.control_count:
         raise ValueError("control trajectory does not match the control subdomain")
     if control.grid.n_steps != spec.grid.n_steps:
         raise ValueError("control trajectory does not match the time grid")
-    cfg = newton or NewtonConfig()
-    tolerance = cfg.tolerance
-    iterations = range(cfg.max_iterations)
+    tolerance = spec.newton.tolerance
+    iterations = range(spec.newton.max_iterations)
     value, derivative = spec.nonlinearity.value, spec.nonlinearity.derivative
     dt = spec.grid.step
     stepper = _stepper(spec)
@@ -313,10 +297,9 @@ def solve_adjoint_from_residual(spec: ProblemSpec, base_state: Trajectory,
     return Trajectory(spec.grid, vals, "adjoint")
 
 
-def solve_adjoint(spec: ProblemSpec, base_state: Trajectory, target=None) -> Trajectory:
+def solve_adjoint(spec: ProblemSpec, base_state: Trajectory) -> Trajectory:
     """Adjoint of the tracking cost around a forward trajectory."""
-    target_vals = spec.target_samples if target is None else np.asarray(target, dtype=float)
-    residual = base_state.values - target_vals
+    residual = base_state.values - spec.target_samples
     return solve_adjoint_from_residual(spec, base_state, residual,
                                        spec.discounts.state_rate, masked=True)
 

@@ -124,6 +124,7 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert "configuration error" in err
         assert "Traceback" not in err
+        assert "operator.diffusion" in err and "(40 on this mesh)" in err
 
     def test_malformed_document_exits_two(self, tmp_path, capsys):
         path = tmp_path / "nope.json"
@@ -375,6 +376,49 @@ class TestRunnerFailures:
         # a malformed file or an override without "=" stops before it
         resolved = not malformed and "=" in override
         assert (manifest["config"] is not None) == resolved
+
+    @pytest.mark.parametrize("override, field", [
+        ("mesh.control={}", "mesh.control"), ("mesh.dimension=2", "mesh.control"),
+        ('mesh.observation={"lo":0.1}', "mesh.observation"),
+        ("operator.diffusion=[1,2]", "operator.diffusion must be one number or a list of "
+                                     "one per element (40 on this mesh)"),
+        ("operator.reaction=[1,2]", "operator.reaction must be one number or a list of "
+                                    "one per node (41 on this mesh)"),
+        ("optimizer.newton.foo=1", "optimizer.newton"),
+        ("optimizer.newton.tolerance=0", "optimizer.newton"),
+    ], ids=["control-empty", "control-without-box", "observation-without-hi",
+            "diffusion-length", "reaction-length", "newton-unknown-key",
+            "newton-tolerance"])
+    def test_config_error_names_the_field(self, tmp_path, capsys, override, field):
+        code = main(["optimize", "--config", str(CONFIG_DIR / "ball_cubic.json"),
+                     "--set", override, "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert f"configuration error: {field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "solve-forward", "gradient-check"])
+    def test_malformed_optimizer_section_exits_two(self, tmp_path, capsys, command):
+        # commands that never optimize still reject the section before any solve
+        out = tmp_path / "run"
+        code = main([command, "--config", str(CONFIG_DIR / "lq_small.json"),
+                     "--set", "optimizer.foo=1", "--out", str(out)])
+        assert code == 2
+        assert "unknown optimizer options: ['foo']" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["outputs"] == []
+
+    @pytest.mark.parametrize("command", ["solve-forward", "gradient-check"])
+    def test_newton_settings_govern_every_command(self, tmp_path, capsys, command):
+        # optimizer.newton belongs to the problem, so commands that never
+        # optimize solve with it too
+        out = tmp_path / "run"
+        code = main([command, "--config", str(CONFIG_DIR / "ball_cubic.json"),
+                     "--set", "optimizer.newton.max_iterations=1", "--out", str(out)])
+        assert code == 1
+        assert "Newton did not converge" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert "Newton did not converge" in manifest["error"]
 
 
 class TestOutputSchemas:

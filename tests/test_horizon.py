@@ -103,7 +103,7 @@ class TestHorizonStudy:
         u_ref, _ = ho.optimize(ref_spec, OptimizerConfig(tolerance=tol))
         warm = ho.Trajectory(sub.grid, u_ref.values[: sub.grid.n_steps + 1].copy(),
                              "control")
-        u_warm, _ = ho.optimize(sub, OptimizerConfig(tolerance=tol, warm_start=warm))
+        u_warm, _ = ho.optimize(sub, OptimizerConfig(tolerance=tol), start=warm)
         u_cold, _ = ho.optimize(sub, OptimizerConfig(tolerance=tol))
         gap = ho.Trajectory(sub.grid, u_warm.values - u_cold.values, "control")
         err = weighted_l2_norm(gap, spec.discounts.control_rate,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,8 @@ from oracles import geometric_weight_sum
 def fd_directional(spec, u, v, eps):
     up = ho.Trajectory(spec.grid, u.values + eps * v.values, "control")
     dn = ho.Trajectory(spec.grid, u.values - eps * v.values, "control")
-    tight = ho.NewtonConfig(tolerance=1e-13)
-    return (ho.cost(spec, up, tight).total - ho.cost(spec, dn, tight).total) / (2 * eps)
+    spec = replace(spec, newton=ho.NewtonConfig(tolerance=1e-13))
+    return (ho.cost(spec, up).total - ho.cost(spec, dn).total) / (2 * eps)
 
 
 class TestCost:
@@ -61,7 +63,7 @@ class TestGradient:
                          target=0.2 * np.ones((21, 21)))
         u = random_control(spec, seed=3, scale=0.3)
         v = random_control(spec, seed=4)
-        grad = ho.gradient(spec, u, ho.NewtonConfig(tolerance=1e-13))
+        grad = ho.gradient(replace(spec, newton=ho.NewtonConfig(tolerance=1e-13)), u)
         adj_val = weighted_inner(grad, v, spec.discounts.control_rate,
                                  spec.operators.control_weights)
         best = min(abs(adj_val - fd_directional(spec, u, v, eps))
@@ -128,7 +130,7 @@ class TestGradient:
             from conftest import random_instance
             spec, u = random_instance(seed + 200, kind, name)
             v = random_control(spec, seed=seed + 300)
-            grad = ho.gradient(spec, u, ho.NewtonConfig(tolerance=1e-13))
+            grad = ho.gradient(replace(spec, newton=ho.NewtonConfig(tolerance=1e-13)), u)
             val = weighted_inner(grad, v, spec.discounts.control_rate,
                                  spec.operators.control_weights)
             best = min(abs(val - fd_directional(spec, u, v, eps))
@@ -158,17 +160,17 @@ class TestHessian:
     def test_second_difference_oracle(self):
         spec = make_spec(nonlinearity="cubic", initial=0.4 * np.ones(21),
                          target=0.1 * np.ones((21, 21)))
-        tight = ho.NewtonConfig(tolerance=1e-13)
+        spec = replace(spec, newton=ho.NewtonConfig(tolerance=1e-13))
         u = random_control(spec, seed=16, scale=0.2)
         v = random_control(spec, seed=17, scale=0.5)
-        exact = SecondOrderModel(spec, u, tight).quadratic_form(v, v)
-        j0 = ho.cost(spec, u, tight).total
+        exact = SecondOrderModel(spec, u).quadratic_form(v, v)
+        j0 = ho.cost(spec, u).total
         errs = []
         for eps in (1e-2, 1e-3):
             up = ho.Trajectory(spec.grid, u.values + eps * v.values, "control")
             dn = ho.Trajectory(spec.grid, u.values - eps * v.values, "control")
-            fd = (ho.cost(spec, up, tight).total - 2 * j0
-                  + ho.cost(spec, dn, tight).total) / eps**2
+            fd = (ho.cost(spec, up).total - 2 * j0
+                  + ho.cost(spec, dn).total) / eps**2
             errs.append(abs(fd - exact) / max(abs(exact), 1e-300))
         assert errs[0] < 1e-3 and errs[1] < 1e-4, errs
 

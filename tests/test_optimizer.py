@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -81,7 +83,7 @@ class TestOptimize:
         tol = 1e-10
         u_cold, _ = optimize(spec, OptimizerConfig(tolerance=tol))
         warm = ho.Trajectory(spec.grid, 0.9 * u_cold.values, "control")
-        u_warm, _ = optimize(spec, OptimizerConfig(tolerance=tol, warm_start=warm))
+        u_warm, _ = optimize(spec, OptimizerConfig(tolerance=tol), start=warm)
         gap = ho.Trajectory(spec.grid, u_cold.values - u_warm.values, "control")
         err = weighted_l2_norm(gap, spec.discounts.control_rate,
                                spec.operators.control_weights)
@@ -90,9 +92,9 @@ class TestOptimize:
     def test_report_carries_final_state_and_adjoint(self):
         spec = make_spec(nonlinearity="cubic", initial=0.3 * np.ones(21),
                          target=0.4 * np.ones((21, 21)))
-        cfg = OptimizerConfig(tolerance=1e-10, newton=ho.NewtonConfig(tolerance=1e-6))
-        u, report = optimize(spec, cfg)
-        state = ho.solve_forward(spec, u, cfg.newton)
+        spec = replace(spec, newton=ho.NewtonConfig(tolerance=1e-6))
+        u, report = optimize(spec, OptimizerConfig(tolerance=1e-10))
+        state = ho.solve_forward(spec, u)
         assert np.array_equal(report.state.values, state.values)
         assert np.array_equal(report.adjoint.values, ho.solve_adjoint(spec, state).values)
         assert not {"state", "adjoint"} & set(report.to_dict())

@@ -1,10 +1,11 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import horizonopt as ho
-from horizonopt.config import apply_overrides
+from horizonopt.config import apply_overrides, build_problem
 from horizonopt.mesh import MeshError
 from horizonopt.problem import AssumptionError, default_aux_rate
 
@@ -185,6 +186,30 @@ class TestValidation:
         for q, ms, rate in [(2.0, 0.0, 1.0), (2.0, -1.0, 12.0), (0.0, 0.0, 0.7)]:
             mid = default_aux_rate(rate, q, ms)
             assert -2.0 * ms < mid < rate / (q + 3.0)
+
+
+class TestProblemSpec:
+    def test_with_horizon_and_replace_keep_newton(self):
+        loose = ho.NewtonConfig(tolerance=1e-6, max_iterations=3)
+        spec = replace(make_spec(), newton=loose)
+        assert spec.with_horizon(3.0).newton is loose
+        assert replace(spec, control_weight=2.0).newton is loose
+        assert make_spec().newton == ho.NewtonConfig()
+
+    def test_document_newton_settings_reach_the_problem(self):
+        cfg = apply_overrides(ho.load_config(CONFIG_DIR / "ball_cubic.json"),
+                              ["optimizer.newton.tolerance=1e-10",
+                               "optimizer.newton.max_iterations=7"])
+        assert build_problem(cfg).newton == ho.NewtonConfig(tolerance=1e-10,
+                                                            max_iterations=7)
+
+    def test_initial_state_samples_as_a_field_at_time_zero(self):
+        spec = make_spec(nonlinearity="zero", initial=0.25)
+        assert np.array_equal(spec.initial_values, np.full(21, 0.25))
+        with pytest.raises(ValueError, match="initial state"):
+            make_spec(initial=np.full((2, 21), 1.0)).initial_values
+        with pytest.raises(ValueError, match="initial state contains non-finite"):
+            make_spec(initial=np.full(21, np.inf)).initial_values
 
 
 def test_discounted_sum_oracle_self_check():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -68,9 +69,9 @@ class TestForward:
     def test_newton_failure_carries_step_and_history(self):
         spec = make_spec(nonlinearity="exponential", horizon=0.2, step=0.1,
                          initial=np.full(21, 200.0))
+        spec = replace(spec, newton=ho.NewtonConfig(max_iterations=2))
         with pytest.raises(SolverError) as err:
-            ho.solve_forward(spec, spec.zero_control(),
-                             ho.NewtonConfig(max_iterations=2))
+            ho.solve_forward(spec, spec.zero_control())
         assert err.value.step is not None
         assert len(err.value.history) >= 1
 
@@ -126,16 +127,16 @@ class TestSecondOrder:
         # |y(u+eps v) - y(u) - eps z - eps^2/2 w| = O(eps^3) in the
         # discounted sup norm; observed order between eps=1e-1 and 1e-2
         spec = make_spec(nonlinearity="cubic", initial=0.5 * np.ones(21))
-        tight = ho.NewtonConfig(tolerance=1e-13)
+        spec = replace(spec, newton=ho.NewtonConfig(tolerance=1e-13))
         u = random_control(spec, seed=13, scale=0.3)
         v = random_control(spec, seed=14, scale=1.0)
-        y = ho.solve_forward(spec, u, tight)
+        y = ho.solve_forward(spec, u)
         z = ho.solve_linearized(spec, y, v)
         w = ho.solve_second_order(spec, y, z, z)
         errs = []
         for eps in (0.1, 0.01):
             ue = ho.Trajectory(spec.grid, u.values + eps * v.values, "control")
-            ye = ho.solve_forward(spec, ue, tight)
+            ye = ho.solve_forward(spec, ue)
             rem = ye.values - y.values - eps * z.values - 0.5 * eps**2 * w.values
             rem_traj = ho.Trajectory(spec.grid, rem, "generic")
             errs.append(weighted_sup_norm(rem_traj, spec.discounts.state_rate,
@@ -147,7 +148,7 @@ class TestSecondOrder:
 class TestAdjoint:
     def test_zero_residual_gives_zero_adjoint(self, small_spec):
         y = ho.solve_forward(small_spec, small_spec.zero_control())
-        phi = ho.solve_adjoint(small_spec, y, target=y.values)
+        phi = ho.solve_adjoint(replace(small_spec, target=y.values), y)
         assert np.abs(phi.values).max() == 0.0
 
     def test_constant_residual_matches_scalar_backward_recursion(self):
@@ -293,18 +294,18 @@ class TestTwoDimensional:
             initial_state=0.3 * rng.standard_normal(mesh.n_nodes),
             source=np.zeros((9, mesh.n_nodes)),
             target=0.2 * np.ones((9, mesh.n_nodes)), control_weight=1.0,
-            admissible=ho.AdmissibleSet("ball", radius=5.0))
-        tight = ho.NewtonConfig(tolerance=1e-13)
+            admissible=ho.AdmissibleSet("ball", radius=5.0),
+            newton=ho.NewtonConfig(tolerance=1e-13))
         nc = spec.control_count
         u = ho.Trajectory(spec.grid, 0.2 * rng.standard_normal((9, nc)), "control")
         v = ho.Trajectory(spec.grid, rng.standard_normal((9, nc)), "control")
-        grad = ho.gradient(spec, u, tight)
+        grad = ho.gradient(spec, u)
         val = weighted_inner(grad, v, spec.discounts.control_rate,
                              spec.operators.control_weights)
         eps = 1e-5
         up = ho.Trajectory(spec.grid, u.values + eps * v.values, "control")
         dn = ho.Trajectory(spec.grid, u.values - eps * v.values, "control")
-        fd = (ho.cost(spec, up, tight).total - ho.cost(spec, dn, tight).total) / (2 * eps)
+        fd = (ho.cost(spec, up).total - ho.cost(spec, dn).total) / (2 * eps)
         assert abs(val - fd) / max(abs(val), 1e-300) < 1e-7
 
 
