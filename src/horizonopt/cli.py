@@ -164,7 +164,7 @@ def _svg_decay_plot(horizons, errors) -> str | None:
     return "\n".join(lines) + "\n"
 
 
-def cmd_validate(args, cfg, spec, optimizer, manifest) -> int:
+def cmd_validate(args, spec, optimizer, study, manifest) -> int:
     report = validate_assumptions(spec)
     for item in report.items:
         print(item)
@@ -174,7 +174,7 @@ def cmd_validate(args, cfg, spec, optimizer, manifest) -> int:
     return EXIT_OK if report.passed else EXIT_FAILED
 
 
-def cmd_solve_forward(args, cfg, spec, optimizer, manifest) -> int:
+def cmd_solve_forward(args, spec, optimizer, study, manifest) -> int:
     state = solve_forward(spec, spec.zero_control())
     manifest.stage("solve")
     state.to_csv(manifest.output("state.csv"))
@@ -188,7 +188,7 @@ def cmd_solve_forward(args, cfg, spec, optimizer, manifest) -> int:
     return EXIT_OK
 
 
-def cmd_gradient_check(args, cfg, spec, optimizer, manifest) -> int:
+def cmd_gradient_check(args, spec, optimizer, study, manifest) -> int:
     rng = np.random.default_rng(args.seed)
     shape = (spec.grid.n_steps + 1, spec.control_count)
     u_vals = project_values(spec.admissible, 0.3 * rng.standard_normal(shape),
@@ -214,7 +214,7 @@ def cmd_gradient_check(args, cfg, spec, optimizer, manifest) -> int:
     return EXIT_OK if best <= GRADIENT_TOLERANCE else EXIT_FAILED
 
 
-def cmd_optimize(args, cfg, spec, optimizer, manifest) -> int:
+def cmd_optimize(args, spec, optimizer, study, manifest) -> int:
     u, report = optimize(spec, optimizer)
     manifest.stage("optimize")
     for name, traj in (("u_star", u), ("state", report.state), ("adjoint", report.adjoint)):
@@ -227,8 +227,8 @@ def cmd_optimize(args, cfg, spec, optimizer, manifest) -> int:
     return EXIT_OK if report.converged else EXIT_FAILED
 
 
-def cmd_horizon_study(args, cfg, spec, optimizer, manifest) -> int:
-    report = run_horizon_study(spec, build_horizon_config(cfg))
+def cmd_horizon_study(args, spec, optimizer, study, manifest) -> int:
+    report = run_horizon_study(spec, study)
     manifest.stage("sweep")
     # every column after T is the record attribute of the same name
     columns = ["T", "control_error", "state_error_energy", "state_error_sup",
@@ -250,7 +250,7 @@ def cmd_horizon_study(args, cfg, spec, optimizer, manifest) -> int:
     return EXIT_OK
 
 
-def cmd_socheck(args, cfg, spec, optimizer, manifest) -> int:
+def cmd_socheck(args, spec, optimizer, study, manifest) -> int:
     u, report = optimize(spec, optimizer)
     manifest.stage("optimize")
     adjoint = report.adjoint
@@ -350,11 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand: load the configuration, build the problem and the
-    optimizer controls, refuse the problem when the command is gated and the
-    standing assumptions fail, run the command body and finalize the
-    manifest.  A failure at any step finalizes the manifest as ``failed`` and
-    maps to the documented exit code."""
+    """Run one subcommand: load the configuration, build the problem, the
+    optimizer controls and the horizon study, refuse the problem when the
+    command is gated and the standing assumptions fail, run the command body
+    and finalize the manifest.  A failure at any step finalizes the manifest
+    as ``failed`` and maps to the documented exit code."""
     args = build_parser().parse_args(argv)
     manifest = Manifest(args.out, args.command)
     try:
@@ -364,8 +364,10 @@ def main(argv=None) -> int:
                 cfg = apply_overrides(cfg, args.set)
             manifest.begin(cfg, getattr(args, "seed", cfg.get("seed", 0)))
             spec = build_problem(cfg)
-            # every command checks the optimizer section, used or not
+            # every command checks every section before its first solve
             optimizer = build_optimizer_config(cfg)
+            study = (build_horizon_config(cfg) if "horizon_study" in cfg
+                     or args.command == "horizon-study" else None)
             if args.gated:
                 failures = validate_assumptions(spec).failures()
                 for item in failures:
@@ -373,7 +375,7 @@ def main(argv=None) -> int:
                 if failures:
                     raise AssumptionError("standing assumptions fail: "
                                           + ", ".join(item.key for item in failures))
-            code = args.func(args, cfg, spec, optimizer, manifest)
+            code = args.func(args, spec, optimizer, study, manifest)
             manifest.finalize()
         return code
     except ConfigError as exc:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .spaces import quad_energies
 
@@ -99,6 +98,9 @@ def _gaussian_tail(mu: float, a: float, s: float) -> float:
     is used; both exponents are at most mu^2/4a, so neither overflows before
     the integral does.
     """
+    # imported on first use: only the tail of a Gaussian time profile needs it
+    from scipy import special
+
     root = np.sqrt(a)
     x = root * s + mu / (2.0 * root)
     scale = np.sqrt(np.pi / (4.0 * a))
@@ -133,43 +135,10 @@ def zero_field() -> Field:
     return Field(SpaceProfile("constant", value=0.0), TimeProfile(), amplitude=0.0)
 
 
-# named templates that are shorthands of ``separable``: the SpaceProfile kind
-# they name, with the space and time keys read from the template itself
-_SHORTHANDS = {"constant": "constant", "gauss_decay": "gaussian", "cosine_decay": "cosine",
-               "cosine_compact": "cosine", "nodal": "nodal"}
-
-
 def field_from_config(cfg: dict) -> Field:
-    """Build a field from a named template description.
-
-    ``separable`` reads its profiles from ``space`` and ``time`` sub-objects;
-    the shorthands read the same keys from the template itself, except
-    ``gauss_rate``.
-    """
-    template = cfg.get("template")
-    if template == "zero":
-        return zero_field()
-    if template == "separable":
-        sp, tp = cfg["space"], cfg.get("time", {})
-        kind = sp["kind"]
-    elif template in _SHORTHANDS:
-        sp, kind = cfg, _SHORTHANDS[template]
-        tp = {key: cfg[key] for key in ("rate", "support_end") if key in cfg}
-    else:
-        raise ValueError(f"unknown field template {template!r}")
-    space = SpaceProfile(
-        kind,
-        value=float(sp.get("value", 1.0)),
-        center=tuple(np.atleast_1d(np.asarray(sp.get("center", 0.5), dtype=float))),
-        width=float(sp.get("width", 0.2)),
-        mode=int(sp.get("mode", 1)),
-        nodal=tuple(float(v) for v in sp.get("values", ())),
-    )
-    end = tp.get("support_end")
-    time = TimeProfile(decay=float(tp.get("rate", 0.0)),
-                       gauss_decay=float(tp.get("gauss_rate", 0.0)),
-                       support_end=None if end is None else float(end))
-    return Field(space, time, amplitude=float(cfg.get("amplitude", 1.0)))
+    """A field from a data template, read by :func:`horizonopt.config.build_field`."""
+    from .config import build_field
+    return build_field(cfg, "field")
 
 
 def tail_norm(spec, which: str, rate: float, t_start: float) -> float:

@@ -191,7 +191,6 @@ class ProblemSpec:
     target: object
     control_weight: float
     admissible: AdmissibleSet
-    track_on_observation: bool = True
     newton: NewtonConfig = field(default_factory=NewtonConfig)
     # assembled on first use of ``operators``; ``with_horizon`` passes them on
     _operators: Operators | None = field(default=None, repr=False, compare=False)
@@ -210,9 +209,7 @@ class ProblemSpec:
 
     @property
     def observation_mask(self) -> np.ndarray | None:
-        if self.track_on_observation and self.mesh.observation_mask is not None:
-            return self.mesh.observation_mask
-        return None
+        return self.mesh.observation_mask
 
     # -- sampled data -------------------------------------------------------
 

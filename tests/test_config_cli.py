@@ -39,7 +39,7 @@ class TestConfigLoading:
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(cfg))
         with pytest.raises(ConfigError):
-            load_config(path)
+            build_problem(load_config(path))
 
     def test_malformed_json_reports_position(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -60,6 +60,15 @@ class TestConfigLoading:
         spec = build_problem(cfg)
         assert 0 < spec.discounts.aux_rate < 1.0 / 3.0
         assert spec.discounts.integrability_exponent == 2.0
+
+    def test_lengths_size_a_rectangle(self):
+        # the 1D keys of the document stay: a 2D mesh leaves them unread
+        cfg = apply_overrides(load_config(CONFIG_DIR / "ball_cubic.json"), [
+            "mesh.dimension=2", "mesh.shape=[8,4]", "mesh.lengths=[2.0,1.0]",
+            "mesh.control.box=[[0.2,0.8],[0.2,0.8]]"])
+        coords = build_problem(cfg).mesh.coords
+        assert coords.min(axis=0).tolist() == [0.0, 0.0]
+        assert coords.max(axis=0).tolist() == [2.0, 1.0]
 
     def test_overrides(self):
         cfg = load_config(CONFIG_DIR / "lq_small.json")
@@ -386,9 +395,25 @@ class TestRunnerFailures:
                                     "one per node (41 on this mesh)"),
         ("optimizer.newton.foo=1", "optimizer.newton"),
         ("optimizer.newton.tolerance=0", "optimizer.newton"),
+        ("discounts.aux_rat=0.2", "discounts.aux_rat: unknown field"),
+        ("cost.control_weigth=0.01", "cost.control_weigth: unknown field"),
+        ("data.target.amplitud=9", "data field: data.target.amplitud: unknown field"),
+        ("time.stepp=0.01", "time.stepp: unknown field"),
+        ("mesh.nodez=9", "mesh.nodez: unknown field"),
+        ("optimizer.max_iterations=2.5", "optimizer.max_iterations: expected int"),
+        ("optimizer.newton.max_iterations=2.5",
+         "optimizer.newton.max_iterations: expected int"),
+        ("optimizer.max_iterations=true", "optimizer.max_iterations: expected int"),
+        ("optimizer.newton.tolerance=true", "optimizer.newton.tolerance: expected float"),
+        ('optimizer.tolerance="abc"', "optimizer.tolerance: expected float"),
+        ('mesh={"dimension":2,"control":{"box":[[0.2,0.8]]}}', "mesh.control.box"),
     ], ids=["control-empty", "control-without-box", "observation-without-hi",
             "diffusion-length", "reaction-length", "newton-unknown-key",
-            "newton-tolerance"])
+            "newton-tolerance", "aux-rate-misspelled", "control-weight-misspelled",
+            "amplitude-misspelled", "step-misspelled", "nodes-misspelled",
+            "max-iterations-fraction", "newton-max-iterations-fraction",
+            "max-iterations-boolean", "newton-tolerance-boolean", "tolerance-string",
+            "control-one-box-pair"])
     def test_config_error_names_the_field(self, tmp_path, capsys, override, field):
         code = main(["optimize", "--config", str(CONFIG_DIR / "ball_cubic.json"),
                      "--set", override, "--out", str(tmp_path / "run")])
@@ -419,6 +444,107 @@ class TestRunnerFailures:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert "Newton did not converge" in manifest["error"]
+
+
+def _edited_document(tmp_path, name, edit):
+    """Shipped config ``name`` with one edit: ``path=value`` sets a JSON value,
+    ``-path`` deletes the key; written to a file, whose path is returned."""
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    path, _, raw = edit.lstrip("-").partition("=")
+    *parents, key = path.split(".")
+    node = doc
+    for part in parents:
+        node = node[part]
+    if edit.startswith("-"):
+        del node[key]
+    else:
+        node[key] = json.loads(raw)
+    out = tmp_path / "edited.json"
+    out.write_text(json.dumps(doc))
+    return out
+
+
+# one case per constraint of the document format: each type (a boolean is
+# not a number), lower bound, enum, array length and required key
+_CONSTRAINTS = [
+    # types
+    "mesh=3", "mesh.dimension=true", 'mesh.length="a"', "mesh.nodes=2.5",
+    "mesh.lengths=1", 'mesh.lengths=[1,"a"]', "mesh.shape=16", "mesh.shape=[16,2.5]",
+    "mesh.control=[0.2,0.8]", "mesh.observation=1", "operator=3", 'operator.diffusion="a"',
+    "operator.reaction=true", "nonlinearity=3", "nonlinearity.name=3",
+    'nonlinearity.coefficient="a"', "discounts=3", "discounts.state_discount=true",
+    'discounts.control_discount="a"', "discounts.aux_rate=[0.1]",
+    'discounts.integrability_exponent="a"', "discounts.enforce_second_order=1", "cost=3",
+    "cost.control_weight=true", "data=3", "data.initial=3", "data.source.template=3",
+    "admissible=3", 'admissible.radius="a"', 'admissible.lower="a"', "admissible.upper=true",
+    "time=3", 'time.horizon="a"', "time.step=true", "optimizer=3", "seed=1.5",
+    # lower bounds
+    "mesh.length=0", "cost.control_weight=0", "time.horizon=0", "time.step=0",
+    "admissible.radius=0", "mesh.nodes=2",
+    # enums
+    "mesh.dimension=3", 'admissible.kind="disc"',
+    # array lengths
+    "mesh.shape=[16]", "mesh.shape=[16,16,16]", "mesh.lengths=[1.0]",
+    # required keys
+    "-mesh", "-nonlinearity", "-discounts", "-cost", "-data", "-admissible", "-time",
+    "-mesh.control", "-nonlinearity.name", "-discounts.state_discount",
+    "-discounts.control_discount", "-cost.control_weight", "-data.initial", "-data.source",
+    "-data.target", "-data.source.template", "-admissible.kind", "-time.horizon",
+    "-time.step",
+]
+_STUDY_CONSTRAINTS = [
+    "horizon_study=3", "horizon_study.horizons=4", "horizon_study.horizons=[true]",
+    'horizon_study.reference_horizon="a"', 'horizon_study.extension="ref"',
+    "horizon_study.horizons=[]", "-horizon_study.horizons",
+]
+
+
+class TestDocumentConstraints:
+    @pytest.mark.parametrize("name, edit", [("ball_cubic", e) for e in _CONSTRAINTS]
+                             + [("horizon_compact", e) for e in _STUDY_CONSTRAINTS])
+    def test_violation_exits_two(self, tmp_path, capsys, name, edit):
+        path = _edited_document(tmp_path, name, edit)
+        assert main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "Traceback" not in err
+
+    def test_document_must_be_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        assert main(["validate", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+    def test_every_misspelled_key_exits_two_naming_it(self, tmp_path, capsys, path):
+        doc = json.loads(path.read_text())
+        edited = tmp_path / "misspelled.json"
+        missed = []
+        for keys in _key_paths(doc):
+            wrong = keys[-1][:-1] + ("q" if keys[-1].endswith("z") else "z")
+            edited.write_text(json.dumps(_renamed(doc, keys, wrong)))
+            code = main(["validate", "--config", str(edited)])
+            err = capsys.readouterr().err
+            name = ".".join(keys[:-1] + (wrong,))
+            if code != 2 or name not in err:
+                missed.append((name, code))
+        assert not missed
+
+
+def _key_paths(node, prefix=()):
+    """The path of every key of a document, objects nested in objects included."""
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _renamed(node, keys, new):
+    """A copy of ``node`` with the key at path ``keys`` renamed to ``new``, in
+    its place."""
+    head, *rest = keys
+    return {(new if key == head and not rest else key):
+            (_renamed(value, rest, new) if key == head and rest else value)
+            for key, value in node.items()}
 
 
 class TestOutputSchemas:

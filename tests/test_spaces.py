@@ -287,11 +287,14 @@ class TestFieldTemplates:
         time = {"rate": 0.4, "support_end": 1.25}
         separable = field_from_config({"template": "separable", "amplitude": 1.5,
                                        "space": {"kind": kind, **keys}, "time": time})
-        # a shorthand reads no gauss_rate
         shorthand = field_from_config({"template": template, "amplitude": 1.5,
-                                       "gauss_rate": 0.7, **keys, **time})
+                                       **keys, **time})
         assert np.array_equal(shorthand.sample(spec.mesh, spec.grid.times),
                               separable.sample(spec.mesh, spec.grid.times))
+
+    def test_shorthand_rejects_gauss_rate(self):
+        with pytest.raises(ValueError, match="field.gauss_rate: unknown field"):
+            field_from_config({"template": "gauss_decay", "gauss_rate": 0.7})
 
 
 def test_weighted_inner_matches_norm():
@@ -313,3 +316,16 @@ def test_import_does_not_load_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_import_loads_neither_jsonschema_nor_scipy_special():
+    # the document reader needs no schema library, and only the tail of a
+    # Gaussian time profile needs scipy.special
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, horizonopt; "
+            "print(sorted({'jsonschema', 'scipy.special'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
