@@ -5,8 +5,8 @@ exponential decay of the control error.
 The infinite-horizon solution is operationalized as the solution on a
 reference horizon well beyond the sweep (default twice the largest).  Each
 shorter-horizon solve is warm-started from the truncated reference, which
-in particular guarantees that its final cost does not exceed the cost of
-the truncated reference control.
+in particular guarantees, up to rounding, that its final cost does not
+exceed the cost of the truncated reference control.
 """
 
 from __future__ import annotations

@@ -22,25 +22,30 @@ linearized, second-order and adjoint solves: the two sensitivity equations
 reuse the converged step Jacobians S_i and run the same recursion forward,
 S_i z_i = (M/dt) z_{i-1} + source_i for i = 1..N, from z_0 = 0.
 
-The march takes a batch of B right-hand sides at once (the second-order
-check marches all its directions together); each of its steps solves with
-S_i once for all B of them.
+A linear march takes B right-hand sides at once (the second-order check
+marches all its directions together); the forward march takes B controls
+at once (the growth probe solves all its samples together), as blocks of
+one flat vector, each with its own residual norm, damping and convergence.
 
-Every step solve with S_i, forward, adjoint or linearized, is one band LU:
-M/dt + K is held in LAPACK band storage of half-bandwidth k, and each solve
-adds the lumped shift to its diagonal and calls ``gtsv`` with B columns
-when k = 1 (1D), or ``gbtrf`` and then ``gbtrs`` with B columns otherwise
-(2D, k = nx + 2).  LAPACK treats the columns independently, so a batch
-gives each right-hand side the bits it gets alone.
+Every step solve is band LU: M/dt + K is held in LAPACK band storage of
+half-bandwidth k, and a solve adds the lumped shift to its diagonal and
+calls ``gtsv`` with B columns when k = 1 (1D), or ``gbtrf`` and then
+``gbtrs`` with B columns otherwise (2D, k = nx + 2).  A forward batch
+stacks its B systems into one of B * N unknowns with zero couplings: one
+``gtsv`` call in 1D, where a zero subdiagonal never makes it swap rows, so
+elimination stays inside each block; one ``gbtrf`` + ``gbtrs`` per block in
+2D, as LAPACK has no batched band LU.  Each gets the bits it gets alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sps
 
 from .problem import ProblemSpec, band_storage
 from .spaces import (Trajectory, quad_energies, weighted_l2_norm,
@@ -56,10 +61,21 @@ class SolverError(RuntimeError):
         self.history = list(history) if history is not None else []
 
 
-def _tridiagonals(ab):
-    """(lower, diagonal, upper) of a matrix in band storage with k = 1."""
-    return (np.ascontiguousarray(ab[3, :-1]), np.ascontiguousarray(ab[2]),
-            np.ascontiguousarray(ab[1, 1:]))
+def _tridiagonals(ab, count):
+    """(lower, diagonal, upper) of a k = 1 band storage, ``count`` times, uncoupled."""
+    lo, up = (np.tile(np.append(band, 0.0), count)[:-1] for band in (ab[3, :-1], ab[1, 1:]))
+    return lo, np.tile(ab[2], count), up
+
+
+def _tri_matvec(lo, di, up, y):
+    out = di * y
+    out[..., :-1] += up * y[..., 1:]
+    out[..., 1:] += lo * y[..., :-1]
+    return out
+
+
+def _sparse_matvec(matrix, y):
+    return (matrix @ y.T).T
 
 
 class _StepSolver:
@@ -67,59 +83,71 @@ class _StepSolver:
 
     M/dt + K is converted once into LAPACK band storage; its half-bandwidth
     k is 1 on an interval and nx + 2 on an nx x ny rectangle with the mesh's
-    x-fastest node numbering.  Every method takes arrays with the nodes on
-    the last axis: a (B, N) right-hand side is B systems.  Each solve adds
-    the lumped shift to the diagonal and factors once for all B columns:
-    ``gtsv`` on the three diagonals when k = 1, ``gbtrf`` on a copy of the
-    band and then ``gbtrs`` otherwise.  Instances are stateless per call.
+    x-fastest node numbering.  The products ``apply_base`` (M/dt + K) and
+    ``mass_matvec`` (M) and the solves, which take the diagonal
+    ``shifted(shift)``, act on arrays with the nodes on the last axis: a
+    (B, N) right-hand side is B systems.  ``stack(B)``, built once per B, is
+    the solver of B stacked copies of the system, on flat arrays of B * N.
     """
 
-    def __init__(self, ops, dt: float):
-        self.lumped = ops.lumped_mass
-        self.base = (ops.mass * (1.0 / dt) + ops.stiffness).tocsr()
-        self.mass = ops.mass.tocsr()
-        self.k, self.ab = band_storage(self.base)
+    __slots__ = ("count", "lumped", "base", "mass", "k", "ab", "diagonal", "bands", "stacks",
+                 "apply_base", "mass_matvec", "_gtsv", "_gbtrf", "_gbtrs")
+
+    def __init__(self, base, mass, lumped, count: int = 1):
+        self.count, self.stacks = count, {}
+        self.k, self.ab = band_storage(base)
+        if count > 1 and self.k > 1:
+            # a 2D stack multiplies with block-diagonal matrices, a 1D one with its bands
+            base, mass = (sps.block_diag([m] * count, format="csr") for m in (base, mass))
+        self.base, self.mass = base, mass.tocsr()
+        self.lumped, self.diagonal = np.tile(lumped, count), np.tile(self.ab[2 * self.k], count)
         if self.k == 1:
-            self._lo, self._di, self._up = _tridiagonals(self.ab)
-            self._mlo, self._mdi, self._mup = _tridiagonals(band_storage(self.mass)[1])
+            self.bands = _tridiagonals(self.ab, count)
+            mass_bands = _tridiagonals(band_storage(self.mass)[1], count)
+            self.apply_base = partial(_tri_matvec, *self.bands)
+            self.mass_matvec = partial(_tri_matvec, *mass_bands)
             self._gtsv = sla.get_lapack_funcs(("gtsv",), (self.ab,))[0]
         else:
+            self.apply_base = partial(_sparse_matvec, self.base)
+            self.mass_matvec = partial(_sparse_matvec, self.mass)
             self._gbtrf, self._gbtrs = sla.get_lapack_funcs(("gbtrf", "gbtrs"), (self.ab,))
 
-    def _tri_matvec(self, lo, di, up, y):
-        out = di * y
-        out[..., :-1] += up * y[..., 1:]
-        out[..., 1:] += lo * y[..., :-1]
-        return out
+    def stack(self, count: int) -> "_StepSolver":
+        if count > 1 and count not in self.stacks:
+            self.stacks[count] = _StepSolver(self.base, self.mass, self.lumped, count)
+        return self.stacks.get(count, self)
 
-    def mass_matvec(self, y: np.ndarray) -> np.ndarray:
-        if self.k == 1:
-            return self._tri_matvec(self._mlo, self._mdi, self._mup, y)
-        return (self.mass @ y.T).T
+    def shifted(self, shift: np.ndarray) -> np.ndarray:
+        """Diagonal of M/dt + K + M_L diag(shift), for any leading shape."""
+        return self.diagonal + self.lumped * shift
 
-    def apply_base(self, y: np.ndarray) -> np.ndarray:
-        if self.k == 1:
-            return self._tri_matvec(self._lo, self._di, self._up, y)
-        return (self.base @ y.T).T
+    def norms(self, r: np.ndarray) -> list:
+        """Lumped-mass-weighted dual norm of each block of a flat r,
+        comparable to an L2 function norm."""
+        sums = np.add.reduce((r * r / self.lumped).reshape(self.count, -1), 1)
+        return list(map(math.sqrt, sums.tolist()))
 
-    def solve(self, shift: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         # LAPACK solves for the columns of rhs.T, one per right-hand side
         if self.k == 1:
-            d = self._di + self.lumped * shift
-            _, _, _, x, info = self._gtsv(self._lo, d, self._up, rhs.T,
-                                          overwrite_d=True)
+            lo, _, up = self.bands
+            _, _, _, x, info = self._gtsv(lo, d, up, rhs.T, overwrite_d=True)
             if info != 0:
                 raise SolverError(f"singular step matrix (gtsv info {info})")
             return x.T
-        ab = self.ab.copy(order="F")
-        ab[2 * self.k] += self.lumped * shift
-        lu, piv, info = self._gbtrf(ab, self.k, self.k, overwrite_ab=True)
-        if info != 0:
-            raise SolverError(f"singular step matrix (gbtrf info {info})")
-        x, info = self._gbtrs(lu, self.k, self.k, rhs.T, piv)
-        if info != 0:
-            raise SolverError(f"step solve failed (gbtrs info {info})")
-        return x.T
+        size, blocks = self.ab.shape[1], []
+        for block in range(self.count):
+            cols = slice(block * size, (block + 1) * size)
+            ab = self.ab.copy(order="F")
+            ab[2 * self.k] = d[cols]
+            lu, piv, info = self._gbtrf(ab, self.k, self.k, overwrite_ab=True)
+            if info != 0:
+                raise SolverError(f"singular step matrix (gbtrf info {info})")
+            x, info = self._gbtrs(lu, self.k, self.k, rhs[..., cols].T, piv)
+            if info != 0:
+                raise SolverError(f"step solve failed (gbtrs info {info})")
+            blocks.append(x.T)
+        return blocks[0] if self.count == 1 else np.concatenate(blocks)
 
 
 def _stepper(spec) -> _StepSolver:
@@ -129,78 +157,116 @@ def _stepper(spec) -> _StepSolver:
     dt = spec.grid.step
     solver = solvers.get(dt)
     if solver is None:
-        solver = solvers[dt] = _StepSolver(spec.operators, dt)
+        ops = spec.operators
+        solver = solvers[dt] = _StepSolver((ops.mass * (1.0 / dt) + ops.stiffness).tocsr(),
+                                           ops.mass, ops.lumped_mass)
     return solver
 
 
-def _forcing_terms(spec: ProblemSpec, control: Trajectory) -> np.ndarray:
-    """Per-step source functionals M g_i + W u_i for i = 0..N."""
-    ops = spec.operators
-    g = spec.source_samples
-    forcing = (ops.mass @ g.T).T.copy()
-    forcing[:, ops.control_index] += control.values * ops.control_weights
-    return forcing
-
-
-def _residual_norm(r: np.ndarray, lumped: np.ndarray) -> float:
-    # lumped-mass-weighted dual norm, comparable to an L2 function norm
-    return math.sqrt((r * r / lumped).sum())
-
-
-def solve_forward(spec: ProblemSpec, control: Trajectory) -> Trajectory:
-    """March the semilinear equation from the initial state under a control,
-    with the Newton settings ``spec.newton``."""
-    if control.kind != "control" or control.values.shape[1] != spec.control_count:
-        raise ValueError("control trajectory does not match the control subdomain")
-    if control.grid.n_steps != spec.grid.n_steps:
-        raise ValueError("control trajectory does not match the time grid")
-    tolerance = spec.newton.tolerance
-    iterations = range(spec.newton.max_iterations)
+def _newton_march(spec: ProblemSpec, controls: list) -> np.ndarray:
+    """The forward march of B controls to states of shape (B, N+1, N); the
+    first failure raises."""
+    tolerance, iterations = spec.newton.tolerance, range(spec.newton.max_iterations)
     value, derivative = spec.nonlinearity.value, spec.nonlinearity.derivative
-    dt = spec.grid.step
-    stepper = _stepper(spec)
-    mass_matvec, apply_base, solve = stepper.mass_matvec, stepper.apply_base, stepper.solve
-    ops = spec.operators
-    ml = ops.lumped_mass
-    forcing = _forcing_terms(spec, control)
+    ops, dt = spec.operators, spec.grid.step
+    n, count, nodes = spec.grid.n_steps, len(controls), ops.n_nodes
+    stack = _stepper(spec).stack(count)
+    apply_base, mass_matvec, lumped = stack.apply_base, stack.mass_matvec, stack.lumped
+    norms, diagonal, solve, samples = stack.norms, stack.diagonal, stack.solve, range(count)
+    # per-step source functionals M g_i + W u_i, one block per control
+    forcing = np.tile((ops.mass @ spec.source_samples.T).T, count)
+    for k, control in enumerate(controls):
+        forcing[:, k * nodes + ops.control_index] += control.values * ops.control_weights
 
-    n = spec.grid.n_steps
-    out = np.empty((n + 1, ops.n_nodes))
-    out[0] = spec.initial_values
-    y = out[0].copy()
+    out = np.empty((count, n + 1, nodes))
+    out[:, 0], y = spec.initial_values, np.tile(spec.initial_values, count)
+    # apply_base(y) + M_L value(y) at the current y: the accepted trial
+    # carries it into the next time step's residual
+    a = apply_base(y) + lumped * value(y)
     for i in range(1, n + 1):
         b = mass_matvec(y) / dt + forcing[i]
-        r = apply_base(y) + ml * value(y) - b
-        rn = _residual_norm(r, ml)
-        history = [rn]
+        r = a - b
+        rn = norms(r)
+        # (live samples, every sample's norm) per iteration, for the histories
+        log = [(samples, rn)]
+        live = [s for s in samples if not rn[s] <= tolerance]
         for _ in iterations:
-            if rn <= tolerance:
+            if not live:
                 break
             # the Newton update is -delta; solving for r instead of -r and
             # subtracting gives the same bits, since the solve is linear in
             # its right-hand side and negation is exact
-            delta = solve(derivative(y), r)
-            alpha = 1.0
+            delta = solve(diagonal + lumped * derivative(y), r)
+            # each sample halves its own damping factor until its residual
+            # decreases; a factor of 1.0 leaves delta's bits unchanged
+            factors, step = [1.0] * count, delta
             while True:
-                y_try = y - delta if alpha == 1.0 else y - alpha * delta
-                r_try = apply_base(y_try) + ml * value(y_try) - b
-                rn_try = _residual_norm(r_try, ml)
-                if math.isfinite(rn_try) and (rn_try < rn or rn_try <= tolerance):
+                y_try = y - step
+                a_try = apply_base(y_try)
+                a_try += lumped * value(y_try)
+                r_try = a_try - b
+                rn_try = norms(r_try)
+                # a nan or infinite norm fails both comparisons
+                rejected = [s for s in live if not (rn_try[s] < rn[s] or rn_try[s] <= tolerance)]
+                if not rejected:
                     break
-                alpha *= 0.5
-                if alpha < 1e-10:
-                    raise SolverError(
-                        f"Newton damping stalled at time step {i}", step=i, history=history)
-            y, r, rn = y_try, r_try, rn_try
-            history.append(rn)
-        if rn > tolerance:
+                for s in rejected:
+                    factors[s] *= 0.5
+                    if factors[s] < 1e-10:
+                        raise SolverError(f"Newton damping stalled at time step {i}", step=i,
+                                          history=[v[s] for lv, v in log if s in lv])
+                step = np.repeat(factors, nodes) * delta
+            if len(live) < count:
+                frozen = list(set(samples).difference(live))
+                for new, old in ((y_try, y), (a_try, a), (r_try, r)):
+                    new.reshape(count, -1)[frozen] = old.reshape(count, -1)[frozen]
+            y, a, r, rn = y_try, a_try, r_try, rn_try
+            log.append((live, rn))
+            live = [s for s in live if not rn[s] <= tolerance]
+        if live:
+            s = live[0]
             raise SolverError(
-                f"Newton did not converge at time step {i} (residual {rn:.3e})",
-                step=i, history=history)
-        out[i] = y
+                f"Newton did not converge at time step {i} (residual {rn[s]:.3e})",
+                step=i, history=[v[s] for lv, v in log if s in lv])
+        out[:, i] = y.reshape(count, nodes)
+    return out
+
+
+def solve_forward(spec: ProblemSpec, control: Trajectory | list) -> Trajectory | list:
+    """March the semilinear equation from the initial state under a control,
+    with the Newton settings ``spec.newton``.
+
+    A list of controls is marched together and gives a list of states, each
+    bitwise equal to its own solve.  A failed batch raises the own-solve
+    error of the lowest-indexed sample among those failing first in time: a
+    failing sample's non-finite trial can reach its neighbours through the
+    zero couplings, so the error comes from the samples' own solves.
+    """
+    single = isinstance(control, Trajectory)
+    controls = [control] if single else list(control)
+    for c in controls:
+        if c.kind != "control" or c.values.shape[1] != spec.control_count:
+            raise ValueError("control trajectory does not match the control subdomain")
+        if c.grid.n_steps != spec.grid.n_steps:
+            raise ValueError("control trajectory does not match the time grid")
+    if not controls:
+        return []
+    try:
+        out = _newton_march(spec, controls)
+    except SolverError as exc:
+        if single:
+            raise
+        failures = []
+        for k, c in enumerate(controls):
+            try:
+                solve_forward(spec, c)
+            except SolverError as own:
+                failures.append((math.inf if own.step is None else own.step, k, own))
+        raise (min(failures)[2] if failures else exc) from None
     if not np.all(np.isfinite(out)):
         raise SolverError("forward solve produced non-finite values")
-    return Trajectory(spec.grid, out, "state")
+    states = [Trajectory(spec.grid, values, "state") for values in out]
+    return states[0] if single else states
 
 
 def _linear_march(spec, coefficients, sources, steps):
@@ -215,11 +281,13 @@ def _linear_march(spec, coefficients, sources, steps):
     contiguous."""
     dt = spec.grid.step
     stepper = _stepper(spec)
+    mass_matvec, solve = stepper.mass_matvec, stepper.solve
+    diagonals = stepper.shifted(coefficients)
     n1, nodes = sources.shape[0], sources.shape[-1]
     out = np.moveaxis(np.zeros(sources.shape[1:-1] + (n1, nodes)), -2, 0)
     z = np.zeros(sources.shape[1:])
     for i in steps:
-        z = stepper.solve(coefficients[i], stepper.mass_matvec(z) / dt + sources[i])
+        z = solve(diagonals[i], mass_matvec(z) / dt + sources[i])
         out[i] = z
     if not np.all(np.isfinite(out)):
         raise SolverError("linear solve produced non-finite values")
@@ -241,13 +309,10 @@ def solve_linearized(spec: ProblemSpec, base_state: Trajectory, rhs: Trajectory 
     if base_state.grid.n_steps != n:
         raise ValueError("base state does not match the time grid")
     single = isinstance(rhs, Trajectory)
-    if single:
-        values = rhs.values
-    else:
-        rhs = list(rhs)
-        if not rhs:
-            return []
-        values = np.stack([r.values for r in rhs], axis=1)
+    rhs = [rhs] if single else list(rhs)
+    if not rhs:
+        return []
+    values = rhs[0].values if single else np.stack([r.values for r in rhs], axis=1)
     if rhs_on_omega:
         if values.shape[-1] != spec.control_count:
             raise ValueError("control-supported right-hand side has the wrong width")
@@ -365,10 +430,7 @@ def check_energy_estimate(spec: ProblemSpec, control: Trajectory, rate: float,
     return EstimateReport(
         float(lhs), float(rhs), bool(lhs <= rhs * (1.0 + slack)), rate, slack,
         detail={"sup_part": sup_part, "energy_part": energy_part,
-                "initial_norm": init, "source_norm": hnorm,
-                "sup_pointwise": float(np.max(
-                    np.exp(-0.5 * rate * spec.grid.times)
-                    * np.max(np.abs(y.values), axis=1)))},
+                "initial_norm": init, "source_norm": hnorm},
     )
 
 

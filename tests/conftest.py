@@ -4,7 +4,7 @@ from hypothesis import settings
 
 from horizonopt import (AdmissibleSet, Discounts, EllipticForm, ProblemSpec,
                         TimeGrid, Trajectory, builtin_nonlinearities,
-                        interval_mesh)
+                        interval_mesh, rectangle_mesh)
 from horizonopt.problem import default_aux_rate
 
 # every property test reruns the same examples, with no per-example deadline
@@ -40,6 +40,23 @@ def make_spec(n_nodes=21, horizon=1.0, step=0.05, nonlinearity="cubic",
         nonlinearity=f, discounts=discounts, grid=grid, initial_state=initial,
         source=source, target=target, control_weight=control_weight,
         admissible=admissible)
+
+
+def rectangle_spec(shape, seed=0, horizon=0.4, step=0.05, observation=None):
+    """Small 2D cubic problem on the unit square with a random initial state."""
+    mesh = rectangle_mesh((1.0, 1.0), shape, control=((0.2, 0.8), (0.2, 0.8)),
+                          observation=observation)
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(horizon, step)
+    n = grid.n_steps
+    return ProblemSpec(
+        mesh=mesh, operator=EllipticForm(diffusion=1.0),
+        nonlinearity=builtin_nonlinearities()["cubic"],
+        discounts=Discounts(1.0, 0.4, 0.1), grid=grid,
+        initial_state=0.3 * rng.standard_normal(mesh.n_nodes),
+        source=np.zeros((n + 1, mesh.n_nodes)),
+        target=0.2 * np.ones((n + 1, mesh.n_nodes)), control_weight=1.0,
+        admissible=AdmissibleSet("ball", radius=5.0))
 
 
 def random_control(spec, seed=0, scale=1.0):

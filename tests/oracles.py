@@ -10,7 +10,8 @@ The reference marches at the end are the plain loops the library's march
 kernels must match bit for bit: one right-hand side and one LAPACK call per
 step solve (``gtsv`` in 1D, ``gbsv`` in 2D), a residual closure in the
 Newton step, and the adjoint sources built one time row at a time.  They
-read only the step operator's matrices, never its methods.
+read only the step operator's matrices, never its methods.  The reference
+growth probe solves its samples one at a time with the reference march.
 """
 
 import numpy as np
@@ -272,3 +273,38 @@ def reference_adjoint(spec, stepper, base_state, residual, rate, masked):
         z = step.solve(coeffs[i], step.mass_matvec(z) / dt + sources[i])
         out[i] = z
     return out
+
+
+def reference_growth(spec, stepper, u_star, radius, samples, seed=0):
+    """The sampled quadratic-growth probe as a per-sample loop: draw,
+    project, solve with ``reference_forward`` and take the margin, one
+    candidate at a time.  Returns (kappa, margins, distances)."""
+    from horizonopt.admissible import project_values
+    from horizonopt.objective import cost_from_state
+    from horizonopt.spaces import Trajectory, weighted_l2_norm
+
+    def cost(control):
+        values, _ = reference_forward(spec, stepper, control, spec.newton.tolerance,
+                                      spec.newton.max_iterations)
+        return cost_from_state(spec, control, Trajectory(spec.grid, values, "state")).total
+
+    weights = spec.operators.control_weights
+    rate_c = spec.discounts.control_rate
+    rng = np.random.default_rng(seed)
+    j_star = cost(u_star)
+    margins, distances = [], []
+    for _ in range(samples):
+        delta = rng.standard_normal(u_star.values.shape)
+        delta[0] = 0.0
+        nrm = weighted_l2_norm(Trajectory(spec.grid, delta, "control"), rate_c, weights)
+        if nrm == 0.0:
+            continue
+        scale = radius * rng.uniform(0.2, 1.0) / nrm
+        cand = project_values(spec.admissible, u_star.values + scale * delta, weights)
+        dist = weighted_l2_norm(Trajectory(spec.grid, cand - u_star.values, "control"),
+                                rate_c, weights)
+        if dist <= 1e-14:
+            continue
+        margins.append(2.0 * (cost(Trajectory(spec.grid, cand, "control")) - j_star) / dist**2)
+        distances.append(dist)
+    return min(margins), margins, distances

@@ -5,11 +5,13 @@ import pytest
 
 import horizonopt as ho
 from horizonopt.admissible import check_projection_formulas
+from horizonopt.admissible import project_values
 from horizonopt.optimizer import OptimizerConfig, optimize, verify_growth
+from horizonopt.solvers import _stepper
 from horizonopt.spaces import weighted_l2_norm
 
-from conftest import admissible_contains, make_spec
-from oracles import dense_lq_solution
+from conftest import admissible_contains, make_spec, random_control, rectangle_spec
+from oracles import dense_lq_solution, reference_growth
 
 
 def lq_spec(n_nodes=10, horizon=1.0, step=0.05, control_weight=1.0,
@@ -134,6 +136,44 @@ class TestVerifyGrowth:
         g50 = verify_growth(spec, u, radius=0.15, samples=50, seed=3)
         g100 = verify_growth(spec, u, radius=0.15, samples=100, seed=3)
         assert abs(g100.kappa - g50.kappa) <= 0.2 * abs(g50.kappa)
+
+
+class TestGrowthMatchesPerSampleReference:
+    """The batched probe against the per-sample loop of oracles.py: the
+    same kappa, margins and distances, bit for bit."""
+
+    @staticmethod
+    def admissible_control(spec, seed):
+        u = random_control(spec, seed=seed, scale=0.3)
+        return ho.Trajectory(spec.grid, project_values(spec.admissible, u.values,
+                                                       spec.operators.control_weights),
+                             "control")
+
+    @pytest.mark.parametrize("case", ["ball_1d", "box_1d", "ball_2d"])
+    def test_batched_probe_is_bitwise_reference(self, case):
+        if case == "ball_2d":
+            spec = rectangle_spec((5, 4), seed=2)
+        else:
+            admissible = (ho.AdmissibleSet("ball", radius=0.6) if case == "ball_1d"
+                          else ho.AdmissibleSet("box", lower=-0.4, upper=0.5))
+            spec = make_spec(admissible=admissible, target=0.5 * np.ones((21, 21)))
+        u = self.admissible_control(spec, seed=5)
+        growth = verify_growth(spec, u, radius=0.3, samples=12, seed=6)
+        kappa, margins, distances = reference_growth(spec, _stepper(spec), u, radius=0.3,
+                                                     samples=12, seed=6)
+        assert len(margins) == 12
+        assert (growth.kappa, growth.margins, growth.distances) == (kappa, margins, distances)
+
+    def test_all_samples_skipped_raises_without_a_solve(self, monkeypatch):
+        # a box of width 1e-20 projects every candidate to within 1e-14 of u*
+        spec = make_spec(admissible=ho.AdmissibleSet("box", lower=0.0, upper=1e-20))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_forward called")
+
+        monkeypatch.setattr("horizonopt.optimizer.solve_forward", no_solve)
+        with pytest.raises(ValueError, match="growth probe produced no usable samples"):
+            verify_growth(spec, spec.zero_control(), radius=0.1, samples=5)
 
 
 class TestConfigValidation:

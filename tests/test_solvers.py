@@ -12,13 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import horizonopt as ho
-from horizonopt.problem import Discounts
 from horizonopt.objective import SecondOrderModel
 from horizonopt.solvers import (SolverError, _linear_march, _stepper,
                                 solve_adjoint_from_residual)
 from horizonopt.spaces import weighted_sup_norm
 
-from conftest import make_spec, random_control
+from conftest import make_spec, random_control, rectangle_spec
 from oracles import (reference_adjoint, reference_forward, rk4,
                      scalar_adjoint_recursion, scalar_forward_recursion,
                      scalar_newton_recursion)
@@ -309,23 +308,6 @@ class TestTwoDimensional:
         assert abs(val - fd) / max(abs(val), 1e-300) < 1e-7
 
 
-def rectangle_spec(shape, seed=0, horizon=0.4, step=0.05, observation=None):
-    """Small 2D cubic problem on the unit square with a random initial state."""
-    mesh = ho.rectangle_mesh((1.0, 1.0), shape, control=((0.2, 0.8), (0.2, 0.8)),
-                             observation=observation)
-    rng = np.random.default_rng(seed)
-    grid = ho.TimeGrid(horizon, step)
-    n = grid.n_steps
-    return ho.ProblemSpec(
-        mesh=mesh, operator=ho.EllipticForm(diffusion=1.0),
-        nonlinearity=ho.builtin_nonlinearities()["cubic"],
-        discounts=Discounts(1.0, 0.4, 0.1), grid=grid,
-        initial_state=0.3 * rng.standard_normal(mesh.n_nodes),
-        source=np.zeros((n + 1, mesh.n_nodes)),
-        target=0.2 * np.ones((n + 1, mesh.n_nodes)), control_weight=1.0,
-        admissible=ho.AdmissibleSet("ball", radius=5.0))
-
-
 class TestBandStepOperator:
     @pytest.mark.parametrize("shape", [(6, 6), (5, 7)])
     def test_2d_step_solve_matches_sparse_direct_solve(self, shape):
@@ -338,7 +320,8 @@ class TestBandStepOperator:
             rhs = rng.standard_normal(ops.n_nodes)
             mat = ops.mass / dt + ops.stiffness + sps.diags(ops.lumped_mass * shift)
             oracle = spla.spsolve(mat.tocsc(), rhs)
-            x = _stepper(spec).solve(shift, rhs)
+            stepper = _stepper(spec)
+            x = stepper.solve(stepper.shifted(shift), rhs)
             assert np.abs(x - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     @pytest.mark.parametrize("shape", [None, (6, 6), (5, 7)])
@@ -462,6 +445,97 @@ class TestBatchedMarch:
         model = SecondOrderModel(spec, random_control(spec, seed=1, scale=0.3))
         assert model.response([]) == []
         assert model.quadratic_form([], []) == []
+
+
+class TestBatchedForward:
+    """A list of controls is marched in one batch; each state must be what
+    its own solve gives, bit for bit."""
+
+    @settings(max_examples=15)
+    @given(dimension=st.sampled_from([1, 2]), size=st.integers(3, 5),
+           seed=st.integers(0, 2**16), batch=st.integers(1, 6), first=st.integers(0, 1))
+    def test_batch_is_bitwise_per_control(self, dimension, size, seed, batch, first):
+        # scales 0.2 and 3000 alternate, so that some samples damp and the
+        # samples need different numbers of Newton iterations
+        spec = small_spec_of(dimension, size, seed)
+        stepper = _stepper(spec)
+        controls = [random_control(spec, seed=seed + b, scale=(0.2, 3000.0)[(b + first) % 2])
+                    for b in range(batch)]
+        states = ho.solve_forward(spec, controls)
+        assert len(states) == batch
+        for u, y in zip(controls, states):
+            assert y.kind == "state" and y.values.flags.c_contiguous
+            assert np.array_equal(y.values, ho.solve_forward(spec, u).values)
+            assert np.array_equal(y.values, reference_forward(spec, stepper, u)[0])
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_mixed_batch_damps_some_samples_only(self, dimension):
+        spec = small_spec_of(dimension, 4, seed=3)
+        stepper = _stepper(spec)
+        controls = [random_control(spec, seed=0, scale=0.2),
+                    random_control(spec, seed=1, scale=3000.0)]
+        expected = [reference_forward(spec, stepper, u) for u in controls]
+        assert [damped > 0 for _, damped in expected] == [False, True]
+        for y, (values, _) in zip(ho.solve_forward(spec, controls), expected):
+            assert np.array_equal(y.values, values)
+
+    def test_empty_list_gives_empty_list(self):
+        assert ho.solve_forward(make_spec(), []) == []
+
+    def test_wrongly_shaped_control_anywhere_is_rejected(self):
+        spec = make_spec()
+        good = random_control(spec, seed=0, scale=0.2)
+        wide = ho.Trajectory(spec.grid, np.zeros((spec.grid.n_steps + 1, spec.control_count + 1)),
+                             "control")
+        short = random_control(spec.with_horizon(0.5), seed=1)
+        state = ho.Trajectory(spec.grid, np.zeros((spec.grid.n_steps + 1, spec.control_count)),
+                              "state")
+        for bad in (wide, short, state):
+            for batch in ([bad], [good, bad], [bad, good]):
+                with pytest.raises(ValueError):
+                    ho.solve_forward(spec, batch)
+
+
+class TestBatchedForwardFailure:
+    """A failed batch raises, among the samples failing at the earliest time
+    step, the error the lowest-indexed one raises in its own solve."""
+
+    @staticmethod
+    def own_error(spec, control):
+        with pytest.raises(SolverError) as info:
+            ho.solve_forward(spec, control)
+        return info.value
+
+    @staticmethod
+    def same_error(a, b):
+        return (str(a), a.step, a.history) == (str(b), b.step, b.history)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_good_and_bad_raise_the_bad_samples_own_error(self, dimension):
+        spec = replace(small_spec_of(dimension, 4, seed=3),
+                       newton=ho.NewtonConfig(max_iterations=3))
+        good = random_control(spec, seed=0, scale=0.2)
+        bad = random_control(spec, seed=1, scale=3000.0)
+        ho.solve_forward(spec, good)
+        own = self.own_error(spec, bad)
+        assert own.step == 1 and own.history
+        for batch in ([good, bad], [bad, good]):
+            assert self.same_error(self.own_error(spec, batch), own)
+
+    def test_earliest_step_wins_then_lowest_index(self):
+        spec = replace(small_spec_of(1, 4, seed=3), newton=ho.NewtonConfig(max_iterations=3))
+
+        def bad_from(row, seed):
+            u = random_control(spec, seed=seed, scale=0.2)
+            u.values[row:] *= 3000.0 / 0.2
+            return u
+
+        late, early, early_too = bad_from(4, 1), bad_from(2, 2), bad_from(2, 3)
+        errors = [self.own_error(spec, u) for u in (late, early, early_too)]
+        assert errors[0].step > errors[1].step == errors[2].step
+        assert not self.same_error(errors[1], errors[2])
+        assert self.same_error(self.own_error(spec, [late, early, early_too]), errors[1])
+        assert self.same_error(self.own_error(spec, [late, early_too, early]), errors[2])
 
 
 def test_import_does_not_load_scipy_sparse_linalg():
