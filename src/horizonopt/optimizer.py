@@ -101,7 +101,8 @@ def optimize(spec: ProblemSpec, config: OptimizerConfig | None = None,
         else 1.0 / spec.control_weight
 
     u = _initial_control(spec, start)
-    state = solve_forward(spec, u)
+    # the current state's factorizations, held until its adjoint has used them
+    state, factors = solve_forward(spec, u, keep_factors=True)
     breakdown = cost_from_state(spec, u, state)
     history = []
     converged = False
@@ -110,7 +111,8 @@ def optimize(spec: ProblemSpec, config: OptimizerConfig | None = None,
     last_step = step0
 
     for iterations in range(config.max_iterations + 1):
-        adjoint = solve_adjoint(spec, state)
+        adjoint = solve_adjoint(spec, state, factors)
+        factors = None
         grad = riesz_gradient(spec, u, adjoint)
         residual = stationarity_residual(spec, u, grad)
         history.append({"cost": breakdown.total, "residual": residual, "step": last_step})
@@ -139,7 +141,7 @@ def optimize(spec: ProblemSpec, config: OptimizerConfig | None = None,
                 accepted = True
                 trial_state, trial_cost = state, breakdown
                 break
-            trial_state = solve_forward(spec, trial)
+            trial_state, factors = solve_forward(spec, trial, keep_factors=True)
             trial_cost = cost_from_state(spec, trial, trial_state)
             required = config.armijo_slope / step * gap_norm**2
             if required > floor:
@@ -149,6 +151,7 @@ def optimize(spec: ProblemSpec, config: OptimizerConfig | None = None,
             elif trial_cost.total <= breakdown.total + floor:
                 accepted = True
                 break
+            factors = None
             step *= config.backtrack
         if not accepted:
             raise LineSearchError(

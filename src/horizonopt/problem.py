@@ -321,15 +321,18 @@ def _accumulate(n, elements, data):
 
 
 def band_storage(mat):
-    """Half-bandwidth k of a sparse matrix, read from its sparsity pattern, and
-    the matrix in LAPACK band storage for kl = ku = k: entry (i, j) sits at
-    ab[2k + i - j, j], and rows 0..k-1 are room for the fill of the LU.  Rows
-    k..2k hold the upper triangle in the upper band form of ``pbtrf``."""
-    coo = mat.tocoo()
+    """Half-bandwidth k of a symmetric sparse matrix, read from its sparsity
+    pattern, and its lower triangle in the symmetric band storage of LAPACK
+    ``pbtrf`` with uplo = 'L': entry (i, j), i >= j, sits at ab[i - j, j], so
+    row 0 is the diagonal.  A Cholesky factorization reads only this
+    triangle, so a matrix that is not exactly symmetric raises ValueError."""
+    if (mat != mat.T).nnz:
+        raise ValueError("band storage needs an exactly symmetric matrix")
+    coo = sps.tril(mat).tocoo()
     coo.sum_duplicates()
-    k = int(np.abs(coo.row - coo.col).max())
-    ab = np.zeros((3 * k + 1, mat.shape[0]), order="F")
-    ab[2 * k + coo.row - coo.col, coo.col] = coo.data
+    k = int((coo.row - coo.col).max())
+    ab = np.zeros((k + 1, mat.shape[0]), order="F")
+    ab[coo.row - coo.col, coo.col] = coo.data
     return k, ab
 
 
@@ -430,14 +433,13 @@ def _discrete_step_item(spec: ProblemSpec) -> CheckItem:
         ops = spec.operators
     except AssumptionError as exc:
         return CheckItem(key, requirement, False, f"assembly failed: {exc}")
-    k, ab = band_storage(ops.mass * (1.0 / spec.grid.step) + ops.stiffness)
-    upper = ab[k:2 * k + 1]
-    upper[k] += spec.nonlinearity.min_slope * ops.lumped_mass
+    _, ab = band_storage(ops.mass * (1.0 / spec.grid.step) + ops.stiffness)
+    ab[0] += spec.nonlinearity.min_slope * ops.lumped_mass
     try:
-        factor = sla.cholesky_banded(upper, check_finite=False)
+        factor = sla.cholesky_banded(ab, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         return CheckItem(key, requirement, False, str(exc))
-    ratio = float((factor[k] ** 2).min() / upper[k].max())
+    ratio = float((factor[0] ** 2).min() / ab[0].max())
     return CheckItem(key, requirement, ratio >= STEP_PIVOT_FLOOR,
                      f"smallest squared pivot / largest diagonal = {ratio:.3g}, "
                      f"required >= {STEP_PIVOT_FLOOR:g}")

@@ -24,17 +24,33 @@ S_i z_i = (M/dt) z_{i-1} + source_i for i = 1..N, from z_0 = 0.
 
 A linear march takes B right-hand sides at once (the second-order check
 marches all its directions together); the forward march takes B controls
-at once (the growth probe solves all its samples together), as blocks of
-one flat vector, each with its own residual norm, damping and convergence.
+at once (the growth probe solves all its samples together, up to
+``FORWARD_BATCH`` of them per march), as blocks of one flat vector, each
+with its own residual norm, damping and convergence.
 
-Every step solve is band LU: M/dt + K is held in LAPACK band storage of
-half-bandwidth k, and a solve adds the lumped shift to its diagonal and
-calls ``gtsv`` with B columns when k = 1 (1D), or ``gbtrf`` and then
-``gbtrs`` with B columns otherwise (2D, k = nx + 2).  A forward batch
-stacks its B systems into one of B * N unknowns with zero couplings: one
-``gtsv`` call in 1D, where a zero subdiagonal never makes it swap rows, so
-elimination stays inside each block; one ``gbtrf`` + ``gbtrs`` per block in
-2D, as LAPACK has no batched band LU.  Each gets the bits it gets alone.
+M/dt + K is held in the symmetric band storage of half-bandwidth k of
+``problem.band_storage``, and a step solve adds the lumped shift to its
+diagonal.  When k = 1 (1D) it calls ``gtsv`` with B columns, which factors
+as it solves.  Otherwise (2D, k = nx + 2) it factors by band Cholesky,
+``pbtrf``, and solves with ``pbtrs`` with B columns: for an admitted
+problem the step matrix is symmetric positive definite, since f' is
+bounded below by ``min_slope`` and the validator's ``discrete_step_monotone``
+item proves M/dt + K + min_slope M_L positive definite.  A step matrix that
+is not raises ``SolverError``.  A forward batch stacks its B systems
+into one of B * N unknowns with zero couplings: one ``gtsv`` call in 1D,
+where a zero subdiagonal never makes it swap rows, so elimination stays
+inside each block; one ``pbtrf`` + ``pbtrs`` per block in 2D, as LAPACK has
+no batched band Cholesky.  Each gets the bits it gets alone.
+
+The adjoint's S_i for i < N is bitwise the matrix of the first Newton
+iteration of forward step i + 1, which linearizes at y_i.  So in 2D a
+forward solve of one control can hand its first-iteration factorizations to
+the adjoint march around its state.  The adjoint then factors S_N, and
+reuses that factorization down any run of steps that the forward march
+took without a Newton iteration, where the state and so S_i did not
+change.  The hand-off is explicit: ``solve_forward(..., keep_factors=True)``
+returns the factorizations with the state, and ``solve_adjoint`` takes
+them.
 """
 
 from __future__ import annotations
@@ -62,9 +78,10 @@ class SolverError(RuntimeError):
 
 
 def _tridiagonals(ab, count):
-    """(lower, diagonal, upper) of a k = 1 band storage, ``count`` times, uncoupled."""
-    lo, up = (np.tile(np.append(band, 0.0), count)[:-1] for band in (ab[3, :-1], ab[1, 1:]))
-    return lo, np.tile(ab[2], count), up
+    """(lower, diagonal, upper) of a k = 1 symmetric band storage, ``count``
+    times, uncoupled; the lower and upper diagonals are one array."""
+    off = np.tile(np.append(ab[1, :-1], 0.0), count)[:-1]
+    return off, np.tile(ab[0], count), off
 
 
 def _tri_matvec(lo, di, up, y):
@@ -79,19 +96,23 @@ def _sparse_matvec(matrix, y):
 
 
 class _StepSolver:
-    """Band LU of the step matrix (M/dt + K + M_L diag(shift)), one per solve.
+    """Factorizations and solves of the step matrix M/dt + K + M_L diag(shift).
 
-    M/dt + K is converted once into LAPACK band storage; its half-bandwidth
-    k is 1 on an interval and nx + 2 on an nx x ny rectangle with the mesh's
-    x-fastest node numbering.  The products ``apply_base`` (M/dt + K) and
-    ``mass_matvec`` (M) and the solves, which take the diagonal
-    ``shifted(shift)``, act on arrays with the nodes on the last axis: a
-    (B, N) right-hand side is B systems.  ``stack(B)``, built once per B, is
-    the solver of B stacked copies of the system, on flat arrays of B * N.
+    M/dt + K is converted once into the symmetric band storage of
+    ``problem.band_storage``; its half-bandwidth k is 1 on an interval and
+    nx + 2 on an nx x ny rectangle with the mesh's x-fastest node numbering.
+    ``solve`` takes the diagonal ``shifted(shift)`` or what ``factor``
+    returned for it: in 2D the band Cholesky factors of ``pbtrf``, one per
+    block, which ``solve`` applies with ``pbtrs``; in 1D the diagonal
+    itself, since ``gtsv`` factors as it solves.  The products ``apply_base``
+    (M/dt + K) and ``mass_matvec`` (M) and the solves act on arrays with the
+    nodes on the last axis: a (B, N) right-hand side is B systems.
+    ``stack(B)``, built once per B, is the solver of B stacked copies of the
+    system, on flat arrays of B * N.
     """
 
     __slots__ = ("count", "lumped", "base", "mass", "k", "ab", "diagonal", "bands", "stacks",
-                 "apply_base", "mass_matvec", "_gtsv", "_gbtrf", "_gbtrs")
+                 "apply_base", "mass_matvec", "_gtsv", "_pbtrf", "_pbtrs")
 
     def __init__(self, base, mass, lumped, count: int = 1):
         self.count, self.stacks = count, {}
@@ -100,7 +121,7 @@ class _StepSolver:
             # a 2D stack multiplies with block-diagonal matrices, a 1D one with its bands
             base, mass = (sps.block_diag([m] * count, format="csr") for m in (base, mass))
         self.base, self.mass = base, mass.tocsr()
-        self.lumped, self.diagonal = np.tile(lumped, count), np.tile(self.ab[2 * self.k], count)
+        self.lumped, self.diagonal = np.tile(lumped, count), np.tile(self.ab[0], count)
         if self.k == 1:
             self.bands = _tridiagonals(self.ab, count)
             mass_bands = _tridiagonals(band_storage(self.mass)[1], count)
@@ -110,7 +131,7 @@ class _StepSolver:
         else:
             self.apply_base = partial(_sparse_matvec, self.base)
             self.mass_matvec = partial(_sparse_matvec, self.mass)
-            self._gbtrf, self._gbtrs = sla.get_lapack_funcs(("gbtrf", "gbtrs"), (self.ab,))
+            self._pbtrf, self._pbtrs = sla.get_lapack_funcs(("pbtrf", "pbtrs"), (self.ab,))
 
     def stack(self, count: int) -> "_StepSolver":
         if count > 1 and count not in self.stacks:
@@ -127,7 +148,22 @@ class _StepSolver:
         sums = np.add.reduce((r * r / self.lumped).reshape(self.count, -1), 1)
         return list(map(math.sqrt, sums.tolist()))
 
-    def solve(self, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    def factor(self, d: np.ndarray):
+        """The factorization of the step matrix with diagonal d: in 2D the
+        lower band Cholesky factor of each block, in 1D d itself."""
+        if self.k == 1:
+            return d
+        size, factors = self.ab.shape[1], []
+        for block in range(self.count):
+            ab = self.ab.copy(order="F")
+            ab[0] = d[block * size:(block + 1) * size]
+            c, info = self._pbtrf(ab, lower=1, overwrite_ab=True)
+            if info != 0:
+                raise SolverError(f"step matrix not positive definite (pbtrf info {info})")
+            factors.append(c)
+        return factors
+
+    def solve(self, d, rhs: np.ndarray) -> np.ndarray:
         # LAPACK solves for the columns of rhs.T, one per right-hand side
         if self.k == 1:
             lo, _, up = self.bands
@@ -135,18 +171,10 @@ class _StepSolver:
             if info != 0:
                 raise SolverError(f"singular step matrix (gtsv info {info})")
             return x.T
-        size, blocks = self.ab.shape[1], []
-        for block in range(self.count):
-            cols = slice(block * size, (block + 1) * size)
-            ab = self.ab.copy(order="F")
-            ab[2 * self.k] = d[cols]
-            lu, piv, info = self._gbtrf(ab, self.k, self.k, overwrite_ab=True)
-            if info != 0:
-                raise SolverError(f"singular step matrix (gbtrf info {info})")
-            x, info = self._gbtrs(lu, self.k, self.k, rhs[..., cols].T, piv)
-            if info != 0:
-                raise SolverError(f"step solve failed (gbtrs info {info})")
-            blocks.append(x.T)
+        # pbtrs reports only illegal arguments, which these calls cannot pass
+        size = self.ab.shape[1]
+        blocks = [self._pbtrs(c, rhs[..., b * size:(b + 1) * size].T, lower=1)[0].T
+                  for b, c in enumerate(d if isinstance(d, list) else self.factor(d))]
         return blocks[0] if self.count == 1 else np.concatenate(blocks)
 
 
@@ -163,16 +191,19 @@ def _stepper(spec) -> _StepSolver:
     return solver
 
 
-def _newton_march(spec: ProblemSpec, controls: list) -> np.ndarray:
+def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.ndarray:
     """The forward march of B controls to states of shape (B, N+1, N); the
-    first failure raises."""
+    first failure raises.  With a list ``kept`` (one control), entry i - 1
+    becomes the factorization of the first Newton iteration of time step i,
+    which is S(y_{i-1}); a step that needs no iteration leaves its None."""
     tolerance, iterations = spec.newton.tolerance, range(spec.newton.max_iterations)
     value, derivative = spec.nonlinearity.value, spec.nonlinearity.derivative
     ops, dt = spec.operators, spec.grid.step
     n, count, nodes = spec.grid.n_steps, len(controls), ops.n_nodes
     stack = _stepper(spec).stack(count)
     apply_base, mass_matvec, lumped = stack.apply_base, stack.mass_matvec, stack.lumped
-    norms, diagonal, solve, samples = stack.norms, stack.diagonal, stack.solve, range(count)
+    norms, diagonal, samples = stack.norms, stack.diagonal, range(count)
+    factor, solve = stack.factor, stack.solve
     # per-step source functionals M g_i + W u_i, one block per control
     forcing = np.tile((ops.mass @ spec.source_samples.T).T, count)
     for k, control in enumerate(controls):
@@ -190,13 +221,16 @@ def _newton_march(spec: ProblemSpec, controls: list) -> np.ndarray:
         # (live samples, every sample's norm) per iteration, for the histories
         log = [(samples, rn)]
         live = [s for s in samples if not rn[s] <= tolerance]
-        for _ in iterations:
+        for it in iterations:
             if not live:
                 break
+            d = diagonal + lumped * derivative(y)
+            if not it and kept is not None:
+                d = kept[i - 1] = factor(d)
             # the Newton update is -delta; solving for r instead of -r and
             # subtracting gives the same bits, since the solve is linear in
             # its right-hand side and negation is exact
-            delta = solve(diagonal + lumped * derivative(y), r)
+            delta = solve(d, r)
             # each sample halves its own damping factor until its residual
             # decreases; a factor of 1.0 leaves delta's bits unchanged
             factors, step = [1.0] * count, delta
@@ -232,15 +266,28 @@ def _newton_march(spec: ProblemSpec, controls: list) -> np.ndarray:
     return out
 
 
-def solve_forward(spec: ProblemSpec, control: Trajectory | list) -> Trajectory | list:
+# the most controls one forward march takes; longer lists go in batches, so
+# the march's per-sample tables stay bounded
+FORWARD_BATCH = 64
+
+
+def solve_forward(spec: ProblemSpec, control: Trajectory | list, keep_factors: bool = False):
     """March the semilinear equation from the initial state under a control,
     with the Newton settings ``spec.newton``.
 
-    A list of controls is marched together and gives a list of states, each
-    bitwise equal to its own solve.  A failed batch raises the own-solve
-    error of the lowest-indexed sample among those failing first in time: a
+    A list of controls is marched in batches of at most ``FORWARD_BATCH``
+    and gives a list of states, each bitwise equal to its own solve.  If any
+    batch fails, every sample is solved alone and the own-solve error of the
+    lowest-indexed sample among those failing first in time is raised: a
     failing sample's non-finite trial can reach its neighbours through the
     zero couplings, so the error comes from the samples' own solves.
+
+    With ``keep_factors`` the result is (state, factors), for
+    ``solve_adjoint`` around that state.  For one control in 2D, factors[i]
+    (i < n) is the factorization of S(y_i) made at the first Newton
+    iteration of time step i + 1, or None where that step needed no
+    iteration, and factors[n] is None.  Otherwise factors is None: 1D has
+    nothing to hand over, as ``gtsv`` factors as it solves.
     """
     single = isinstance(control, Trajectory)
     controls = [control] if single else list(control)
@@ -249,10 +296,13 @@ def solve_forward(spec: ProblemSpec, control: Trajectory | list) -> Trajectory |
             raise ValueError("control trajectory does not match the control subdomain")
         if c.grid.n_steps != spec.grid.n_steps:
             raise ValueError("control trajectory does not match the time grid")
-    if not controls:
-        return []
+    kept = None
+    if keep_factors and single and _stepper(spec).k > 1:
+        kept = [None] * (spec.grid.n_steps + 1)
+    values = []
     try:
-        out = _newton_march(spec, controls)
+        for start in range(0, len(controls), FORWARD_BATCH):
+            values.extend(_newton_march(spec, controls[start:start + FORWARD_BATCH], kept))
     except SolverError as exc:
         if single:
             raise
@@ -263,16 +313,23 @@ def solve_forward(spec: ProblemSpec, control: Trajectory | list) -> Trajectory |
             except SolverError as own:
                 failures.append((math.inf if own.step is None else own.step, k, own))
         raise (min(failures)[2] if failures else exc) from None
-    if not np.all(np.isfinite(out)):
+    if not all(np.isfinite(v).all() for v in values):
         raise SolverError("forward solve produced non-finite values")
-    states = [Trajectory(spec.grid, values, "state") for values in out]
-    return states[0] if single else states
+    states = [Trajectory(spec.grid, v, "state") for v in values]
+    result = states[0] if single else states
+    return (result, kept) if keep_factors else result
 
 
-def _linear_march(spec, coefficients, sources, steps):
+def _linear_march(spec, coefficients, sources, steps, factors=None):
     """The one linear march: starting from z = 0, for each i in ``steps`` (in
     order) solve S_i z = (M/dt) z + sources[i] and store z as row i.  Rows
     that ``steps`` does not visit stay zero.
+
+    ``factors`` are the factorizations a forward march handed over (2D):
+    ``factors[i]``, where not None, is that of S_i.  A step without one
+    reuses the previous step's factorization when its S_i is bitwise the
+    same, as after a forward step that needed no Newton iteration and so
+    left the state as it was, and factors S_i otherwise.
 
     ``sources`` has shape (n+1, N) for one right-hand side, or (n+1, B, N)
     for B of them marched together: one step solve with B columns per step,
@@ -286,8 +343,16 @@ def _linear_march(spec, coefficients, sources, steps):
     n1, nodes = sources.shape[0], sources.shape[-1]
     out = np.moveaxis(np.zeros(sources.shape[1:-1] + (n1, nodes)), -2, 0)
     z = np.zeros(sources.shape[1:])
+    c = None
     for i in steps:
-        z = solve(diagonals[i], mass_matvec(z) / dt + sources[i])
+        d = diagonals[i]
+        if factors is not None:
+            if factors[i] is not None:
+                c = factors[i]
+            elif c is None or not np.array_equal(d, last):
+                c = stepper.factor(d)
+            d, last = c, diagonals[i]
+        z = solve(d, mass_matvec(z) / dt + sources[i])
         out[i] = z
     if not np.all(np.isfinite(out)):
         raise SolverError("linear solve produced non-finite values")
@@ -342,12 +407,14 @@ def solve_second_order(spec: ProblemSpec, base_state: Trajectory,
 
 def solve_adjoint_from_residual(spec: ProblemSpec, base_state: Trajectory,
                                 residual: np.ndarray, rate: float,
-                                masked: bool = False) -> Trajectory:
+                                masked: bool = False, factors: list | None = None) -> Trajectory:
     """Transpose recursion with source e^{-rate t_i} M residual_i, marched
     backward from i = N to 0.
 
     With ``masked`` the source is restricted to the observation subdomain
-    (nodal indicator on both sides of the mass matrix).
+    (nodal indicator on both sides of the mass matrix).  ``factors`` are the
+    factorizations that ``solve_forward(..., keep_factors=True)`` returned
+    with ``base_state``; the march factors only the steps they lack.
     """
     n = spec.grid.n_steps
     residual = np.asarray(residual, dtype=float)
@@ -358,15 +425,18 @@ def solve_adjoint_from_residual(spec: ProblemSpec, base_state: Trajectory,
     src = mass_matvec(residual) if mask is None else mask * mass_matvec(mask * residual)
     sources = np.exp(-rate * spec.grid.times)[:, None] * src
     coeffs = spec.nonlinearity.derivative(base_state.values)
-    vals = _linear_march(spec, coeffs, sources, range(n, -1, -1))
+    vals = _linear_march(spec, coeffs, sources, range(n, -1, -1), factors)
     return Trajectory(spec.grid, vals, "adjoint")
 
 
-def solve_adjoint(spec: ProblemSpec, base_state: Trajectory) -> Trajectory:
-    """Adjoint of the tracking cost around a forward trajectory."""
+def solve_adjoint(spec: ProblemSpec, base_state: Trajectory,
+                  factors: list | None = None) -> Trajectory:
+    """Adjoint of the tracking cost around a forward trajectory, reusing the
+    forward march's ``factors`` as ``solve_adjoint_from_residual`` does."""
     residual = base_state.values - spec.target_samples
     return solve_adjoint_from_residual(spec, base_state, residual,
-                                       spec.discounts.state_rate, masked=True)
+                                       spec.discounts.state_rate, masked=True,
+                                       factors=factors)
 
 
 # ---------------------------------------------------------------------------

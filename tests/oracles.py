@@ -8,10 +8,11 @@ linear-quadratic problem.
 
 The reference marches at the end are the plain loops the library's march
 kernels must match bit for bit: one right-hand side and one LAPACK call per
-step solve (``gtsv`` in 1D, ``gbsv`` in 2D), a residual closure in the
+step solve (``gtsv`` in 1D, ``pbsv`` in 2D), a residual closure in the
 Newton step, and the adjoint sources built one time row at a time.  They
-read only the step operator's matrices, never its methods.  The reference
-growth probe solves its samples one at a time with the reference march.
+read only the step operator's matrices, never its methods; the 2D step
+solve is band Cholesky on the lower symmetric band.  The reference growth
+probe solves its samples one at a time with the reference march.
 """
 
 import numpy as np
@@ -169,8 +170,9 @@ def dense_lq_solution(ops, grid, state_rate, control_rate, control_weight,
 
 class ReferenceStep:
     """Single right-hand-side products and step solves with the step matrix
-    M/dt + K + M_L diag(shift), built from a step operator's band storage
-    and sparse matrices."""
+    M/dt + K + M_L diag(shift), built from a step operator's lower symmetric
+    band storage (entry (i, j), i >= j, at ab[i - j, j]) and sparse
+    matrices."""
 
     def __init__(self, stepper):
         self.k, self.ab, self.lumped = stepper.k, stepper.ab, stepper.lumped
@@ -178,13 +180,14 @@ class ReferenceStep:
         self.mass_ab = np.zeros_like(self.ab)
         coo = self.mass.tocoo()
         coo.sum_duplicates()
-        self.mass_ab[2 * self.k + coo.row - coo.col, coo.col] = coo.data
+        low = coo.row >= coo.col
+        self.mass_ab[coo.row[low] - coo.col[low], coo.col[low]] = coo.data[low]
 
     @staticmethod
     def _tri_matvec(ab, y):
-        out = ab[2] * y
-        out[:-1] += ab[1, 1:] * y[1:]
-        out[1:] += ab[3, :-1] * y[:-1]
+        out = ab[0] * y
+        out[:-1] += ab[1, :-1] * y[1:]
+        out[1:] += ab[1, :-1] * y[:-1]
         return out
 
     def mass_matvec(self, y):
@@ -196,13 +199,13 @@ class ReferenceStep:
     def solve(self, shift, rhs):
         if self.k == 1:
             gtsv = sla.get_lapack_funcs("gtsv", (self.ab,))
-            d = self.ab[2] + self.lumped * shift
-            _, _, _, x, info = gtsv(self.ab[3, :-1], d, self.ab[1, 1:], rhs)
+            d = self.ab[0] + self.lumped * shift
+            _, _, _, x, info = gtsv(self.ab[1, :-1], d, self.ab[1, :-1], rhs)
         else:
-            gbsv = sla.get_lapack_funcs("gbsv", (self.ab,))
+            pbsv = sla.get_lapack_funcs("pbsv", (self.ab,))
             ab = self.ab.copy(order="F")
-            ab[2 * self.k] += self.lumped * shift
-            _, _, x, info = gbsv(self.k, self.k, ab, rhs)
+            ab[0] += self.lumped * shift
+            _, x, info = pbsv(ab, rhs, lower=1)
         assert info == 0
         return x
 

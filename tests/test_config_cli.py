@@ -352,6 +352,29 @@ class TestRunnerFailures:
         assert manifest["outputs"] == []
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
+    def test_2d_step_matrix_not_positive_definite_fails_the_solve(self, tmp_path, capsys):
+        # at dt = 2 the step matrix M/dt + K + M_L diag(f') with f' = -1 near
+        # 0 is indefinite (validate fails discrete_step_monotone), and
+        # solve-forward, which runs on any problem, meets it in its first
+        # band Cholesky
+        out = tmp_path / "run"
+        overrides = ["mesh.dimension=2", "mesh.shape=[16,16]",
+                     "mesh.control.box=[[0.2,0.8],[0.2,0.8]]",
+                     "nonlinearity.name=cubic_minus_linear", "discounts.state_discount=12",
+                     "discounts.control_discount=0.5", "discounts.aux_rate=2.2",
+                     "time.step=2.0"]
+        argv = ["solve-forward", "--config", str(CONFIG_DIR / "ball_cubic.json"),
+                "--out", str(out)]
+        for override in overrides:
+            argv += ["--set", override]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "step matrix not positive definite (pbtrf info" in err
+        assert "Traceback" not in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert "step matrix not positive definite (pbtrf info" in manifest["error"]
+
     @pytest.mark.parametrize("malformed, override", [
         (True, None), (False, "nonlinearity.name=quartic"), (False, "no-equals-sign"),
         (False, "optimizer.newton.foo=1"), (False, "optimizer.newton=3"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import horizonopt as ho
+from horizonopt import solvers
 from horizonopt.admissible import check_projection_formulas
 from horizonopt.admissible import project_values
 from horizonopt.optimizer import OptimizerConfig, optimize, verify_growth
@@ -91,11 +92,32 @@ class TestOptimize:
                                spec.operators.control_weights)
         assert err <= 10 * tol
 
-    def test_report_carries_final_state_and_adjoint(self):
-        spec = make_spec(nonlinearity="cubic", initial=0.3 * np.ones(21),
-                         target=0.4 * np.ones((21, 21)))
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_report_carries_final_state_and_adjoint(self, dimension, monkeypatch):
+        # both runs reject trials (1D: 37 forward solves in 20 iterations;
+        # 2D: 35 in 14), and in 2D each trial's forward solve hands its
+        # factorizations on only if it is accepted: every adjoint made with
+        # handed-over factorizations is the one made without them
+        handed = []
+
+        def checked_adjoint(spec, state, factors=None):
+            adjoint = ho.solve_adjoint(spec, state, factors)
+            assert np.array_equal(adjoint.values, ho.solve_adjoint(spec, state).values)
+            handed.append(factors is not None)
+            return adjoint
+
+        monkeypatch.setattr("horizonopt.optimizer.solve_adjoint", checked_adjoint)
+        if dimension == 1:
+            spec = make_spec(nonlinearity="cubic", initial=0.3 * np.ones(21),
+                             target=0.4 * np.ones((21, 21)))
+        else:
+            spec = rectangle_spec((6, 6), horizon=1.0)
+            nodes, n = spec.operators.n_nodes, spec.grid.n_steps
+            spec = replace(spec, initial_state=0.3 * np.ones(nodes), control_weight=0.5,
+                           target=0.4 * np.ones((n + 1, nodes)))
         spec = replace(spec, newton=ho.NewtonConfig(tolerance=1e-6))
         u, report = optimize(spec, OptimizerConfig(tolerance=1e-10))
+        assert all(handed) if dimension == 2 else not any(handed)
         state = ho.solve_forward(spec, u)
         assert np.array_equal(report.state.values, state.values)
         assert np.array_equal(report.adjoint.values, ho.solve_adjoint(spec, state).values)
@@ -162,6 +184,25 @@ class TestGrowthMatchesPerSampleReference:
         kappa, margins, distances = reference_growth(spec, _stepper(spec), u, radius=0.3,
                                                      samples=12, seed=6)
         assert len(margins) == 12
+        assert (growth.kappa, growth.margins, growth.distances) == (kappa, margins, distances)
+
+    def test_more_samples_than_one_batch_is_bitwise_reference(self, monkeypatch):
+        # 131 candidates are marched as batches of 64, 64 and 3
+        spec = make_spec(target=0.5 * np.ones((21, 21)))
+        u = self.admissible_control(spec, seed=5)
+        batches = []
+        march = solvers._newton_march
+
+        def recording(spec, controls, kept):
+            batches.append(len(controls))
+            return march(spec, controls, kept)
+
+        monkeypatch.setattr(solvers, "_newton_march", recording)
+        growth = verify_growth(spec, u, radius=0.3, samples=131, seed=6)
+        assert batches == [1, 64, 64, 3]
+        kappa, margins, distances = reference_growth(spec, _stepper(spec), u, radius=0.3,
+                                                     samples=131, seed=6)
+        assert len(margins) == 131
         assert (growth.kappa, growth.margins, growth.distances) == (kappa, margins, distances)
 
     def test_all_samples_skipped_raises_without_a_solve(self, monkeypatch):

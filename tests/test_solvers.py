@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import horizonopt as ho
 from horizonopt.objective import SecondOrderModel
-from horizonopt.solvers import (SolverError, _linear_march, _stepper,
+from horizonopt.problem import band_storage
+from horizonopt.solvers import (FORWARD_BATCH, SolverError, _linear_march, _stepper,
                                 solve_adjoint_from_residual)
 from horizonopt.spaces import weighted_sup_norm
 
@@ -332,11 +333,24 @@ class TestBandStepOperator:
         k = stepper.k
         assert k == (1 if shape is None else shape[0] + 2)
         dense = (ops.mass / spec.grid.step + ops.stiffness).toarray()
+        assert stepper.ab.shape == (k + 1, ops.n_nodes)
         rebuilt = np.zeros_like(dense)
         for i, j in np.ndindex(*dense.shape):
             if abs(i - j) <= k:
-                rebuilt[i, j] = stepper.ab[2 * k + i - j, j]
+                rebuilt[i, j] = stepper.ab[abs(i - j), min(i, j)]
         assert np.array_equal(rebuilt, dense)
+
+    def test_band_storage_needs_an_exactly_symmetric_matrix(self):
+        spec = rectangle_spec((5, 7))
+        ops = spec.operators
+        mat = (ops.mass / spec.grid.step + ops.stiffness).tocsr()
+        assert (mat != mat.T).nnz == 0
+        k, ab = band_storage(mat)
+        assert k == 7 and ab.shape == (8, ops.n_nodes)
+        skewed = mat.tolil()
+        skewed[0, 1] = np.nextafter(skewed[0, 1], np.inf)
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            band_storage(skewed.tocsr())
 
     def test_step_solver_is_shared_across_horizons(self):
         spec = make_spec()
@@ -405,6 +419,60 @@ class TestKernelsMatchReference:
         phi = solve_adjoint_from_residual(spec, y, residual, rate, masked=masked)
         assert np.array_equal(phi.values,
                               reference_adjoint(spec, stepper, y, residual, rate, masked))
+
+    @settings(max_examples=15)
+    @given(size=st.integers(3, 5), seed=st.integers(0, 2**16), masked=st.booleans(),
+           scale=st.sampled_from([0.2, 3000.0]))
+    def test_2d_adjoint_with_forward_factors_is_bitwise_reference(self, size, seed, masked,
+                                                                   scale):
+        # scale 3000 damps the Newton steps, so later iterations factor
+        # other matrices than the first one, which is the one handed over
+        spec = small_spec_of(2, size, seed)
+        u = random_control(spec, seed=seed, scale=scale)
+        y, factors = ho.solve_forward(spec, u, keep_factors=True)
+        n = spec.grid.n_steps
+        assert len(factors) == n + 1 and factors[n] is None
+        assert all(c is not None for c in factors[:n])
+        residual = np.random.default_rng(seed).standard_normal(y.values.shape)
+        rate = spec.discounts.state_rate
+        phi = solve_adjoint_from_residual(spec, y, residual, rate, masked=masked,
+                                          factors=factors)
+        assert np.array_equal(phi.values, reference_adjoint(spec, _stepper(spec), y, residual,
+                                                            rate, masked))
+
+    def test_zero_data_hands_over_no_factors(self, monkeypatch):
+        # zero initial state, source and control: every step starts converged,
+        # so no Newton iteration factors anything; the state never changes,
+        # so the adjoint factors S_N once and reuses it at every step
+        spec = rectangle_spec((4, 4))
+        spec = replace(spec, initial_state=np.zeros(spec.operators.n_nodes))
+        y, factors = ho.solve_forward(spec, spec.zero_control(), keep_factors=True)
+        assert not y.values.any()
+        assert factors == [None] * (spec.grid.n_steps + 1)
+        expected = reference_adjoint(spec, _stepper(spec), y, y.values - spec.target_samples,
+                                     spec.discounts.state_rate, True)
+        assert expected.any()
+        made = []
+        factor = type(_stepper(spec)).factor
+
+        def counted(self, d):
+            made.append(d)
+            return factor(self, d)
+
+        monkeypatch.setattr(type(_stepper(spec)), "factor", counted)
+        assert np.array_equal(ho.solve_adjoint(spec, y, factors).values, expected)
+        assert len(made) == 1
+
+    def test_1d_and_batches_hand_over_nothing(self):
+        spec = small_spec_of(1, 4, 0)
+        u = random_control(spec, seed=0, scale=0.2)
+        y, factors = ho.solve_forward(spec, u, keep_factors=True)
+        assert factors is None
+        assert np.array_equal(y.values, ho.solve_forward(spec, u).values)
+        spec = small_spec_of(2, 4, 0)
+        u = random_control(spec, seed=0, scale=0.2)
+        states, factors = ho.solve_forward(spec, [u, u], keep_factors=True)
+        assert factors is None and len(states) == 2
 
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_damped_newton_steps_are_bitwise_reference(self, dimension):
@@ -521,6 +589,13 @@ class TestBatchedForwardFailure:
         assert own.step == 1 and own.history
         for batch in ([good, bad], [bad, good]):
             assert self.same_error(self.own_error(spec, batch), own)
+
+    def test_failure_in_a_later_batch_raises_its_own_error(self):
+        spec = replace(small_spec_of(1, 4, seed=3), newton=ho.NewtonConfig(max_iterations=3))
+        controls = [random_control(spec, seed=k, scale=0.2) for k in range(FORWARD_BATCH + 6)]
+        bad = random_control(spec, seed=1, scale=3000.0)
+        controls[FORWARD_BATCH + 2] = bad
+        assert self.same_error(self.own_error(spec, controls), self.own_error(spec, bad))
 
     def test_earliest_step_wins_then_lowest_index(self):
         spec = replace(small_spec_of(1, 4, seed=3), newton=ho.NewtonConfig(max_iterations=3))
