@@ -135,12 +135,6 @@ def zero_field() -> Field:
     return Field(SpaceProfile("constant", value=0.0), TimeProfile(), amplitude=0.0)
 
 
-def field_from_config(cfg: dict) -> Field:
-    """A field from a data template, read by :func:`horizonopt.config.build_field`."""
-    from .config import build_field
-    return build_field(cfg, "field")
-
-
 def tail_norm(spec, which: str, rate: float, t_start: float) -> float:
     """Discounted tail norm of the problem's source or target beyond t_start.
 

@@ -6,7 +6,8 @@ The infinite-horizon solution is operationalized as the solution on a
 reference horizon well beyond the sweep (default twice the largest).  Each
 shorter-horizon solve is warm-started from the truncated reference, which
 in particular guarantees, up to rounding, that its final cost does not
-exceed the cost of the truncated reference control.
+exceed the cost of the truncated reference control.  By causality its
+state is, bit for bit, the truncated reference state, which it reuses.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def run_horizon_study(spec: ProblemSpec, config: HorizonStudyConfig) -> HorizonS
         horizon = sub.grid.horizon
         warm = u_ref.restrict(sub.grid)
         ref_state = y_ref.restrict(sub.grid)
-        u_T, rep = optimize(sub, config.optimizer, start=warm)
+        u_T, rep = optimize(sub, config.optimizer, start=warm, state=ref_state)
         y_T = rep.state
 
         gap_u = Trajectory(sub.grid, u_T.values - warm.values, "control")

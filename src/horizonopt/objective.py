@@ -71,8 +71,8 @@ def riesz_gradient(spec: ProblemSpec, u: Trajectory, adjoint: Trajectory) -> Tra
 
 def gradient_with_state(spec: ProblemSpec, u: Trajectory):
     """Return (gradient, state, adjoint) for one control."""
-    state, factors = solve_forward(spec, u, keep_factors=True)
-    adj = solve_adjoint(spec, state, factors)
+    state = solve_forward(spec, u)
+    adj = solve_adjoint(spec, state)
     return riesz_gradient(spec, u, adj), state, adj
 
 
@@ -101,11 +101,8 @@ class SecondOrderModel:
                  state: Trajectory | None = None,
                  adjoint: Trajectory | None = None):
         self.spec = spec
-        factors = None
-        if state is None:
-            state, factors = solve_forward(spec, u, keep_factors=True)
-        self.state = state
-        self.adjoint = adjoint if adjoint is not None else solve_adjoint(spec, state, factors)
+        self.state = state if state is not None else solve_forward(spec, u)
+        self.adjoint = adjoint if adjoint is not None else solve_adjoint(spec, self.state)
 
     def response(self, v: Trajectory | list) -> Trajectory | list:
         """Linearized state response to a direction; a list of directions is

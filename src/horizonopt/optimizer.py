@@ -90,9 +90,12 @@ def _initial_control(spec: ProblemSpec, start: Trajectory | None) -> Trajectory:
 
 
 def optimize(spec: ProblemSpec, config: OptimizerConfig | None = None,
-             start: Trajectory | None = None):
+             start: Trajectory | None = None, state: Trajectory | None = None):
     """Solve the discrete control problem from the projection of ``start``
-    (of zero when it is None); returns (control, report)."""
+    (of zero when it is None); returns (control, report).  ``state``, the
+    state at ``start``, is used if projecting ``start`` leaves it unchanged.
+    A state's ``factors`` are dropped once its adjoint is made.
+    """
     config = config or OptimizerConfig()
     t0 = time.perf_counter()
     ops = spec.operators
@@ -101,8 +104,8 @@ def optimize(spec: ProblemSpec, config: OptimizerConfig | None = None,
         else 1.0 / spec.control_weight
 
     u = _initial_control(spec, start)
-    # the current state's factorizations, held until its adjoint has used them
-    state, factors = solve_forward(spec, u, keep_factors=True)
+    if state is None or start is None or not np.array_equal(u.values, start.values):
+        state = solve_forward(spec, u)
     breakdown = cost_from_state(spec, u, state)
     history = []
     converged = False
@@ -111,8 +114,8 @@ def optimize(spec: ProblemSpec, config: OptimizerConfig | None = None,
     last_step = step0
 
     for iterations in range(config.max_iterations + 1):
-        adjoint = solve_adjoint(spec, state, factors)
-        factors = None
+        adjoint = solve_adjoint(spec, state)
+        state.factors = None
         grad = riesz_gradient(spec, u, adjoint)
         residual = stationarity_residual(spec, u, grad)
         history.append({"cost": breakdown.total, "residual": residual, "step": last_step})
@@ -141,7 +144,7 @@ def optimize(spec: ProblemSpec, config: OptimizerConfig | None = None,
                 accepted = True
                 trial_state, trial_cost = state, breakdown
                 break
-            trial_state, factors = solve_forward(spec, trial, keep_factors=True)
+            trial_state = solve_forward(spec, trial)
             trial_cost = cost_from_state(spec, trial, trial_state)
             required = config.armijo_slope / step * gap_norm**2
             if required > floor:
@@ -151,7 +154,7 @@ def optimize(spec: ProblemSpec, config: OptimizerConfig | None = None,
             elif trial_cost.total <= breakdown.total + floor:
                 accepted = True
                 break
-            factors = None
+            trial_state.factors = None
             step *= config.backtrack
         if not accepted:
             raise LineSearchError(

@@ -42,15 +42,15 @@ where a zero subdiagonal never makes it swap rows, so elimination stays
 inside each block; one ``pbtrf`` + ``pbtrs`` per block in 2D, as LAPACK has
 no batched band Cholesky.  Each gets the bits it gets alone.
 
-The adjoint's S_i for i < N is bitwise the matrix of the first Newton
-iteration of forward step i + 1, which linearizes at y_i.  So in 2D a
-forward solve of one control can hand its first-iteration factorizations to
-the adjoint march around its state.  The adjoint then factors S_N, and
-reuses that factorization down any run of steps that the forward march
-took without a Newton iteration, where the state and so S_i did not
-change.  The hand-off is explicit: ``solve_forward(..., keep_factors=True)``
-returns the factorizations with the state, and ``solve_adjoint`` takes
-them.
+Every linear march around a state y steps with S_i = S(y_i), which for
+i < N is bitwise the matrix of the first Newton iteration of forward step
+i + 1.  So in 2D the state a forward solve of one control returns owns
+those factorizations, ``Trajectory.factors``, and the adjoint, linearized
+and second-order marches around it read them, each where its own step
+matrix has the same diagonal.  A march factors S_N itself and reuses a
+factorization down any run of steps the forward march took without a
+Newton iteration, where S_i did not change; around any other state
+(restricted, loaded, batched, 1D) it factors every step.
 """
 
 from __future__ import annotations
@@ -194,8 +194,9 @@ def _stepper(spec) -> _StepSolver:
 def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.ndarray:
     """The forward march of B controls to states of shape (B, N+1, N); the
     first failure raises.  With a list ``kept`` (one control), entry i - 1
-    becomes the factorization of the first Newton iteration of time step i,
-    which is S(y_{i-1}); a step that needs no iteration leaves its None."""
+    becomes the diagonal and factorization of the first Newton iteration of
+    time step i, which is S(y_{i-1}); a step that needs no iteration leaves
+    its None."""
     tolerance, iterations = spec.newton.tolerance, range(spec.newton.max_iterations)
     value, derivative = spec.nonlinearity.value, spec.nonlinearity.derivative
     ops, dt = spec.operators, spec.grid.step
@@ -226,7 +227,8 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
                 break
             d = diagonal + lumped * derivative(y)
             if not it and kept is not None:
-                d = kept[i - 1] = factor(d)
+                kept[i - 1] = d, factor(d)
+                d = kept[i - 1][1]
             # the Newton update is -delta; solving for r instead of -r and
             # subtracting gives the same bits, since the solve is linear in
             # its right-hand side and negation is exact
@@ -271,7 +273,7 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
 FORWARD_BATCH = 64
 
 
-def solve_forward(spec: ProblemSpec, control: Trajectory | list, keep_factors: bool = False):
+def solve_forward(spec: ProblemSpec, control: Trajectory | list):
     """March the semilinear equation from the initial state under a control,
     with the Newton settings ``spec.newton``.
 
@@ -282,12 +284,9 @@ def solve_forward(spec: ProblemSpec, control: Trajectory | list, keep_factors: b
     failing sample's non-finite trial can reach its neighbours through the
     zero couplings, so the error comes from the samples' own solves.
 
-    With ``keep_factors`` the result is (state, factors), for
-    ``solve_adjoint`` around that state.  For one control in 2D, factors[i]
-    (i < n) is the factorization of S(y_i) made at the first Newton
-    iteration of time step i + 1, or None where that step needed no
-    iteration, and factors[n] is None.  Otherwise factors is None: 1D has
-    nothing to hand over, as ``gtsv`` factors as it solves.
+    For one control in 2D the state's ``factors`` are the factorizations
+    of its first Newton iterations, for the linear marches around it; in 1D
+    there are none to keep, as ``gtsv`` factors as it solves.
     """
     single = isinstance(control, Trajectory)
     controls = [control] if single else list(control)
@@ -296,9 +295,7 @@ def solve_forward(spec: ProblemSpec, control: Trajectory | list, keep_factors: b
             raise ValueError("control trajectory does not match the control subdomain")
         if c.grid.n_steps != spec.grid.n_steps:
             raise ValueError("control trajectory does not match the time grid")
-    kept = None
-    if keep_factors and single and _stepper(spec).k > 1:
-        kept = [None] * (spec.grid.n_steps + 1)
+    kept = [None] * (spec.grid.n_steps + 1) if single and _stepper(spec).k > 1 else None
     values = []
     try:
         for start in range(0, len(controls), FORWARD_BATCH):
@@ -315,9 +312,9 @@ def solve_forward(spec: ProblemSpec, control: Trajectory | list, keep_factors: b
         raise (min(failures)[2] if failures else exc) from None
     if not all(np.isfinite(v).all() for v in values):
         raise SolverError("forward solve produced non-finite values")
-    states = [Trajectory(spec.grid, v, "state") for v in values]
-    result = states[0] if single else states
-    return (result, kept) if keep_factors else result
+    if single:
+        return Trajectory(spec.grid, values[0], "state", kept)
+    return [Trajectory(spec.grid, v, "state") for v in values]
 
 
 def _linear_march(spec, coefficients, sources, steps, factors=None):
@@ -325,8 +322,9 @@ def _linear_march(spec, coefficients, sources, steps, factors=None):
     order) solve S_i z = (M/dt) z + sources[i] and store z as row i.  Rows
     that ``steps`` does not visit stay zero.
 
-    ``factors`` are the factorizations a forward march handed over (2D):
-    ``factors[i]``, where not None, is that of S_i.  A step without one
+    ``factors`` are the base state's ``Trajectory.factors`` (2D): a step
+    uses ``factors[i]`` when its diagonal is bitwise that of S_i, which it is
+    unless the state was solved under another problem.  A step without one
     reuses the previous step's factorization when its S_i is bitwise the
     same, as after a forward step that needed no Newton iteration and so
     left the state as it was, and factors S_i otherwise.
@@ -343,15 +341,15 @@ def _linear_march(spec, coefficients, sources, steps, factors=None):
     n1, nodes = sources.shape[0], sources.shape[-1]
     out = np.moveaxis(np.zeros(sources.shape[1:-1] + (n1, nodes)), -2, 0)
     z = np.zeros(sources.shape[1:])
-    c = None
+    last = c = None
     for i in steps:
         d = diagonals[i]
         if factors is not None:
-            if factors[i] is not None:
-                c = factors[i]
-            elif c is None or not np.array_equal(d, last):
-                c = stepper.factor(d)
-            d, last = c, diagonals[i]
+            if factors[i] is not None and np.array_equal(d, factors[i][0]):
+                last, c = factors[i]
+            elif last is None or not np.array_equal(d, last):
+                last, c = d, stepper.factor(d)
+            d = c
         z = solve(d, mass_matvec(z) / dt + sources[i])
         out[i] = z
     if not np.all(np.isfinite(out)):
@@ -388,7 +386,7 @@ def solve_linearized(spec: ProblemSpec, base_state: Trajectory, rhs: Trajectory 
         flat = values.reshape(-1, ops.n_nodes)
         sources = (ops.mass @ flat.T).T.reshape(values.shape)
     coeffs = spec.nonlinearity.derivative(base_state.values)
-    vals = _linear_march(spec, coeffs, sources, range(1, n + 1))
+    vals = _linear_march(spec, coeffs, sources, range(1, n + 1), base_state.factors)
     if single:
         return Trajectory(spec.grid, vals, "generic")
     return [Trajectory(spec.grid, vals[:, b], "generic") for b in range(len(rhs))]
@@ -401,20 +399,19 @@ def solve_second_order(spec: ProblemSpec, base_state: Trajectory,
     prod = -f.second_derivative(base_state.values) * z1.values * z2.values
     sources = spec.operators.lumped_mass * prod
     coeffs = f.derivative(base_state.values)
-    vals = _linear_march(spec, coeffs, sources, range(1, spec.grid.n_steps + 1))
+    vals = _linear_march(spec, coeffs, sources, range(1, spec.grid.n_steps + 1),
+                         base_state.factors)
     return Trajectory(spec.grid, vals, "generic")
 
 
 def solve_adjoint_from_residual(spec: ProblemSpec, base_state: Trajectory,
                                 residual: np.ndarray, rate: float,
-                                masked: bool = False, factors: list | None = None) -> Trajectory:
+                                masked: bool = False) -> Trajectory:
     """Transpose recursion with source e^{-rate t_i} M residual_i, marched
     backward from i = N to 0.
 
     With ``masked`` the source is restricted to the observation subdomain
-    (nodal indicator on both sides of the mass matrix).  ``factors`` are the
-    factorizations that ``solve_forward(..., keep_factors=True)`` returned
-    with ``base_state``; the march factors only the steps they lack.
+    (nodal indicator on both sides of the mass matrix).
     """
     n = spec.grid.n_steps
     residual = np.asarray(residual, dtype=float)
@@ -425,18 +422,15 @@ def solve_adjoint_from_residual(spec: ProblemSpec, base_state: Trajectory,
     src = mass_matvec(residual) if mask is None else mask * mass_matvec(mask * residual)
     sources = np.exp(-rate * spec.grid.times)[:, None] * src
     coeffs = spec.nonlinearity.derivative(base_state.values)
-    vals = _linear_march(spec, coeffs, sources, range(n, -1, -1), factors)
+    vals = _linear_march(spec, coeffs, sources, range(n, -1, -1), base_state.factors)
     return Trajectory(spec.grid, vals, "adjoint")
 
 
-def solve_adjoint(spec: ProblemSpec, base_state: Trajectory,
-                  factors: list | None = None) -> Trajectory:
-    """Adjoint of the tracking cost around a forward trajectory, reusing the
-    forward march's ``factors`` as ``solve_adjoint_from_residual`` does."""
+def solve_adjoint(spec: ProblemSpec, base_state: Trajectory) -> Trajectory:
+    """Adjoint of the tracking cost around a forward trajectory."""
     residual = base_state.values - spec.target_samples
     return solve_adjoint_from_residual(spec, base_state, residual,
-                                       spec.discounts.state_rate, masked=True,
-                                       factors=factors)
+                                       spec.discounts.state_rate, masked=True)
 
 
 # ---------------------------------------------------------------------------

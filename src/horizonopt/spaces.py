@@ -8,7 +8,7 @@ and makes the discrete adjoint an exact transpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,11 +53,19 @@ class Trajectory:
 
     ``kind`` is one of "state", "adjoint", "control", "generic"; control
     trajectories hold values on the control-subdomain nodes only.
+
+    ``factors`` is None except on a state ``solvers.solve_forward`` returns
+    for one control in 2D: there ``factors[i]`` (i < n) is the diagonal and
+    the factorization of the step matrix S(y_i) made by the first Newton
+    iteration of step i + 1 (None if that step took none), for the linear
+    marches around the state to reuse.  They describe ``values``, which
+    nothing changes.
     """
 
     grid: TimeGrid
     values: np.ndarray
     kind: str = "generic"
+    factors: list | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)

@@ -5,7 +5,7 @@ from hypothesis import settings
 from horizonopt import (AdmissibleSet, Discounts, EllipticForm, ProblemSpec,
                         TimeGrid, Trajectory, builtin_nonlinearities,
                         interval_mesh, rectangle_mesh)
-from horizonopt.problem import default_aux_rate
+from horizonopt.problem import default_aux_rate, default_integrability_exponent
 
 # every property test reruns the same examples, with no per-example deadline
 settings.register_profile("horizonopt", derandomize=True, deadline=None)
@@ -52,7 +52,9 @@ def rectangle_spec(shape, seed=0, horizon=0.4, step=0.05, observation=None):
     return ProblemSpec(
         mesh=mesh, operator=EllipticForm(diffusion=1.0),
         nonlinearity=builtin_nonlinearities()["cubic"],
-        discounts=Discounts(1.0, 0.4, 0.1), grid=grid,
+        discounts=Discounts(1.0, 0.4, 0.1,
+                            integrability_exponent=default_integrability_exponent(2)),
+        grid=grid,
         initial_state=0.3 * rng.standard_normal(mesh.n_nodes),
         source=np.zeros((n + 1, mesh.n_nodes)),
         target=0.2 * np.ones((n + 1, mesh.n_nodes)), control_weight=1.0,

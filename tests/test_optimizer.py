@@ -95,15 +95,16 @@ class TestOptimize:
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_report_carries_final_state_and_adjoint(self, dimension, monkeypatch):
         # both runs reject trials (1D: 37 forward solves in 20 iterations;
-        # 2D: 35 in 14), and in 2D each trial's forward solve hands its
-        # factorizations on only if it is accepted: every adjoint made with
-        # handed-over factorizations is the one made without them
+        # 2D: 35 in 14), and in 2D every state whose adjoint is made still
+        # owns its factorizations: every adjoint made with them is the one
+        # made around the bare state
         handed = []
 
-        def checked_adjoint(spec, state, factors=None):
-            adjoint = ho.solve_adjoint(spec, state, factors)
-            assert np.array_equal(adjoint.values, ho.solve_adjoint(spec, state).values)
-            handed.append(factors is not None)
+        def checked_adjoint(spec, state):
+            handed.append(state.factors is not None)
+            adjoint = ho.solve_adjoint(spec, state)
+            bare = ho.Trajectory(state.grid, state.values, "state")
+            assert np.array_equal(adjoint.values, ho.solve_adjoint(spec, bare).values)
             return adjoint
 
         monkeypatch.setattr("horizonopt.optimizer.solve_adjoint", checked_adjoint)
@@ -118,10 +119,71 @@ class TestOptimize:
         spec = replace(spec, newton=ho.NewtonConfig(tolerance=1e-6))
         u, report = optimize(spec, OptimizerConfig(tolerance=1e-10))
         assert all(handed) if dimension == 2 else not any(handed)
+        assert report.state.factors is None
         state = ho.solve_forward(spec, u)
         assert np.array_equal(report.state.values, state.values)
         assert np.array_equal(report.adjoint.values, ho.solve_adjoint(spec, state).values)
         assert not {"state", "adjoint"} & set(report.to_dict())
+
+    @staticmethod
+    def counting_forward_solves(monkeypatch):
+        solves, forward = [], solvers.solve_forward
+
+        def counted(spec, control):
+            solves.append(control)
+            return forward(spec, control)
+
+        monkeypatch.setattr("horizonopt.optimizer.solve_forward", counted)
+        return solves
+
+    @staticmethod
+    def assert_same_run(got, expected):
+        (u, report), (u_ref, report_ref) = got, expected
+        assert np.array_equal(u.values, u_ref.values)
+        assert np.array_equal(report.state.values, report_ref.state.values)
+        assert np.array_equal(report.adjoint.values, report_ref.adjoint.values)
+        assert report.history == report_ref.history
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_given_state_at_an_unchanged_start_replaces_its_solve(self, dimension,
+                                                                   monkeypatch):
+        spec = (make_spec(initial=0.3 * np.ones(21), target=0.4 * np.ones((21, 21)))
+                if dimension == 1 else rectangle_spec((5, 4), seed=1))
+        start = random_control(spec, seed=3, scale=0.1)
+        assert np.array_equal(project_values(spec.admissible, start.values,
+                                             spec.operators.control_weights), start.values)
+        config = OptimizerConfig(tolerance=1e-10)
+        solves = self.counting_forward_solves(monkeypatch)
+        expected = optimize(spec, config, start=start)
+        solved = len(solves)
+        solves.clear()
+        state = ho.Trajectory(spec.grid, ho.solve_forward(spec, start).values, "state")
+        got = optimize(spec, config, start=start, state=state)
+        assert len(solves) == solved - 1
+        self.assert_same_run(got, expected)
+
+    def test_given_state_is_ignored_when_projection_moves_the_start(self, monkeypatch):
+        # a ball start outside the ball: its projection differs, so the
+        # state given for it is not the state at the projected start
+        spec = make_spec(initial=0.3 * np.ones(21), target=0.4 * np.ones((21, 21)),
+                         admissible=ho.AdmissibleSet("ball", radius=0.5))
+        start = random_control(spec, seed=3, scale=2.0)
+        assert not np.array_equal(project_values(spec.admissible, start.values,
+                                                 spec.operators.control_weights),
+                                  start.values)
+        config = OptimizerConfig(tolerance=1e-10)
+        expected = optimize(spec, config, start=start)
+        solves = self.counting_forward_solves(monkeypatch)
+        got = optimize(spec, config, start=start, state=ho.solve_forward(spec, start))
+        # the counted wrapper sees the projected start first
+        assert not np.array_equal(solves[0].values, start.values)
+        self.assert_same_run(got, expected)
+
+    def test_given_state_without_start_is_ignored(self):
+        spec = make_spec(initial=0.3 * np.ones(21), target=0.4 * np.ones((21, 21)))
+        config = OptimizerConfig(tolerance=1e-10)
+        stale = ho.solve_forward(spec, random_control(spec, seed=3, scale=0.1))
+        self.assert_same_run(optimize(spec, config, state=stale), optimize(spec, config))
 
     def test_box_initializer_is_clamp_of_zero(self):
         spec = make_spec(nonlinearity="zero",

@@ -9,7 +9,7 @@ from horizonopt.config import apply_overrides, build_problem
 from horizonopt.mesh import MeshError
 from horizonopt.problem import AssumptionError, default_aux_rate
 
-from conftest import make_spec
+from conftest import make_spec, rectangle_spec
 from oracles import discounted_power_sum
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -145,6 +145,11 @@ class TestValidation:
         report = ho.validate_assumptions(spec)
         bad = [i for i in report.failures() if i.key == "control_discount_positive"]
         assert bad and "control_discount > 0" in bad[0].requirement
+
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (6, 6)])
+    def test_2d_test_problem_is_admitted(self, shape):
+        report = ho.validate_assumptions(rectangle_spec(shape))
+        assert report.passed, [str(i) for i in report.failures()]
 
     def test_second_order_margin_only_checked_when_flagged(self):
         spec = make_spec(state_rate=1.0, control_rate=1.2)

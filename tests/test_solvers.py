@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import horizonopt as ho
+from horizonopt.descriptors import Field, SpaceProfile, TimeProfile
 from horizonopt.objective import SecondOrderModel
 from horizonopt.problem import band_storage
 from horizonopt.solvers import (FORWARD_BATCH, SolverError, _linear_march, _stepper,
@@ -429,14 +430,13 @@ class TestKernelsMatchReference:
         # other matrices than the first one, which is the one handed over
         spec = small_spec_of(2, size, seed)
         u = random_control(spec, seed=seed, scale=scale)
-        y, factors = ho.solve_forward(spec, u, keep_factors=True)
+        y = ho.solve_forward(spec, u)
         n = spec.grid.n_steps
-        assert len(factors) == n + 1 and factors[n] is None
-        assert all(c is not None for c in factors[:n])
+        assert len(y.factors) == n + 1 and y.factors[n] is None
+        assert all(c is not None for c in y.factors[:n])
         residual = np.random.default_rng(seed).standard_normal(y.values.shape)
         rate = spec.discounts.state_rate
-        phi = solve_adjoint_from_residual(spec, y, residual, rate, masked=masked,
-                                          factors=factors)
+        phi = solve_adjoint_from_residual(spec, y, residual, rate, masked=masked)
         assert np.array_equal(phi.values, reference_adjoint(spec, _stepper(spec), y, residual,
                                                             rate, masked))
 
@@ -446,9 +446,9 @@ class TestKernelsMatchReference:
         # so the adjoint factors S_N once and reuses it at every step
         spec = rectangle_spec((4, 4))
         spec = replace(spec, initial_state=np.zeros(spec.operators.n_nodes))
-        y, factors = ho.solve_forward(spec, spec.zero_control(), keep_factors=True)
+        y = ho.solve_forward(spec, spec.zero_control())
         assert not y.values.any()
-        assert factors == [None] * (spec.grid.n_steps + 1)
+        assert y.factors == [None] * (spec.grid.n_steps + 1)
         expected = reference_adjoint(spec, _stepper(spec), y, y.values - spec.target_samples,
                                      spec.discounts.state_rate, True)
         assert expected.any()
@@ -460,19 +460,79 @@ class TestKernelsMatchReference:
             return factor(self, d)
 
         monkeypatch.setattr(type(_stepper(spec)), "factor", counted)
-        assert np.array_equal(ho.solve_adjoint(spec, y, factors).values, expected)
+        assert np.array_equal(ho.solve_adjoint(spec, y).values, expected)
         assert len(made) == 1
 
     def test_1d_and_batches_hand_over_nothing(self):
         spec = small_spec_of(1, 4, 0)
         u = random_control(spec, seed=0, scale=0.2)
-        y, factors = ho.solve_forward(spec, u, keep_factors=True)
-        assert factors is None
-        assert np.array_equal(y.values, ho.solve_forward(spec, u).values)
+        assert ho.solve_forward(spec, u).factors is None
         spec = small_spec_of(2, 4, 0)
         u = random_control(spec, seed=0, scale=0.2)
-        states, factors = ho.solve_forward(spec, [u, u], keep_factors=True)
-        assert factors is None and len(states) == 2
+        states = ho.solve_forward(spec, [u, u])
+        assert len(states) == 2 and all(y.factors is None for y in states)
+
+    def test_only_the_forward_solved_state_owns_factors(self, tmp_path):
+        spec = small_spec_of(2, 4, 0)
+        y = ho.solve_forward(spec, random_control(spec, seed=0, scale=0.2))
+        assert y.factors is not None
+        assert y.restrict(ho.TimeGrid(0.1, spec.grid.step)).factors is None
+        y.to_csv(tmp_path / "state.csv")
+        loaded = ho.Trajectory.from_csv(tmp_path / "state.csv")
+        assert loaded.factors is None and np.array_equal(loaded.values, y.values)
+        # the factors do not show in repr
+        bare = ho.Trajectory(y.grid, y.values, "state")
+        assert bare.factors is None and repr(bare) == repr(y)
+
+    @settings(max_examples=10)
+    @given(size=st.integers(3, 5), seed=st.integers(0, 2**16),
+           scale=st.sampled_from([0.2, 3000.0]))
+    def test_marches_around_a_forward_solved_state_reuse_its_factors(self, size, seed, scale):
+        # the adjoint, linearized and second-order marches around a 2D
+        # forward-solved state give the bits they give around its bare copy,
+        # and factor fewer step matrices
+        spec = small_spec_of(2, size, seed)
+        y = ho.solve_forward(spec, random_control(spec, seed=seed, scale=scale))
+        bare = ho.Trajectory(y.grid, y.values, "state")
+        directions = [random_control(spec, seed=seed + k) for k in (1, 2)]
+        stepper_type = type(_stepper(spec))
+        factor = stepper_type.factor
+        made = []
+
+        def counted(self, d):
+            made.append(d)
+            return factor(self, d)
+
+        def marches(base):
+            # the values of each march and the factorizations each one made
+            made.clear()
+            adjoint = ho.solve_adjoint(spec, base)
+            counts = [len(made)]
+            z1, z2 = ho.solve_linearized(spec, base, directions)
+            counts.append(len(made) - sum(counts))
+            z12 = ho.solve_second_order(spec, base, z1, z2)
+            counts.append(len(made) - sum(counts))
+            return [t.values for t in (adjoint, z1, z2, z12)], counts
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stepper_type, "factor", counted)
+            owned, owned_counts = marches(y)
+            plain, plain_counts = marches(bare)
+        assert all(np.array_equal(a, b) for a, b in zip(owned, plain))
+        assert all(a < b for a, b in zip(owned_counts, plain_counts))
+
+    def test_factors_serve_only_their_own_step_matrices(self):
+        # a state solved under one problem and marched around under another
+        # (f = 0 instead of the cubic) gives the bits of its bare copy
+        spec = small_spec_of(2, 4, 0)
+        y = ho.solve_forward(spec, random_control(spec, seed=1, scale=0.5))
+        bare = ho.Trajectory(y.grid, y.values, "state")
+        other = replace(spec, nonlinearity=ho.builtin_nonlinearities()["zero"])
+        v = random_control(spec, seed=2)
+        assert np.array_equal(ho.solve_adjoint(other, y).values,
+                              ho.solve_adjoint(other, bare).values)
+        assert np.array_equal(ho.solve_linearized(other, y, v).values,
+                              ho.solve_linearized(other, bare, v).values)
 
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_damped_newton_steps_are_bitwise_reference(self, dimension):
@@ -481,6 +541,27 @@ class TestKernelsMatchReference:
         expected, damped = reference_forward(spec, _stepper(spec), u)
         assert damped > 0
         assert np.array_equal(ho.solve_forward(spec, u).values, expected)
+
+
+class TestCausality:
+    @settings(max_examples=10)
+    @given(dimension=st.sampled_from([1, 2]), size=st.integers(3, 5),
+           seed=st.integers(0, 2**16), short=st.integers(1, 5),
+           scale=st.sampled_from([0.2, 3000.0]))
+    def test_truncated_control_gives_the_truncated_state(self, dimension, size, seed,
+                                                         short, scale):
+        # the state of a truncated control on the shorter grid is, bit for
+        # bit, the truncation of the state, which the horizon study's warm
+        # start relies on
+        spec = small_spec_of(dimension, size, seed)
+        source = Field(SpaceProfile("gaussian", center=(0.4,), width=0.3),
+                       TimeProfile(decay=0.5), amplitude=2.0)
+        spec = replace(spec, source=source)
+        u = random_control(spec, seed=seed, scale=scale)
+        sub = spec.with_horizon(short * spec.grid.step)
+        truncated = ho.solve_forward(sub, u.restrict(sub.grid))
+        restricted = ho.solve_forward(spec, u).restrict(sub.grid)
+        assert np.array_equal(truncated.values, restricted.values)
 
 
 class TestBatchedMarch:

@@ -9,8 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import horizonopt as ho
+from horizonopt.config import build_field
 from horizonopt.descriptors import (DivergenceError, Field, SpaceProfile,
-                                    TimeProfile, field_from_config, zero_field)
+                                    TimeProfile, zero_field)
 from horizonopt.spaces import (weighted_inner, weighted_l2_norm,
                                weighted_lp_norm, weighted_sup_norm)
 
@@ -263,14 +264,14 @@ class TestFieldTemplates:
         spec = make_spec(n_nodes=21, horizon=2.0, step=0.1)
         x, t = spec.mesh.coords[:, 0], spec.grid.times
         expected = np.outer(np.where(t <= 1.25, tau(t), 0.0), space(x))
-        got = field_from_config(cfg).sample(spec.mesh, t)
+        got = build_field(cfg, "field").sample(spec.mesh, t)
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-15)
 
     def test_cosine_compact_is_cosine_decay(self):
         spec = make_spec(n_nodes=21, horizon=2.0, step=0.1)
         cfg = {"amplitude": 1.5, "mode": 2, "rate": 0.4, "support_end": 1.25}
-        compact = field_from_config({"template": "cosine_compact", **cfg})
-        decay = field_from_config({"template": "cosine_decay", **cfg})
+        compact = build_field({"template": "cosine_compact", **cfg}, "field")
+        decay = build_field({"template": "cosine_decay", **cfg}, "field")
         assert compact == decay
         assert np.array_equal(compact.sample(spec.mesh, spec.grid.times),
                               decay.sample(spec.mesh, spec.grid.times))
@@ -285,16 +286,16 @@ class TestFieldTemplates:
     def test_shorthand_samples_as_its_separable_spelling(self, template, kind, keys):
         spec = make_spec(n_nodes=21, horizon=2.0, step=0.1)
         time = {"rate": 0.4, "support_end": 1.25}
-        separable = field_from_config({"template": "separable", "amplitude": 1.5,
-                                       "space": {"kind": kind, **keys}, "time": time})
-        shorthand = field_from_config({"template": template, "amplitude": 1.5,
-                                       **keys, **time})
+        separable = build_field({"template": "separable", "amplitude": 1.5,
+                                 "space": {"kind": kind, **keys}, "time": time}, "field")
+        shorthand = build_field({"template": template, "amplitude": 1.5,
+                                 **keys, **time}, "field")
         assert np.array_equal(shorthand.sample(spec.mesh, spec.grid.times),
                               separable.sample(spec.mesh, spec.grid.times))
 
     def test_shorthand_rejects_gauss_rate(self):
         with pytest.raises(ValueError, match="field.gauss_rate: unknown field"):
-            field_from_config({"template": "gauss_decay", "gauss_rate": 0.7})
+            build_field({"template": "gauss_decay", "gauss_rate": 0.7}, "field")
 
 
 def test_weighted_inner_matches_norm():
