@@ -107,7 +107,7 @@ class SecondOrderModel:
     def response(self, v: Trajectory | list) -> Trajectory | list:
         """Linearized state response to a direction; a list of directions is
         marched in one batch and gives a list of responses."""
-        return solve_linearized(self.spec, self.state, v, rhs_on_omega=True)
+        return solve_linearized(self.spec, self.state, v)
 
     def quadratic_form(self, v1: Trajectory | list, v2: Trajectory | list,
                        z1: Trajectory | list | None = None,

@@ -1,5 +1,6 @@
 """Problem data model: elliptic operator, nonlinearity, discount rates,
-operator assembly, and validation of the standing structural assumptions.
+operator assembly, the step operator through which every march factors and
+solves, and validation of the standing structural assumptions.
 
 The spatial discretization is continuous piecewise-linear finite elements
 with natural (no-flux) boundary conditions.  The reaction term and the
@@ -11,8 +12,9 @@ adjoint-based gradient is an exact transpose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -25,6 +27,15 @@ from .spaces import TimeGrid, Trajectory
 
 class AssumptionError(ValueError):
     """Raised when assembled data violates a structural assumption."""
+
+
+class SolverError(RuntimeError):
+    """Newton or linear-step failure; carries the step index and residual history."""
+
+    def __init__(self, message, step=None, history=None):
+        super().__init__(message)
+        self.step = step
+        self.history = list(history) if history is not None else []
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +203,9 @@ class ProblemSpec:
     control_weight: float
     admissible: AdmissibleSet
     newton: NewtonConfig = field(default_factory=NewtonConfig)
-    # assembled on first use of ``operators``; ``with_horizon`` passes them on
-    _operators: Operators | None = field(default=None, repr=False, compare=False)
+    # built on first use; ``with_horizon`` hands them on, ``replace`` does not
+    _operators: Operators | None = field(default=None, init=False, repr=False, compare=False)
+    _step_operator: _StepSolver | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.isfinite(self.control_weight) or self.control_weight <= 0:
@@ -206,6 +218,15 @@ class ProblemSpec:
         if self._operators is None:
             self._operators = assemble_operators(self.mesh, self.operator)
         return self._operators
+
+    @property
+    def step_operator(self) -> "_StepSolver":
+        """M/dt + K, through which every march factors and solves."""
+        if self._step_operator is None:
+            ops = self.operators
+            self._step_operator = _StepSolver(ops.mass * (1.0 / self.grid.step) + ops.stiffness,
+                                              ops.mass, ops.lumped_mass)
+        return self._step_operator
 
     @property
     def observation_mask(self) -> np.ndarray | None:
@@ -252,9 +273,11 @@ class ProblemSpec:
                           "control")
 
     def with_horizon(self, horizon: float) -> "ProblemSpec":
-        """Same problem truncated/extended to a different final time."""
-        return replace(self, grid=TimeGrid(horizon, self.grid.step),
-                       _operators=self.operators)
+        """Same problem truncated/extended to a different final time, with
+        the same operators and step operator."""
+        spec = replace(self, grid=TimeGrid(horizon, self.grid.step))
+        spec._operators, spec._step_operator = self.operators, self.step_operator
+        return spec
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +293,6 @@ class Operators:
     lumped_mass: np.ndarray
     control_index: np.ndarray
     control_weights: np.ndarray
-    # step solvers keyed by time step, built on first use by the solvers
-    step_solvers: dict = field(default_factory=dict, repr=False, compare=False)
 
     @cached_property
     def h1(self) -> sps.csr_matrix:
@@ -334,6 +355,108 @@ def band_storage(mat):
     ab = np.zeros((k + 1, mat.shape[0]), order="F")
     ab[coo.row - coo.col, coo.col] = coo.data
     return k, ab
+
+
+def _tridiagonals(ab, count):
+    """(lower, diagonal, upper) of a k = 1 symmetric band storage, ``count``
+    times, uncoupled; the lower and upper diagonals are one array."""
+    off = np.tile(np.append(ab[1, :-1], 0.0), count)[:-1]
+    return off, np.tile(ab[0], count), off
+
+
+def _tri_matvec(lo, di, up, y):
+    out = di * y
+    out[..., :-1] += up * y[..., 1:]
+    out[..., 1:] += lo * y[..., :-1]
+    return out
+
+
+def _sparse_matvec(matrix, y):
+    return (matrix @ y.T).T
+
+
+class _StepSolver:
+    """Factorizations and solves of the step matrix M/dt + K + M_L diag(shift).
+
+    A problem builds one, ``ProblemSpec.step_operator``, on first use, and
+    every march of the problem factors and solves through it.  M/dt + K is
+    converted into the symmetric band storage of ``band_storage``; its
+    half-bandwidth k is 1 on an interval and nx + 2 on an nx x ny rectangle
+    with the mesh's x-fastest node numbering.  ``factor`` takes a diagonal,
+    such as ``shifted(shift)``, and ``solve`` takes only what ``factor``
+    returned: in 2D the band Cholesky factors of ``pbtrf``, one per block,
+    which ``solve`` applies with ``pbtrs``; in 1D the diagonal itself, since
+    ``gtsv`` factors as it solves.  The products ``apply_base`` (M/dt + K)
+    and ``mass_matvec`` (M) and the solves act on arrays with the nodes on
+    the last axis: a (B, N) right-hand side is B systems.  ``stack(B)`` is
+    the solver of B stacked copies of the system, on flat arrays of B * N.
+    """
+
+    __slots__ = ("count", "lumped", "base", "mass", "k", "ab", "diagonal", "bands",
+                 "apply_base", "mass_matvec", "_gtsv", "_pbtrf", "_pbtrs")
+
+    def __init__(self, base, mass, lumped, count: int = 1):
+        self.count = count
+        self.k, self.ab = band_storage(base)
+        if count > 1 and self.k > 1:
+            # a 2D stack multiplies with block-diagonal matrices, a 1D one with its bands
+            base, mass = (sps.block_diag([m] * count, format="csr") for m in (base, mass))
+        self.base, self.mass = base, mass.tocsr()
+        self.lumped, self.diagonal = np.tile(lumped, count), np.tile(self.ab[0], count)
+        if self.k == 1:
+            self.bands = _tridiagonals(self.ab, count)
+            mass_bands = _tridiagonals(band_storage(self.mass)[1], count)
+            self.apply_base = partial(_tri_matvec, *self.bands)
+            self.mass_matvec = partial(_tri_matvec, *mass_bands)
+            self._gtsv = sla.get_lapack_funcs(("gtsv",), (self.ab,))[0]
+        else:
+            self.apply_base = partial(_sparse_matvec, self.base)
+            self.mass_matvec = partial(_sparse_matvec, self.mass)
+            self._pbtrf, self._pbtrs = sla.get_lapack_funcs(("pbtrf", "pbtrs"), (self.ab,))
+
+    def stack(self, count: int) -> "_StepSolver":
+        return self if count == 1 else _StepSolver(self.base, self.mass, self.lumped, count)
+
+    def shifted(self, shift: np.ndarray) -> np.ndarray:
+        """Diagonal of M/dt + K + M_L diag(shift), for any leading shape."""
+        return self.diagonal + self.lumped * shift
+
+    def norms(self, r: np.ndarray) -> list:
+        """Lumped-mass-weighted dual norm of each block of a flat r,
+        comparable to an L2 function norm."""
+        sums = np.add.reduce((r * r / self.lumped).reshape(self.count, -1), 1)
+        return list(map(math.sqrt, sums.tolist()))
+
+    def factor(self, d: np.ndarray):
+        """The factorization of the step matrix with diagonal d: in 2D the
+        lower band Cholesky factor of each block, in 1D d itself."""
+        if self.k == 1:
+            return d
+        size, factors = self.ab.shape[1], []
+        for block in range(self.count):
+            ab = self.ab.copy(order="F")
+            ab[0] = d[block * size:(block + 1) * size]
+            c, info = self._pbtrf(ab, lower=1, overwrite_ab=True)
+            if info != 0:
+                raise SolverError(f"step matrix not positive definite (pbtrf info {info})")
+            factors.append(c)
+        return factors
+
+    def solve(self, c, rhs: np.ndarray) -> np.ndarray:
+        """Solve with the factorization ``c`` of ``factor``; in 1D this
+        overwrites c."""
+        # LAPACK solves for the columns of rhs.T, one per right-hand side
+        if self.k == 1:
+            lo, _, up = self.bands
+            _, _, _, x, info = self._gtsv(lo, c, up, rhs.T, overwrite_d=True)
+            if info != 0:
+                raise SolverError(f"singular step matrix (gtsv info {info})")
+            return x.T
+        # pbtrs reports only illegal arguments, which these calls cannot pass
+        size = self.ab.shape[1]
+        blocks = [self._pbtrs(cb, rhs[..., b * size:(b + 1) * size].T, lower=1)[0].T
+                  for b, cb in enumerate(c)]
+        return blocks[0] if self.count == 1 else np.concatenate(blocks)
 
 
 def assemble_operators(mesh: SpatialMesh, form: EllipticForm) -> Operators:
@@ -430,11 +553,11 @@ def _discrete_step_item(spec: ProblemSpec) -> CheckItem:
     key = "discrete_step_monotone"
     requirement = "M/dt + K + min_slope*M_L positive definite"
     try:
-        ops = spec.operators
+        step = spec.step_operator
     except AssumptionError as exc:
         return CheckItem(key, requirement, False, f"assembly failed: {exc}")
-    _, ab = band_storage(ops.mass * (1.0 / spec.grid.step) + ops.stiffness)
-    ab[0] += spec.nonlinearity.min_slope * ops.lumped_mass
+    ab = step.ab.copy()
+    ab[0] = step.shifted(spec.nonlinearity.min_slope)
     try:
         factor = sla.cholesky_banded(ab, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:

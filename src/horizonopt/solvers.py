@@ -28,15 +28,16 @@ at once (the growth probe solves all its samples together, up to
 ``FORWARD_BATCH`` of them per march), as blocks of one flat vector, each
 with its own residual norm, damping and convergence.
 
-M/dt + K is held in the symmetric band storage of half-bandwidth k of
-``problem.band_storage``, and a step solve adds the lumped shift to its
-diagonal.  When k = 1 (1D) it calls ``gtsv`` with B columns, which factors
-as it solves.  Otherwise (2D, k = nx + 2) it factors by band Cholesky,
-``pbtrf``, and solves with ``pbtrs`` with B columns: for an admitted
-problem the step matrix is symmetric positive definite, since f' is
-bounded below by ``min_slope`` and the validator's ``discrete_step_monotone``
-item proves M/dt + K + min_slope M_L positive definite.  A step matrix that
-is not raises ``SolverError``.  A forward batch stacks its B systems
+Every march steps through the problem's ``step_operator``: M/dt + K in the
+band storage of half-bandwidth k of ``problem.band_storage``, to whose
+diagonal a step adds the lumped shift.  When k = 1 (1D) a solve calls
+``gtsv`` with B columns, which factors as it solves.  Otherwise (2D,
+k = nx + 2) it factors by band Cholesky, ``pbtrf``, and solves with
+``pbtrs`` with B columns: for an admitted problem the step matrix is
+symmetric positive definite, since f' is bounded below by ``min_slope``
+and the validator's ``discrete_step_monotone`` item proves
+M/dt + K + min_slope M_L positive definite.  A step matrix that is not
+raises ``SolverError``.  A forward batch joins its B systems
 into one of B * N unknowns with zero couplings: one ``gtsv`` call in 1D,
 where a zero subdiagonal never makes it swap rows, so elimination stays
 inside each block; one ``pbtrf`` + ``pbtrs`` per block in 2D, as LAPACK has
@@ -57,138 +58,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import partial
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sps
 
-from .problem import ProblemSpec, band_storage
+from .problem import ProblemSpec, SolverError
 from .spaces import (Trajectory, quad_energies, weighted_l2_norm,
                      weighted_sup_norm)
 
 
-class SolverError(RuntimeError):
-    """Newton or linear-step failure; carries the step index and residual history."""
-
-    def __init__(self, message, step=None, history=None):
-        super().__init__(message)
-        self.step = step
-        self.history = list(history) if history is not None else []
-
-
-def _tridiagonals(ab, count):
-    """(lower, diagonal, upper) of a k = 1 symmetric band storage, ``count``
-    times, uncoupled; the lower and upper diagonals are one array."""
-    off = np.tile(np.append(ab[1, :-1], 0.0), count)[:-1]
-    return off, np.tile(ab[0], count), off
-
-
-def _tri_matvec(lo, di, up, y):
-    out = di * y
-    out[..., :-1] += up * y[..., 1:]
-    out[..., 1:] += lo * y[..., :-1]
-    return out
-
-
-def _sparse_matvec(matrix, y):
-    return (matrix @ y.T).T
-
-
-class _StepSolver:
-    """Factorizations and solves of the step matrix M/dt + K + M_L diag(shift).
-
-    M/dt + K is converted once into the symmetric band storage of
-    ``problem.band_storage``; its half-bandwidth k is 1 on an interval and
-    nx + 2 on an nx x ny rectangle with the mesh's x-fastest node numbering.
-    ``solve`` takes the diagonal ``shifted(shift)`` or what ``factor``
-    returned for it: in 2D the band Cholesky factors of ``pbtrf``, one per
-    block, which ``solve`` applies with ``pbtrs``; in 1D the diagonal
-    itself, since ``gtsv`` factors as it solves.  The products ``apply_base``
-    (M/dt + K) and ``mass_matvec`` (M) and the solves act on arrays with the
-    nodes on the last axis: a (B, N) right-hand side is B systems.
-    ``stack(B)``, built once per B, is the solver of B stacked copies of the
-    system, on flat arrays of B * N.
-    """
-
-    __slots__ = ("count", "lumped", "base", "mass", "k", "ab", "diagonal", "bands", "stacks",
-                 "apply_base", "mass_matvec", "_gtsv", "_pbtrf", "_pbtrs")
-
-    def __init__(self, base, mass, lumped, count: int = 1):
-        self.count, self.stacks = count, {}
-        self.k, self.ab = band_storage(base)
-        if count > 1 and self.k > 1:
-            # a 2D stack multiplies with block-diagonal matrices, a 1D one with its bands
-            base, mass = (sps.block_diag([m] * count, format="csr") for m in (base, mass))
-        self.base, self.mass = base, mass.tocsr()
-        self.lumped, self.diagonal = np.tile(lumped, count), np.tile(self.ab[0], count)
-        if self.k == 1:
-            self.bands = _tridiagonals(self.ab, count)
-            mass_bands = _tridiagonals(band_storage(self.mass)[1], count)
-            self.apply_base = partial(_tri_matvec, *self.bands)
-            self.mass_matvec = partial(_tri_matvec, *mass_bands)
-            self._gtsv = sla.get_lapack_funcs(("gtsv",), (self.ab,))[0]
-        else:
-            self.apply_base = partial(_sparse_matvec, self.base)
-            self.mass_matvec = partial(_sparse_matvec, self.mass)
-            self._pbtrf, self._pbtrs = sla.get_lapack_funcs(("pbtrf", "pbtrs"), (self.ab,))
-
-    def stack(self, count: int) -> "_StepSolver":
-        if count > 1 and count not in self.stacks:
-            self.stacks[count] = _StepSolver(self.base, self.mass, self.lumped, count)
-        return self.stacks.get(count, self)
-
-    def shifted(self, shift: np.ndarray) -> np.ndarray:
-        """Diagonal of M/dt + K + M_L diag(shift), for any leading shape."""
-        return self.diagonal + self.lumped * shift
-
-    def norms(self, r: np.ndarray) -> list:
-        """Lumped-mass-weighted dual norm of each block of a flat r,
-        comparable to an L2 function norm."""
-        sums = np.add.reduce((r * r / self.lumped).reshape(self.count, -1), 1)
-        return list(map(math.sqrt, sums.tolist()))
-
-    def factor(self, d: np.ndarray):
-        """The factorization of the step matrix with diagonal d: in 2D the
-        lower band Cholesky factor of each block, in 1D d itself."""
-        if self.k == 1:
-            return d
-        size, factors = self.ab.shape[1], []
-        for block in range(self.count):
-            ab = self.ab.copy(order="F")
-            ab[0] = d[block * size:(block + 1) * size]
-            c, info = self._pbtrf(ab, lower=1, overwrite_ab=True)
-            if info != 0:
-                raise SolverError(f"step matrix not positive definite (pbtrf info {info})")
-            factors.append(c)
-        return factors
-
-    def solve(self, d, rhs: np.ndarray) -> np.ndarray:
-        # LAPACK solves for the columns of rhs.T, one per right-hand side
-        if self.k == 1:
-            lo, _, up = self.bands
-            _, _, _, x, info = self._gtsv(lo, d, up, rhs.T, overwrite_d=True)
-            if info != 0:
-                raise SolverError(f"singular step matrix (gtsv info {info})")
-            return x.T
-        # pbtrs reports only illegal arguments, which these calls cannot pass
-        size = self.ab.shape[1]
-        blocks = [self._pbtrs(c, rhs[..., b * size:(b + 1) * size].T, lower=1)[0].T
-                  for b, c in enumerate(d if isinstance(d, list) else self.factor(d))]
-        return blocks[0] if self.count == 1 else np.concatenate(blocks)
-
-
-def _stepper(spec) -> _StepSolver:
-    """The step solver of the spec's operators for its time step, built on
-    first use and shared by every solve on the same mesh and step."""
-    solvers = spec.operators.step_solvers
-    dt = spec.grid.step
-    solver = solvers.get(dt)
-    if solver is None:
-        ops = spec.operators
-        solver = solvers[dt] = _StepSolver((ops.mass * (1.0 / dt) + ops.stiffness).tocsr(),
-                                           ops.mass, ops.lumped_mass)
-    return solver
+def _rounding_floor(stepper, dt, y, y_prev, fy, forcing) -> float:
+    """eps times the lumped dual norm of |M/dt + K| |y| + M_L |f(y)|
+    + (M/dt) |y_prev| + |forcing|: the rounding error of evaluating the step
+    residual (M/dt + K) y + M_L f(y) - (M/dt) y_prev - forcing at y."""
+    terms = (abs(stepper.base) @ abs(y) + stepper.lumped * abs(fy)
+             + stepper.mass @ abs(y_prev) / dt + abs(forcing))
+    return np.finfo(float).eps * stepper.norms(terms)[0]
 
 
 def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.ndarray:
@@ -196,12 +80,14 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
     first failure raises.  With a list ``kept`` (one control), entry i - 1
     becomes the diagonal and factorization of the first Newton iteration of
     time step i, which is S(y_{i-1}); a step that needs no iteration leaves
-    its None."""
+    its None.  A sample whose damping stalls keeps its iterate if its
+    residual is within ``_rounding_floor``, as after a large source, and
+    raises otherwise."""
     tolerance, iterations = spec.newton.tolerance, range(spec.newton.max_iterations)
     value, derivative = spec.nonlinearity.value, spec.nonlinearity.derivative
-    ops, dt = spec.operators, spec.grid.step
+    ops, dt, stepper = spec.operators, spec.grid.step, spec.step_operator
     n, count, nodes = spec.grid.n_steps, len(controls), ops.n_nodes
-    stack = _stepper(spec).stack(count)
+    stack = stepper.stack(count)
     apply_base, mass_matvec, lumped = stack.apply_base, stack.mass_matvec, stack.lumped
     norms, diagonal, samples = stack.norms, stack.diagonal, range(count)
     factor, solve = stack.factor, stack.solve
@@ -226,13 +112,13 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
             if not live:
                 break
             d = diagonal + lumped * derivative(y)
+            c = factor(d)
             if not it and kept is not None:
-                kept[i - 1] = d, factor(d)
-                d = kept[i - 1][1]
+                kept[i - 1] = d, c
             # the Newton update is -delta; solving for r instead of -r and
             # subtracting gives the same bits, since the solve is linear in
             # its right-hand side and negation is exact
-            delta = solve(d, r)
+            delta = solve(c, r)
             # each sample halves its own damping factor until its residual
             # decreases; a factor of 1.0 leaves delta's bits unchanged
             factors, step = [1.0] * count, delta
@@ -248,9 +134,15 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
                     break
                 for s in rejected:
                     factors[s] *= 0.5
-                    if factors[s] < 1e-10:
+                    if factors[s] >= 1e-10:
+                        continue
+                    block = slice(s * nodes, (s + 1) * nodes)
+                    if not rn[s] <= _rounding_floor(stepper, dt, y[block], out[s, i - 1],
+                                                     value(y[block]), forcing[i, block]):
                         raise SolverError(f"Newton damping stalled at time step {i}", step=i,
                                           history=[v[s] for lv, v in log if s in lv])
+                    # frozen below at its current iterate, like a converged sample
+                    live.remove(s)
                 step = np.repeat(factors, nodes) * delta
             if len(live) < count:
                 frozen = list(set(samples).difference(live))
@@ -295,7 +187,7 @@ def solve_forward(spec: ProblemSpec, control: Trajectory | list):
             raise ValueError("control trajectory does not match the control subdomain")
         if c.grid.n_steps != spec.grid.n_steps:
             raise ValueError("control trajectory does not match the time grid")
-    kept = [None] * (spec.grid.n_steps + 1) if single and _stepper(spec).k > 1 else None
+    kept = [None] * (spec.grid.n_steps + 1) if single and spec.step_operator.k > 1 else None
     values = []
     try:
         for start in range(0, len(controls), FORWARD_BATCH):
@@ -335,8 +227,8 @@ def _linear_march(spec, coefficients, sources, steps, factors=None):
     ``sources``, and each right-hand side's trajectory ``out[:, b]`` is
     contiguous."""
     dt = spec.grid.step
-    stepper = _stepper(spec)
-    mass_matvec, solve = stepper.mass_matvec, stepper.solve
+    stepper = spec.step_operator
+    mass_matvec, factor, solve = stepper.mass_matvec, stepper.factor, stepper.solve
     diagonals = stepper.shifted(coefficients)
     n1, nodes = sources.shape[0], sources.shape[-1]
     out = np.moveaxis(np.zeros(sources.shape[1:-1] + (n1, nodes)), -2, 0)
@@ -344,30 +236,27 @@ def _linear_march(spec, coefficients, sources, steps, factors=None):
     last = c = None
     for i in steps:
         d = diagonals[i]
-        if factors is not None:
-            if factors[i] is not None and np.array_equal(d, factors[i][0]):
-                last, c = factors[i]
-            elif last is None or not np.array_equal(d, last):
-                last, c = d, stepper.factor(d)
-            d = c
-        z = solve(d, mass_matvec(z) / dt + sources[i])
+        if factors is None:
+            c = factor(d)
+        elif factors[i] is not None and np.array_equal(d, factors[i][0]):
+            last, c = factors[i]
+        elif last is None or not np.array_equal(d, last):
+            last, c = d, factor(d)
+        z = solve(c, mass_matvec(z) / dt + sources[i])
         out[i] = z
     if not np.all(np.isfinite(out)):
         raise SolverError("linear solve produced non-finite values")
     return out
 
 
-def solve_linearized(spec: ProblemSpec, base_state: Trajectory, rhs: Trajectory | list,
-                     rhs_on_omega: bool = True) -> Trajectory | list:
-    """Linearized equation around a forward trajectory, zero initial value.
-
-    With ``rhs_on_omega`` the right-hand side lives on the control nodes and
-    enters through the lumped control weights; otherwise it is a full-domain
-    field entering through the consistent mass matrix.  A list of
-    right-hand sides is solved in one batched march and gives a list of
-    responses, each bitwise equal to its own solve.
+def solve_linearized(spec: ProblemSpec, base_state: Trajectory,
+                     rhs: Trajectory | list) -> Trajectory | list:
+    """Linearized equation around a forward trajectory, zero initial value,
+    with a right-hand side on the control nodes that enters through the
+    lumped control weights.  A list of right-hand sides is solved in one
+    batched march and gives a list of responses, each bitwise equal to its
+    own solve.
     """
-    ops = spec.operators
     n = spec.grid.n_steps
     if base_state.grid.n_steps != n:
         raise ValueError("base state does not match the time grid")
@@ -376,15 +265,9 @@ def solve_linearized(spec: ProblemSpec, base_state: Trajectory, rhs: Trajectory 
     if not rhs:
         return []
     values = rhs[0].values if single else np.stack([r.values for r in rhs], axis=1)
-    if rhs_on_omega:
-        if values.shape[-1] != spec.control_count:
-            raise ValueError("control-supported right-hand side has the wrong width")
-        sources = ops.scatter_control(values)
-    else:
-        if values.shape[-1] != ops.n_nodes:
-            raise ValueError("full-domain right-hand side has the wrong width")
-        flat = values.reshape(-1, ops.n_nodes)
-        sources = (ops.mass @ flat.T).T.reshape(values.shape)
+    if values.shape[-1] != spec.control_count:
+        raise ValueError("control-supported right-hand side has the wrong width")
+    sources = spec.operators.scatter_control(values)
     coeffs = spec.nonlinearity.derivative(base_state.values)
     vals = _linear_march(spec, coeffs, sources, range(1, n + 1), base_state.factors)
     if single:
@@ -418,7 +301,7 @@ def solve_adjoint_from_residual(spec: ProblemSpec, base_state: Trajectory,
     if residual.shape != (n + 1, spec.operators.n_nodes):
         raise ValueError("residual samples have the wrong shape")
     mask = spec.observation_mask if masked else None
-    mass_matvec = _stepper(spec).mass_matvec
+    mass_matvec = spec.step_operator.mass_matvec
     src = mass_matvec(residual) if mask is None else mask * mass_matvec(mask * residual)
     sources = np.exp(-rate * spec.grid.times)[:, None] * src
     coeffs = spec.nonlinearity.derivative(base_state.values)
@@ -513,7 +396,11 @@ def check_linearized_estimate(spec: ProblemSpec, base_control: Trajectory,
     ops = spec.operators
     y = solve_forward(spec, base_control)
     rhs_traj = Trajectory(spec.grid, rhs_field, "generic")
-    z = solve_linearized(spec, y, rhs_traj, rhs_on_omega=False)
+    # the linearized equation with the full-domain source M h
+    vals = _linear_march(spec, spec.nonlinearity.derivative(y.values),
+                         (ops.mass @ rhs_traj.values.T).T, range(1, spec.grid.n_steps + 1),
+                         y.factors)
+    z = Trajectory(spec.grid, vals, "generic")
     lhs = weighted_sup_norm(z, rate, ops.mass) + weighted_l2_norm(z, rate, ops.h1)
     ell = spec.operator.ellipticity_bound(spec.mesh)
     stability = 2.0 / min(1.0, 0.5 * rate, ell)

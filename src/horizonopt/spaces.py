@@ -47,7 +47,7 @@ class TimeGrid:
         return self.step * np.arange(self.n_steps + 1)
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Time-indexed nodal values: ``values[i]`` holds the coefficients at t_i.
 
@@ -60,12 +60,15 @@ class Trajectory:
     iteration of step i + 1 (None if that step took none), for the linear
     marches around the state to reuse.  They describe ``values``, which
     nothing changes.
+
+    Trajectories compare by identity: elementwise equality of ``values`` has
+    no single truth value.
     """
 
     grid: TimeGrid
     values: np.ndarray
     kind: str = "generic"
-    factors: list | None = field(default=None, compare=False, repr=False)
+    factors: list | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)

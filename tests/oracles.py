@@ -214,7 +214,11 @@ def reference_forward(spec, stepper, control, tolerance=1e-12, max_iterations=30
                       damping=0.5):
     """Damped Newton implicit-Euler march with a residual closure per step.
 
-    Returns the state values and the number of damped trial steps taken."""
+    A step whose damping stalls keeps its iterate if the residual norm is
+    within eps times the norm of the residual's absolute terms,
+    |M/dt + K| |y| + M_L |f(y)| + (M/dt) |y_prev| + |M g + W u|, from plain
+    CSR products.  Returns the state values and the number of damped trial
+    steps taken."""
     step = ReferenceStep(stepper)
     ops = spec.operators
     f = spec.nonlinearity
@@ -238,6 +242,7 @@ def reference_forward(spec, stepper, control, tolerance=1e-12, max_iterations=30
 
         r = residual(y)
         rn = norm(r)
+        stalled = False
         for _ in range(max_iterations):
             if rn <= tolerance:
                 break
@@ -251,9 +256,16 @@ def reference_forward(spec, stepper, control, tolerance=1e-12, max_iterations=30
                     break
                 alpha *= damping
                 damped += 1
-                assert alpha >= 1e-10
+                stalled = alpha < 1e-10
+                if stalled:
+                    break
+            if stalled:
+                assert rn <= np.finfo(float).eps * norm(
+                    abs(step.base) @ abs(y) + ml * abs(f.value(y))
+                    + step.mass @ abs(out[i - 1]) / dt + abs(forcing[i]))
+                break
             y, r, rn = y_try, r_try, rn_try
-        assert rn <= tolerance
+        assert rn <= tolerance or stalled
         out[i] = y
     return out, damped
 

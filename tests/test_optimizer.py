@@ -8,7 +8,6 @@ from horizonopt import solvers
 from horizonopt.admissible import check_projection_formulas
 from horizonopt.admissible import project_values
 from horizonopt.optimizer import OptimizerConfig, optimize, verify_growth
-from horizonopt.solvers import _stepper
 from horizonopt.spaces import weighted_l2_norm
 
 from conftest import admissible_contains, make_spec, random_control, rectangle_spec
@@ -243,7 +242,7 @@ class TestGrowthMatchesPerSampleReference:
             spec = make_spec(admissible=admissible, target=0.5 * np.ones((21, 21)))
         u = self.admissible_control(spec, seed=5)
         growth = verify_growth(spec, u, radius=0.3, samples=12, seed=6)
-        kappa, margins, distances = reference_growth(spec, _stepper(spec), u, radius=0.3,
+        kappa, margins, distances = reference_growth(spec, spec.step_operator, u, radius=0.3,
                                                      samples=12, seed=6)
         assert len(margins) == 12
         assert (growth.kappa, growth.margins, growth.distances) == (kappa, margins, distances)
@@ -262,7 +261,7 @@ class TestGrowthMatchesPerSampleReference:
         monkeypatch.setattr(solvers, "_newton_march", recording)
         growth = verify_growth(spec, u, radius=0.3, samples=131, seed=6)
         assert batches == [1, 64, 64, 3]
-        kappa, margins, distances = reference_growth(spec, _stepper(spec), u, radius=0.3,
+        kappa, margins, distances = reference_growth(spec, spec.step_operator, u, radius=0.3,
                                                      samples=131, seed=6)
         assert len(margins) == 131
         assert (growth.kappa, growth.margins, growth.distances) == (kappa, margins, distances)

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +207,32 @@ class TestProblemSpec:
                                "optimizer.newton.max_iterations=7"])
         assert build_problem(cfg).newton == ho.NewtonConfig(tolerance=1e-10,
                                                             max_iterations=7)
+
+    def test_replace_assembles_afresh_and_with_horizon_hands_on(self):
+        # operators assembled for one mesh and elliptic form never reach a
+        # spec that replace() gives another one
+        cfg = ho.load_config(CONFIG_DIR / "ball_cubic.json")
+        spec = build_problem(cfg)
+        u = spec.zero_control()
+        state = ho.solve_forward(spec, u).values
+        wider = replace(spec, operator=ho.EllipticForm(diffusion=2.0))
+        fresh = build_problem(apply_overrides(cfg, ["operator.diffusion=2.0"]))
+        assert np.array_equal(ho.solve_forward(wider, u).values,
+                              ho.solve_forward(fresh, u).values)
+        assert not np.array_equal(ho.solve_forward(wider, u).values, state)
+        coarse = replace(spec, mesh=ho.interval_mesh(1.0, 21, control=(0.2, 0.8)))
+        assert coarse.step_operator.ab.shape == (2, 21)
+        assert ho.solve_forward(coarse, coarse.zero_control()).values.shape == (41, 21)
+        sub = spec.with_horizon(1.0)
+        assert sub.operators is spec.operators and sub.step_operator is spec.step_operator
+
+    def test_assembled_operators_are_not_constructor_parameters(self):
+        spec = make_spec()
+        given = {f.name: getattr(spec, f.name) for f in fields(spec) if f.name[0] != "_"}
+        ho.ProblemSpec(**given)
+        for name in ("_operators", "_step_operator"):
+            with pytest.raises(TypeError):
+                ho.ProblemSpec(**given, **{name: None})
 
     def test_initial_state_samples_as_a_field_at_time_zero(self):
         spec = make_spec(nonlinearity="zero", initial=0.25)

@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import horizonopt as ho
+from horizonopt import solvers
 from horizonopt.descriptors import Field, SpaceProfile, TimeProfile
 from horizonopt.objective import SecondOrderModel
 from horizonopt.problem import band_storage
-from horizonopt.solvers import (FORWARD_BATCH, SolverError, _linear_march, _stepper,
+from horizonopt.solvers import (FORWARD_BATCH, SolverError, _linear_march,
                                 solve_adjoint_from_residual)
 from horizonopt.spaces import weighted_sup_norm
 
@@ -75,6 +76,39 @@ class TestForward:
             ho.solve_forward(spec, spec.zero_control())
         assert err.value.step is not None
         assert len(err.value.history) >= 1
+
+    @pytest.mark.parametrize("dimension, value", [(1, 100.0), (2, 1e4)])
+    def test_large_source_stops_at_the_rounding_floor(self, monkeypatch, dimension, value):
+        # a large constant source puts the rounding error of the step
+        # residual above the tolerance 1e-12, so damping stalls; the march
+        # keeps those iterates, as the reference march does
+        if dimension == 1:
+            spec = make_spec(n_nodes=41, source=np.full((21, 41), value))
+        else:
+            spec = rectangle_spec((5, 5))
+            spec = replace(spec, source=np.full((spec.grid.n_steps + 1, 36), value))
+        stalls = []
+        floor = solvers._rounding_floor
+
+        def counted(*args):
+            stalls.append(args)
+            return floor(*args)
+
+        monkeypatch.setattr(solvers, "_rounding_floor", counted)
+        u = spec.zero_control()
+        expected, damped = reference_forward(spec, spec.step_operator, u)
+        assert np.array_equal(ho.solve_forward(spec, u).values, expected)
+        assert stalls and damped
+
+    def test_stall_above_the_rounding_floor_raises(self):
+        # f = 10 sign(s) leaves the first step equation without a solution:
+        # damping stalls with a residual near 9.8, far above rounding
+        zero = np.zeros_like
+        sign = ho.Nonlinearity("sign", lambda s: 10.0 * np.sign(s), zero, zero)
+        spec = replace(make_spec(initial=np.full(21, 0.01)), nonlinearity=sign)
+        with pytest.raises(SolverError, match="damping stalled at time step 1") as err:
+            ho.solve_forward(spec, spec.zero_control())
+        assert err.value.history[-1] > 9.0
 
 
 class TestLinearized:
@@ -322,15 +356,15 @@ class TestBandStepOperator:
             rhs = rng.standard_normal(ops.n_nodes)
             mat = ops.mass / dt + ops.stiffness + sps.diags(ops.lumped_mass * shift)
             oracle = spla.spsolve(mat.tocsc(), rhs)
-            stepper = _stepper(spec)
-            x = stepper.solve(stepper.shifted(shift), rhs)
+            stepper = spec.step_operator
+            x = stepper.solve(stepper.factor(stepper.shifted(shift)), rhs)
             assert np.abs(x - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     @pytest.mark.parametrize("shape", [None, (6, 6), (5, 7)])
     def test_half_bandwidth_and_band_storage(self, shape):
         spec = make_spec() if shape is None else rectangle_spec(shape)
         ops = spec.operators
-        stepper = _stepper(spec)
+        stepper = spec.step_operator
         k = stepper.k
         assert k == (1 if shape is None else shape[0] + 2)
         dense = (ops.mass / spec.grid.step + ops.stiffness).toarray()
@@ -355,8 +389,7 @@ class TestBandStepOperator:
 
     def test_step_solver_is_shared_across_horizons(self):
         spec = make_spec()
-        assert _stepper(spec) is _stepper(spec.with_horizon(3.0))
-        assert list(spec.operators.step_solvers) == [spec.grid.step]
+        assert spec.with_horizon(3.0).step_operator is spec.step_operator
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(dimension=st.sampled_from([1, 2]), size=st.integers(3, 5),
@@ -410,7 +443,7 @@ class TestKernelsMatchReference:
     def test_forward_and_adjoint_are_bitwise_reference(self, dimension, size, seed,
                                                        masked, scale):
         spec = small_spec_of(dimension, size, seed)
-        stepper = _stepper(spec)
+        stepper = spec.step_operator
         u = random_control(spec, seed=seed, scale=scale)
         y = ho.solve_forward(spec, u)
         expected, _ = reference_forward(spec, stepper, u)
@@ -437,7 +470,7 @@ class TestKernelsMatchReference:
         residual = np.random.default_rng(seed).standard_normal(y.values.shape)
         rate = spec.discounts.state_rate
         phi = solve_adjoint_from_residual(spec, y, residual, rate, masked=masked)
-        assert np.array_equal(phi.values, reference_adjoint(spec, _stepper(spec), y, residual,
+        assert np.array_equal(phi.values, reference_adjoint(spec, spec.step_operator, y, residual,
                                                             rate, masked))
 
     def test_zero_data_hands_over_no_factors(self, monkeypatch):
@@ -449,17 +482,17 @@ class TestKernelsMatchReference:
         y = ho.solve_forward(spec, spec.zero_control())
         assert not y.values.any()
         assert y.factors == [None] * (spec.grid.n_steps + 1)
-        expected = reference_adjoint(spec, _stepper(spec), y, y.values - spec.target_samples,
+        expected = reference_adjoint(spec, spec.step_operator, y, y.values - spec.target_samples,
                                      spec.discounts.state_rate, True)
         assert expected.any()
         made = []
-        factor = type(_stepper(spec)).factor
+        factor = type(spec.step_operator).factor
 
         def counted(self, d):
             made.append(d)
             return factor(self, d)
 
-        monkeypatch.setattr(type(_stepper(spec)), "factor", counted)
+        monkeypatch.setattr(type(spec.step_operator), "factor", counted)
         assert np.array_equal(ho.solve_adjoint(spec, y).values, expected)
         assert len(made) == 1
 
@@ -495,7 +528,7 @@ class TestKernelsMatchReference:
         y = ho.solve_forward(spec, random_control(spec, seed=seed, scale=scale))
         bare = ho.Trajectory(y.grid, y.values, "state")
         directions = [random_control(spec, seed=seed + k) for k in (1, 2)]
-        stepper_type = type(_stepper(spec))
+        stepper_type = type(spec.step_operator)
         factor = stepper_type.factor
         made = []
 
@@ -538,7 +571,7 @@ class TestKernelsMatchReference:
     def test_damped_newton_steps_are_bitwise_reference(self, dimension):
         spec = small_spec_of(dimension, 4, seed=3)
         u = random_control(spec, seed=0, scale=3000.0)
-        expected, damped = reference_forward(spec, _stepper(spec), u)
+        expected, damped = reference_forward(spec, spec.step_operator, u)
         assert damped > 0
         assert np.array_equal(ho.solve_forward(spec, u).values, expected)
 
@@ -607,7 +640,7 @@ class TestBatchedForward:
         # scales 0.2 and 3000 alternate, so that some samples damp and the
         # samples need different numbers of Newton iterations
         spec = small_spec_of(dimension, size, seed)
-        stepper = _stepper(spec)
+        stepper = spec.step_operator
         controls = [random_control(spec, seed=seed + b, scale=(0.2, 3000.0)[(b + first) % 2])
                     for b in range(batch)]
         states = ho.solve_forward(spec, controls)
@@ -620,7 +653,7 @@ class TestBatchedForward:
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_mixed_batch_damps_some_samples_only(self, dimension):
         spec = small_spec_of(dimension, 4, seed=3)
-        stepper = _stepper(spec)
+        stepper = spec.step_operator
         controls = [random_control(spec, seed=0, scale=0.2),
                     random_control(spec, seed=1, scale=3000.0)]
         expected = [reference_forward(spec, stepper, u) for u in controls]

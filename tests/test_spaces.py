@@ -183,6 +183,13 @@ class TestTrajectoryIO:
         with pytest.raises(ValueError):
             ho.Trajectory(grid, np.array([[0.0], [np.nan], [0.0]]))
 
+    def test_equality_is_identity_and_a_bool(self):
+        # elementwise equality of the values has no single truth value
+        grid = ho.TimeGrid(1.0, 0.5)
+        a = ho.Trajectory(grid, np.zeros((3, 2)))
+        b = ho.Trajectory(grid, np.zeros((3, 2)))
+        assert (a == b) is False and (a != b) is True and (a == a) is True
+
 
 class TestTailNorms:
     def test_zero_descriptor_tail_is_zero(self):
