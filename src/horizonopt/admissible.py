@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import Trajectory, weighted_l2_norm
+from .spaces import Trajectory
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,7 @@ def stationarity_residual(spec, u: Trajectory, grad: Trajectory,
     """
     if step is None:
         step = 1.0 / spec.control_weight
-    ops = spec.operators
-    moved = project_values(spec.admissible, u.values - step * grad.values, ops.control_weights)
-    gap = Trajectory(u.grid, u.values - moved, "control")
-    return weighted_l2_norm(gap, spec.discounts.control_rate, ops.control_weights)
+    return spec.control_norm(u.values - spec.project(u.values - step * grad.values))
 
 
 @dataclass

@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .admissible import project_values
 from .config import (ConfigError, apply_overrides, build_horizon_config,
                      build_optimizer_config, build_problem, load_config)
 from .horizon import run_horizon_study
@@ -191,9 +190,7 @@ def cmd_solve_forward(args, spec, optimizer, study, manifest) -> int:
 def cmd_gradient_check(args, spec, optimizer, study, manifest) -> int:
     rng = np.random.default_rng(args.seed)
     shape = (spec.grid.n_steps + 1, spec.control_count)
-    u_vals = project_values(spec.admissible, 0.3 * rng.standard_normal(shape),
-                            spec.operators.control_weights)
-    u = Trajectory(spec.grid, u_vals, "control")
+    u = Trajectory(spec.grid, spec.project(0.3 * rng.standard_normal(shape)), "control")
     v = Trajectory(spec.grid, rng.standard_normal(shape), "control")
     grad, state, _ = gradient_with_state(spec, u)
     adj_value = weighted_inner(grad, v, spec.discounts.control_rate,
@@ -255,7 +252,6 @@ def cmd_socheck(args, spec, optimizer, study, manifest) -> int:
     manifest.stage("optimize")
     adjoint = report.adjoint
     model = SecondOrderModel(spec, u, state=report.state, adjoint=adjoint)
-    w = spec.operators.control_weights
     payload = {"schema": "horizonopt-socheck v1",
                "stationarity_residual": report.residual,
                "admissible_kind": spec.admissible.kind}
@@ -274,7 +270,7 @@ def cmd_socheck(args, spec, optimizer, study, manifest) -> int:
         values = model.lagrangian_form(directions, multiplier)
     else:
         values = model.quadratic_form(directions, directions)
-    forms = [val / max(weighted_l2_norm(v, spec.discounts.control_rate, w) ** 2, 1e-300)
+    forms = [val / max(spec.control_norm(v.values) ** 2, 1e-300)
              for v, val in zip(directions, values)]
     payload["directions_sampled"] = len(directions)
     payload["min_normalized_form"] = min(forms) if forms else None

@@ -126,8 +126,7 @@ def run_horizon_study(spec: ProblemSpec, config: HorizonStudyConfig) -> HorizonS
         u_T, rep = optimize(sub, config.optimizer, start=warm, state=ref_state)
         y_T = rep.state
 
-        gap_u = Trajectory(sub.grid, u_T.values - warm.values, "control")
-        e_T = weighted_l2_norm(gap_u, d.control_rate, ops.control_weights)
+        e_T = sub.control_norm(u_T.values - warm.values)
 
         gap_y = Trajectory(sub.grid, y_T.values - ref_state.values, "generic")
         err_energy = weighted_l2_norm(gap_y, d.state_rate, ops.h1) \

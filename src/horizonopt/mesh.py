@@ -16,7 +16,7 @@ class MeshError(ValueError):
     """Raised for degenerate or inconsistent mesh data."""
 
 
-@dataclass
+@dataclass(eq=False)
 class SpatialMesh:
     """Nodal mesh of an interval or an axis-aligned rectangle.
 

@@ -109,19 +109,31 @@ class SecondOrderModel:
         marched in one batch and gives a list of responses."""
         return solve_linearized(self.spec, self.state, v)
 
-    def quadratic_form(self, v1: Trajectory | list, v2: Trajectory | list,
-                       z1: Trajectory | list | None = None,
-                       z2: Trajectory | list | None = None) -> float | list:
+    def quadratic_form(self, v1: Trajectory | list, v2: Trajectory | list) -> float | list:
         """Second derivative of the cost in the directions v1, v2.  Lists of
         directions are paired elementwise, their responses come from one
         batched march, and a list of values comes back, each computed as
         for its single pair."""
-        if z1 is None:
-            z1 = self.response(v1)
-        if z2 is None:
-            z2 = self.response(v2) if v2 is not v1 else z1
-        if not isinstance(v1, Trajectory):
-            return [self.quadratic_form(*pair) for pair in zip(v1, v2, z1, z2)]
+        z1 = self.response(v1)
+        z2 = z1 if v2 is v1 else self.response(v2)
+        if isinstance(v1, Trajectory):
+            return self._form(v1, v2, z1, z2, None)
+        return [self._form(*pair, None) for pair in zip(v1, v2, z1, z2)]
+
+    def lagrangian_form(self, v: Trajectory | list, multiplier: "Multiplier") -> float | list:
+        """``quadratic_form(v, v)`` plus the multiplier term of the ball; a
+        list of directions gives a list of values, as ``quadratic_form``."""
+        if self.spec.admissible.kind != "ball":
+            raise ValueError("the multiplier-augmented form is defined for ball constraints")
+        z = self.response(v)
+        if isinstance(v, Trajectory):
+            return self._form(v, v, z, z, multiplier)
+        return [self._form(vb, vb, zb, zb, multiplier) for vb, zb in zip(v, z)]
+
+    def _form(self, v1, v2, z1, z2, multiplier) -> float:
+        """The second derivative of the cost in one pair of directions with
+        their responses z1, z2, plus the multiplier term of the ball unless
+        ``multiplier`` is None."""
         spec = self.spec
         ops = spec.operators
         d = spec.discounts
@@ -136,23 +148,11 @@ class SecondOrderModel:
         second = -dt * float(np.sum(ops.lumped_mass * curv))
         ctrl = np.einsum("ij,j,ij->i", v1.values[1:], ops.control_weights, v2.values[1:])
         third = spec.control_weight * dt * float(np.sum(np.exp(-d.control_rate * t) * ctrl))
-        return first + second + third
-
-    def lagrangian_form(self, v: Trajectory | list, multiplier: "Multiplier",
-                        z: Trajectory | list | None = None) -> float | list:
-        """``quadratic_form(v, v)`` plus the multiplier term of the ball; a
-        list of directions gives a list of values, as ``quadratic_form``."""
-        spec = self.spec
-        if spec.admissible.kind != "ball":
-            raise ValueError("the multiplier-augmented form is defined for ball constraints")
-        if not isinstance(v, Trajectory):
-            zs = self.response(v) if z is None else z
-            return [self.lagrangian_form(vb, multiplier, zb) for vb, zb in zip(v, zs)]
-        base = self.quadratic_form(v, v, z1=z, z2=z)
-        w = spec.operators.control_weights
-        e = np.einsum("ij,j,ij->i", v.values[1:], w, v.values[1:])
-        extra = spec.grid.step * float(np.sum(multiplier.values[1:] * e)) / spec.admissible.radius
-        return base + extra
+        if multiplier is None:
+            return first + second + third
+        # with v1 = v2, ctrl holds the squared control norms per step
+        extra = dt * float(np.sum(multiplier.values[1:] * ctrl)) / spec.admissible.radius
+        return first + second + third + extra
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ class SecondOrderModel:
 INACTIVE, ACTIVE_DEGENERATE, ACTIVE_STRICT = 0, 1, 2
 
 
-@dataclass
+@dataclass(eq=False)
 class Multiplier:
     """Per-time-step multiplier of the norm-ball constraint with activity codes.
 

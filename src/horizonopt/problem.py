@@ -20,9 +20,9 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sps
 
-from .admissible import AdmissibleSet
+from .admissible import AdmissibleSet, project_values
 from .mesh import MeshError, SpatialMesh
-from .spaces import TimeGrid, Trajectory
+from .spaces import TimeGrid, Trajectory, weighted_l2_norm
 
 
 class AssumptionError(ValueError):
@@ -42,7 +42,7 @@ class SolverError(RuntimeError):
 # data types
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EllipticForm:
     """Scalar diffusion per element, nonnegative reaction per node.
 
@@ -181,7 +181,7 @@ class NewtonConfig:
             raise ValueError("max_iterations must be at least 1")
 
 
-@dataclass
+@dataclass(eq=False)
 class ProblemSpec:
     """Complete description of one discounted tracking problem.
 
@@ -204,8 +204,8 @@ class ProblemSpec:
     admissible: AdmissibleSet
     newton: NewtonConfig = field(default_factory=NewtonConfig)
     # built on first use; ``with_horizon`` hands them on, ``replace`` does not
-    _operators: Operators | None = field(default=None, init=False, repr=False, compare=False)
-    _step_operator: _StepSolver | None = field(default=None, init=False, repr=False, compare=False)
+    _operators: Operators | None = field(default=None, init=False, repr=False)
+    _step_operator: _StepSolver | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not np.isfinite(self.control_weight) or self.control_weight <= 0:
@@ -268,6 +268,16 @@ class ProblemSpec:
     def control_count(self) -> int:
         return int(self.mesh.control_mask.sum())
 
+    def project(self, values: np.ndarray) -> np.ndarray:
+        """Per-time-step projection of control values onto the admissible set."""
+        return project_values(self.admissible, values, self.operators.control_weights)
+
+    def control_norm(self, values: np.ndarray) -> float:
+        """Norm of control values on the grid in the control-discounted
+        L2(omega) metric, with the lumped control weights."""
+        return weighted_l2_norm(Trajectory(self.grid, values, "control"),
+                                self.discounts.control_rate, self.operators.control_weights)
+
     def zero_control(self) -> Trajectory:
         return Trajectory(self.grid, np.zeros((self.grid.n_steps + 1, self.control_count)),
                           "control")
@@ -284,7 +294,7 @@ class ProblemSpec:
 # assembly
 
 
-@dataclass
+@dataclass(eq=False)
 class Operators:
     """Assembled spatial operators shared by all solves on one mesh."""
 

@@ -46,12 +46,13 @@ no batched band Cholesky.  Each gets the bits it gets alone.
 Every linear march around a state y steps with S_i = S(y_i), which for
 i < N is bitwise the matrix of the first Newton iteration of forward step
 i + 1.  So in 2D the state a forward solve of one control returns owns
-those factorizations, ``Trajectory.factors``, and the adjoint, linearized
-and second-order marches around it read them, each where its own step
-matrix has the same diagonal.  A march factors S_N itself and reuses a
-factorization down any run of steps the forward march took without a
-Newton iteration, where S_i did not change; around any other state
-(restricted, loaded, batched, 1D) it factors every step.
+those factorizations, ``Trajectory.factors``.  The march takes the state
+itself: it derives f'(y_i) from the state's values and reads its
+factorizations, each where its own step matrix has the same diagonal.  A
+march factors S_N itself and reuses a factorization down any run of steps
+the forward march took without a Newton iteration, where S_i did not
+change; around any other state (restricted, loaded, batched, 1D) it
+factors every step.
 """
 
 from __future__ import annotations
@@ -80,9 +81,9 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
     first failure raises.  With a list ``kept`` (one control), entry i - 1
     becomes the diagonal and factorization of the first Newton iteration of
     time step i, which is S(y_{i-1}); a step that needs no iteration leaves
-    its None.  A sample whose damping stalls keeps its iterate if its
-    residual is within ``_rounding_floor``, as after a large source, and
-    raises otherwise."""
+    its None.  A sample whose residual is within ``_rounding_floor``, as
+    after a large source, keeps its iterate at its first rejected trial; one
+    above it whose damping stalls raises."""
     tolerance, iterations = spec.newton.tolerance, range(spec.newton.max_iterations)
     value, derivative = spec.nonlinearity.value, spec.nonlinearity.derivative
     ops, dt, stepper = spec.operators, spec.grid.step, spec.step_operator
@@ -130,19 +131,23 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
                 rn_try = norms(r_try)
                 # a nan or infinite norm fails both comparisons
                 rejected = [s for s in live if not (rn_try[s] < rn[s] or rn_try[s] <= tolerance)]
+                # a sample's residual is fixed within this loop, so its floor
+                # is tested once, at its first rejected trial: within it, the
+                # sample is frozen below at its current iterate, like a
+                # converged sample
+                for s in [s for s in rejected if factors[s] == 1.0]:
+                    block = slice(s * nodes, (s + 1) * nodes)
+                    if rn[s] <= _rounding_floor(stepper, dt, y[block], out[s, i - 1],
+                                                value(y[block]), forcing[i, block]):
+                        live.remove(s)
+                        rejected.remove(s)
                 if not rejected:
                     break
                 for s in rejected:
                     factors[s] *= 0.5
-                    if factors[s] >= 1e-10:
-                        continue
-                    block = slice(s * nodes, (s + 1) * nodes)
-                    if not rn[s] <= _rounding_floor(stepper, dt, y[block], out[s, i - 1],
-                                                     value(y[block]), forcing[i, block]):
+                    if factors[s] < 1e-10:
                         raise SolverError(f"Newton damping stalled at time step {i}", step=i,
                                           history=[v[s] for lv, v in log if s in lv])
-                    # frozen below at its current iterate, like a converged sample
-                    live.remove(s)
                 step = np.repeat(factors, nodes) * delta
             if len(live) < count:
                 frozen = list(set(samples).difference(live))
@@ -209,27 +214,28 @@ def solve_forward(spec: ProblemSpec, control: Trajectory | list):
     return [Trajectory(spec.grid, v, "state") for v in values]
 
 
-def _linear_march(spec, coefficients, sources, steps, factors=None):
-    """The one linear march: starting from z = 0, for each i in ``steps`` (in
-    order) solve S_i z = (M/dt) z + sources[i] and store z as row i.  Rows
-    that ``steps`` does not visit stay zero.
+def _linear_march(spec, state, sources, steps):
+    """The one linear march around a state y: starting from z = 0, for each
+    i in ``steps`` (in order) solve S_i z = (M/dt) z + sources[i], with
+    S_i = M/dt + K + M_L diag(f'(y_i)), and store z as row i.  Rows that
+    ``steps`` does not visit stay zero.
 
-    ``factors`` are the base state's ``Trajectory.factors`` (2D): a step
-    uses ``factors[i]`` when its diagonal is bitwise that of S_i, which it is
-    unless the state was solved under another problem.  A step without one
-    reuses the previous step's factorization when its S_i is bitwise the
-    same, as after a forward step that needed no Newton iteration and so
-    left the state as it was, and factors S_i otherwise.
+    Where the state owns ``factors`` (2D), a step uses ``factors[i]`` when
+    its diagonal is bitwise that of S_i, which it is unless the state was
+    solved under another problem.  A step without one reuses the previous
+    step's factorization when its S_i is bitwise the same, as after a
+    forward step that needed no Newton iteration and so left the state as
+    it was, and factors S_i otherwise.  Without ``factors`` every step
+    factors S_i.
 
     ``sources`` has shape (n+1, N) for one right-hand side, or (n+1, B, N)
     for B of them marched together: one step solve with B columns per step,
     each column bitwise what it gives alone.  The result has the shape of
     ``sources``, and each right-hand side's trajectory ``out[:, b]`` is
     contiguous."""
-    dt = spec.grid.step
-    stepper = spec.step_operator
+    dt, stepper, factors = spec.grid.step, spec.step_operator, state.factors
     mass_matvec, factor, solve = stepper.mass_matvec, stepper.factor, stepper.solve
-    diagonals = stepper.shifted(coefficients)
+    diagonals = stepper.shifted(spec.nonlinearity.derivative(state.values))
     n1, nodes = sources.shape[0], sources.shape[-1]
     out = np.moveaxis(np.zeros(sources.shape[1:-1] + (n1, nodes)), -2, 0)
     z = np.zeros(sources.shape[1:])
@@ -268,8 +274,7 @@ def solve_linearized(spec: ProblemSpec, base_state: Trajectory,
     if values.shape[-1] != spec.control_count:
         raise ValueError("control-supported right-hand side has the wrong width")
     sources = spec.operators.scatter_control(values)
-    coeffs = spec.nonlinearity.derivative(base_state.values)
-    vals = _linear_march(spec, coeffs, sources, range(1, n + 1), base_state.factors)
+    vals = _linear_march(spec, base_state, sources, range(1, n + 1))
     if single:
         return Trajectory(spec.grid, vals, "generic")
     return [Trajectory(spec.grid, vals[:, b], "generic") for b in range(len(rhs))]
@@ -278,12 +283,9 @@ def solve_linearized(spec: ProblemSpec, base_state: Trajectory,
 def solve_second_order(spec: ProblemSpec, base_state: Trajectory,
                        z1: Trajectory, z2: Trajectory) -> Trajectory:
     """Second-order sensitivity: forcing -f''(y) z1 z2 through nodal quadrature."""
-    f = spec.nonlinearity
-    prod = -f.second_derivative(base_state.values) * z1.values * z2.values
+    prod = -spec.nonlinearity.second_derivative(base_state.values) * z1.values * z2.values
     sources = spec.operators.lumped_mass * prod
-    coeffs = f.derivative(base_state.values)
-    vals = _linear_march(spec, coeffs, sources, range(1, spec.grid.n_steps + 1),
-                         base_state.factors)
+    vals = _linear_march(spec, base_state, sources, range(1, spec.grid.n_steps + 1))
     return Trajectory(spec.grid, vals, "generic")
 
 
@@ -304,8 +306,7 @@ def solve_adjoint_from_residual(spec: ProblemSpec, base_state: Trajectory,
     mass_matvec = spec.step_operator.mass_matvec
     src = mass_matvec(residual) if mask is None else mask * mass_matvec(mask * residual)
     sources = np.exp(-rate * spec.grid.times)[:, None] * src
-    coeffs = spec.nonlinearity.derivative(base_state.values)
-    vals = _linear_march(spec, coeffs, sources, range(n, -1, -1), base_state.factors)
+    vals = _linear_march(spec, base_state, sources, range(n, -1, -1))
     return Trajectory(spec.grid, vals, "adjoint")
 
 
@@ -397,9 +398,8 @@ def check_linearized_estimate(spec: ProblemSpec, base_control: Trajectory,
     y = solve_forward(spec, base_control)
     rhs_traj = Trajectory(spec.grid, rhs_field, "generic")
     # the linearized equation with the full-domain source M h
-    vals = _linear_march(spec, spec.nonlinearity.derivative(y.values),
-                         (ops.mass @ rhs_traj.values.T).T, range(1, spec.grid.n_steps + 1),
-                         y.factors)
+    vals = _linear_march(spec, y, (ops.mass @ rhs_traj.values.T).T,
+                         range(1, spec.grid.n_steps + 1))
     z = Trajectory(spec.grid, vals, "generic")
     lhs = weighted_sup_norm(z, rate, ops.mass) + weighted_l2_norm(z, rate, ops.h1)
     ell = spec.operator.ellipticity_bound(spec.mesh)

@@ -214,11 +214,12 @@ def reference_forward(spec, stepper, control, tolerance=1e-12, max_iterations=30
                       damping=0.5):
     """Damped Newton implicit-Euler march with a residual closure per step.
 
-    A step whose damping stalls keeps its iterate if the residual norm is
-    within eps times the norm of the residual's absolute terms,
+    A step whose first trial fails to reduce a residual norm already within
+    eps times the norm of the residual's absolute terms,
     |M/dt + K| |y| + M_L |f(y)| + (M/dt) |y_prev| + |M g + W u|, from plain
-    CSR products.  Returns the state values and the number of damped trial
-    steps taken."""
+    CSR products, keeps its iterate; damping that stalls above that floor
+    fails.  Returns the state values and the number of damped trial steps
+    taken."""
     step = ReferenceStep(stepper)
     ops = spec.operators
     f = spec.nonlinearity
@@ -254,15 +255,15 @@ def reference_forward(spec, stepper, control, tolerance=1e-12, max_iterations=30
                 rn_try = norm(r_try)
                 if np.isfinite(rn_try) and (rn_try < rn or rn_try <= tolerance):
                     break
-                alpha *= damping
-                damped += 1
-                stalled = alpha < 1e-10
-                if stalled:
-                    break
-            if stalled:
-                assert rn <= np.finfo(float).eps * norm(
+                stalled = alpha == 1.0 and rn <= np.finfo(float).eps * norm(
                     abs(step.base) @ abs(y) + ml * abs(f.value(y))
                     + step.mass @ abs(out[i - 1]) / dt + abs(forcing[i]))
+                if stalled:
+                    break
+                alpha *= damping
+                damped += 1
+                assert alpha >= 1e-10, "damping stalled above the rounding floor"
+            if stalled:
                 break
             y, r, rn = y_try, r_try, rn_try
         assert rn <= tolerance or stalled

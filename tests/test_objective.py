@@ -244,6 +244,15 @@ class TestMultiplier:
         extra = spec.grid.step * np.sum(mult.values[1:] * e) / spec.admissible.radius
         assert aug - base == pytest.approx(extra, rel=1e-12)
 
+    def test_lagrangian_form_on_a_list_is_its_single_values(self):
+        spec, u, adjoint = self.make_ball_instance()
+        mult = ho.multiplier_and_cone(spec, u, adjoint)
+        model = SecondOrderModel(spec, u, adjoint=adjoint)
+        directions = [random_control(spec, seed=30 + b) for b in range(3)]
+        assert model.lagrangian_form(directions, mult) == [
+            model.lagrangian_form(v, mult) for v in directions]
+        assert model.lagrangian_form([], mult) == []
+
     def test_lagrangian_form_reduces_to_hessian_when_inactive(self):
         spec = make_spec(admissible=ho.AdmissibleSet("ball", radius=1e6),
                          initial=0.2 * np.ones(21))

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 import horizonopt as ho
+from horizonopt.admissible import project_values
 from horizonopt.config import apply_overrides, build_problem
 from horizonopt.mesh import MeshError
+from horizonopt.objective import gradient_with_state
 from horizonopt.problem import AssumptionError, default_aux_rate
+from horizonopt.spaces import weighted_l2_norm
 
-from conftest import make_spec, rectangle_spec
+from conftest import make_spec, random_control, rectangle_spec
 from oracles import discounted_power_sum
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -248,3 +251,42 @@ def test_discounted_sum_oracle_self_check():
     from oracles import geometric_weight_sum
     brute = discounted_power_sum(0.7, 0.01, 300)
     assert geometric_weight_sum(0.7, 0.01, 300) == pytest.approx(brute, rel=1e-13)
+
+
+class TestControlMetric:
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("admissible", [ho.AdmissibleSet("ball", radius=0.2),
+                                            ho.AdmissibleSet("box", lower=-0.3, upper=0.25)])
+    @pytest.mark.parametrize("shorter", [False, True])
+    def test_project_and_norm_are_bitwise_the_primitives(self, dimension, admissible, shorter):
+        spec = make_spec() if dimension == 1 else rectangle_spec((4, 4))
+        spec = replace(spec, admissible=admissible)
+        if shorter:
+            spec = spec.with_horizon(spec.grid.horizon / 2)
+        vals = random_control(spec, seed=dimension).values
+        w = spec.operators.control_weights
+        projected = spec.project(vals)
+        assert np.array_equal(projected, project_values(admissible, vals, w))
+        assert not np.array_equal(projected, vals)
+        for v in (vals, projected):
+            assert spec.control_norm(v) == weighted_l2_norm(
+                ho.Trajectory(spec.grid, v, "control"), spec.discounts.control_rate, w)
+
+
+def _multiplier():
+    spec = make_spec(admissible=ho.AdmissibleSet("ball", radius=0.1))
+    u = random_control(spec, seed=3)
+    return ho.multiplier_and_cone(spec, u, gradient_with_state(spec, u)[2])
+
+
+@pytest.mark.parametrize("build", [
+    make_spec,
+    lambda: make_spec().mesh,
+    lambda: make_spec().operators,
+    lambda: ho.EllipticForm(diffusion=np.full(10, 0.5)),
+    _multiplier,
+], ids=["ProblemSpec", "SpatialMesh", "Operators", "EllipticForm", "Multiplier"])
+def test_equality_is_identity_and_a_bool(build):
+    # elementwise equality of array fields has no single truth value
+    a, b = build(), build()
+    assert (a == b) is False and (a != b) is True and (a == a) is True

@@ -100,6 +100,26 @@ class TestForward:
         assert np.array_equal(ho.solve_forward(spec, u).values, expected)
         assert stalls and damped
 
+    def test_a_sample_frozen_at_the_floor_evaluates_no_halved_trial(self, monkeypatch):
+        # the march's events: "n" a Newton iteration, "t" a trial residual,
+        # "F" a rounding-floor test
+        events = []
+        spec = make_spec(n_nodes=41, source=np.full((21, 41), 100.0))
+        f = spec.nonlinearity
+        spec = replace(spec, nonlinearity=replace(
+            f, derivative=lambda s: events.append("n") or f.derivative(s)))
+        apply_base = spec.step_operator.apply_base
+        spec.step_operator.apply_base = lambda y: events.append("t") or apply_base(y)
+        floor = solvers._rounding_floor
+        monkeypatch.setattr(solvers, "_rounding_floor",
+                            lambda *args: events.append("F") or floor(*args))
+        ho.solve_forward(spec, spec.zero_control())
+        trace = "".join(events)
+        # a floor test that no halved trial follows froze its sample, right
+        # after the first trial of its Newton iteration
+        frozen = [k for k, e in enumerate(trace) if e == "F" and trace[k + 1:k + 2] != "t"]
+        assert frozen and all(trace[k - 2:k] == "nt" for k in frozen)
+
     def test_stall_above_the_rounding_floor_raises(self):
         # f = 10 sign(s) leaves the first step equation without a solution:
         # damping stalls with a residual near 9.8, far above rounding
@@ -606,13 +626,12 @@ class TestBatchedMarch:
         n = spec.grid.n_steps
         u = random_control(spec, seed=seed, scale=0.3)
         model = SecondOrderModel(spec, u)
-        coeffs = spec.nonlinearity.derivative(model.state.values)
         rng = np.random.default_rng(seed)
         sources = rng.standard_normal((n + 1, batch, spec.operators.n_nodes))
         for steps in (range(1, n + 1), range(n, -1, -1)):
-            joint = _linear_march(spec, coeffs, sources, steps)
+            joint = _linear_march(spec, model.state, sources, steps)
             for b in range(batch):
-                alone = _linear_march(spec, coeffs, sources[:, b], steps)
+                alone = _linear_march(spec, model.state, sources[:, b], steps)
                 assert np.array_equal(joint[:, b], alone)
                 assert joint[:, b].flags.c_contiguous
         directions = [random_control(spec, seed=seed + 1 + b) for b in range(batch)]
