@@ -131,23 +131,25 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
                 rn_try = norms(r_try)
                 # a nan or infinite norm fails both comparisons
                 rejected = [s for s in live if not (rn_try[s] < rn[s] or rn_try[s] <= tolerance)]
-                # a sample's residual is fixed within this loop, so its floor
-                # is tested once, at its first rejected trial: within it, the
-                # sample is frozen below at its current iterate, like a
-                # converged sample
-                for s in [s for s in rejected if factors[s] == 1.0]:
-                    block = slice(s * nodes, (s + 1) * nodes)
-                    if rn[s] <= _rounding_floor(stepper, dt, y[block], out[s, i - 1],
-                                                value(y[block]), forcing[i, block]):
-                        live.remove(s)
-                        rejected.remove(s)
                 if not rejected:
                     break
                 for s in rejected:
+                    # a sample's residual is fixed within this loop, so its
+                    # floor is tested once, at its first rejected trial:
+                    # within it, the sample is frozen below at its current
+                    # iterate, like a converged sample
+                    block = slice(s * nodes, (s + 1) * nodes)
+                    if factors[s] == 1.0 and rn[s] <= _rounding_floor(
+                            stepper, dt, y[block], out[s, i - 1], value(y[block]),
+                            forcing[i, block]):
+                        live.remove(s)
+                        continue
                     factors[s] *= 0.5
                     if factors[s] < 1e-10:
                         raise SolverError(f"Newton damping stalled at time step {i}", step=i,
                                           history=[v[s] for lv, v in log if s in lv])
+                if not set(rejected).intersection(live):
+                    break
                 step = np.repeat(factors, nodes) * delta
             if len(live) < count:
                 frozen = list(set(samples).difference(live))
