@@ -29,7 +29,7 @@ from .objective import (SecondOrderModel, cost, gradient_with_state,
 from .optimizer import LineSearchError, optimize, verify_growth
 from .problem import AssumptionError, validate_assumptions
 from .solvers import SolverError, solve_forward
-from .spaces import Trajectory, weighted_inner, weighted_l2_norm, write_csv
+from .spaces import Trajectory, weighted_l2_norm, write_csv
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -193,8 +193,7 @@ def cmd_gradient_check(args, spec, optimizer, study, manifest) -> int:
     u = Trajectory(spec.grid, spec.project(0.3 * rng.standard_normal(shape)), "control")
     v = Trajectory(spec.grid, rng.standard_normal(shape), "control")
     grad, state, _ = gradient_with_state(spec, u)
-    adj_value = weighted_inner(grad, v, spec.discounts.control_rate,
-                               spec.operators.control_weights)
+    adj_value = spec.control_inner(grad.values, v.values)
     sweep = []
     for eps in args.epsilons:
         up = Trajectory(spec.grid, u.values + eps * v.values, "control")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -22,7 +22,7 @@ import scipy.sparse as sps
 
 from .admissible import AdmissibleSet, project_values
 from .mesh import MeshError, SpatialMesh
-from .spaces import TimeGrid, Trajectory, weighted_l2_norm
+from .spaces import TimeGrid, Trajectory, weighted_inner, weighted_l2_norm
 
 
 class AssumptionError(ValueError):
@@ -278,6 +278,13 @@ class ProblemSpec:
         return weighted_l2_norm(Trajectory(self.grid, values, "control"),
                                 self.discounts.control_rate, self.operators.control_weights)
 
+    def control_inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Inner product of control values on the grid in the metric of
+        ``control_norm``."""
+        return weighted_inner(Trajectory(self.grid, a, "control"),
+                              Trajectory(self.grid, b, "control"),
+                              self.discounts.control_rate, self.operators.control_weights)
+
     def zero_control(self) -> Trajectory:
         return Trajectory(self.grid, np.zeros((self.grid.n_steps + 1, self.control_count)),
                           "control")
@@ -374,15 +381,29 @@ def _tridiagonals(ab, count):
     return off, np.tile(ab[0], count), off
 
 
-def _tri_matvec(lo, di, up, y):
-    out = di * y
-    out[..., :-1] += up * y[..., 1:]
-    out[..., 1:] += lo * y[..., :-1]
-    return out
+def _tri_product(bands, y, out):
+    """A function of no arguments that writes T y into ``out`` and returns
+    it, for the symmetric tridiagonal T with the (lower, diagonal, upper)
+    ``bands`` along the last axis, through views of y and out made once."""
+    lo, di, up = bands
+    y_next, y_prev, out_up, out_lo = y[..., 1:], y[..., :-1], out[..., :-1], out[..., 1:]
+    term = np.empty(y_next.shape)
+
+    def product():
+        np.multiply(di, y, out=out)
+        np.add(out_up, np.multiply(up, y_next, out=term), out=out_up)
+        np.add(out_lo, np.multiply(lo, y_prev, out=term), out=out_lo)
+        return out
+    return product
 
 
-def _sparse_matvec(matrix, y):
-    return (matrix @ y.T).T
+def _sparse_product(matrix, y, out):
+    """Like ``_tri_product``, for a sparse matrix."""
+
+    def product():
+        out[...] = (matrix @ y.T).T
+        return out
+    return product
 
 
 class _StepSolver:
@@ -396,14 +417,18 @@ class _StepSolver:
     such as ``shifted(shift)``, and ``solve`` takes only what ``factor``
     returned: in 2D the band Cholesky factors of ``pbtrf``, one per block,
     which ``solve`` applies with ``pbtrs``; in 1D the diagonal itself, since
-    ``gtsv`` factors as it solves.  The products ``apply_base`` (M/dt + K)
-    and ``mass_matvec`` (M) and the solves act on arrays with the nodes on
-    the last axis: a (B, N) right-hand side is B systems.  ``stack(B)`` is
-    the solver of B stacked copies of the system, on flat arrays of B * N.
+    ``gtsv`` factors as it solves, overwriting it.
+
+    The kernels act on arrays their caller owns, with the nodes on the last
+    axis, so that a (B, N) array is B systems: ``solve`` overwrites its
+    right-hand side, and ``base_product`` and ``mass_product`` bind the
+    products with M/dt + K and M to an input and an output array.  No kernel
+    writes into the operator's own arrays.  ``stack(B)`` is the solver of B
+    stacked copies of the system, on flat arrays of B * N.
     """
 
     __slots__ = ("count", "lumped", "base", "mass", "k", "ab", "diagonal", "bands",
-                 "apply_base", "mass_matvec", "_gtsv", "_pbtrf", "_pbtrs")
+                 "mass_bands", "_gtsv", "_pbtrf", "_pbtrs")
 
     def __init__(self, base, mass, lumped, count: int = 1):
         self.count = count
@@ -415,27 +440,42 @@ class _StepSolver:
         self.lumped, self.diagonal = np.tile(lumped, count), np.tile(self.ab[0], count)
         if self.k == 1:
             self.bands = _tridiagonals(self.ab, count)
-            mass_bands = _tridiagonals(band_storage(self.mass)[1], count)
-            self.apply_base = partial(_tri_matvec, *self.bands)
-            self.mass_matvec = partial(_tri_matvec, *mass_bands)
+            self.mass_bands = _tridiagonals(band_storage(self.mass)[1], count)
             self._gtsv = sla.get_lapack_funcs(("gtsv",), (self.ab,))[0]
         else:
-            self.apply_base = partial(_sparse_matvec, self.base)
-            self.mass_matvec = partial(_sparse_matvec, self.mass)
             self._pbtrf, self._pbtrs = sla.get_lapack_funcs(("pbtrf", "pbtrs"), (self.ab,))
 
     def stack(self, count: int) -> "_StepSolver":
         return self if count == 1 else _StepSolver(self.base, self.mass, self.lumped, count)
 
+    def base_product(self, y: np.ndarray, out: np.ndarray):
+        """A function of no arguments that writes (M/dt + K) y into ``out``."""
+        if self.k == 1:
+            return _tri_product(self.bands, y, out)
+        return _sparse_product(self.base, y, out)
+
+    def mass_product(self, y: np.ndarray, out: np.ndarray):
+        """A function of no arguments that writes M y into ``out``."""
+        if self.k == 1:
+            return _tri_product(self.mass_bands, y, out)
+        return _sparse_product(self.mass, y, out)
+
+    def mass_matvec(self, y: np.ndarray) -> np.ndarray:
+        """M y into a new array."""
+        return self.mass_product(y, np.empty_like(y))()
+
     def shifted(self, shift: np.ndarray) -> np.ndarray:
         """Diagonal of M/dt + K + M_L diag(shift), for any leading shape."""
         return self.diagonal + self.lumped * shift
 
-    def norms(self, r: np.ndarray) -> list:
+    def norms(self, r: np.ndarray, work: np.ndarray) -> list:
         """Lumped-mass-weighted dual norm of each block of a flat r,
-        comparable to an L2 function norm."""
-        sums = np.add.reduce((r * r / self.lumped).reshape(self.count, -1), 1)
-        return list(map(math.sqrt, sums.tolist()))
+        comparable to an L2 function norm; ``work`` is scratch of r's size."""
+        np.multiply(r, r, out=work)
+        work /= self.lumped
+        if self.count == 1:
+            return [math.sqrt(np.add.reduce(work))]
+        return list(map(math.sqrt, np.add.reduce(work.reshape(self.count, -1), 1).tolist()))
 
     def factor(self, d: np.ndarray):
         """The factorization of the step matrix with diagonal d: in 2D the
@@ -453,20 +493,22 @@ class _StepSolver:
         return factors
 
     def solve(self, c, rhs: np.ndarray) -> np.ndarray:
-        """Solve with the factorization ``c`` of ``factor``; in 1D this
-        overwrites c."""
-        # LAPACK solves for the columns of rhs.T, one per right-hand side
+        """Solve in place with the factorization ``c`` of ``factor``: a
+        C-contiguous ``rhs`` becomes the solution, and in 1D c is overwritten."""
+        # LAPACK solves for the columns of rhs.T, one per right-hand side;
+        # the positional flags copy the bands and overwrite c and rhs
         if self.k == 1:
             lo, _, up = self.bands
-            _, _, _, x, info = self._gtsv(lo, c, up, rhs.T, overwrite_d=True)
+            info = self._gtsv(lo, c, up, rhs.T, 0, 1, 0, 1)[4]
             if info != 0:
                 raise SolverError(f"singular step matrix (gtsv info {info})")
-            return x.T
+            return rhs
         # pbtrs reports only illegal arguments, which these calls cannot pass
         size = self.ab.shape[1]
-        blocks = [self._pbtrs(cb, rhs[..., b * size:(b + 1) * size].T, lower=1)[0].T
-                  for b, cb in enumerate(c)]
-        return blocks[0] if self.count == 1 else np.concatenate(blocks)
+        for b, cb in enumerate(c):
+            block = rhs[..., b * size:(b + 1) * size]
+            block[...] = self._pbtrs(cb, block.T, lower=1, overwrite_b=1)[0].T
+        return rhs
 
 
 def assemble_operators(mesh: SpatialMesh, form: EllipticForm) -> Operators:

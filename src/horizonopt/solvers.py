@@ -53,6 +53,15 @@ march factors S_N itself and reuses a factorization down any run of steps
 the forward march took without a Newton iteration, where S_i did not
 change; around any other state (restricted, loaded, batched, 1D) it
 factors every step.
+
+Every buffer a march writes is its own, reused from step to step: the
+forward march's two sets of iterate y, (M/dt + K) y + M_L f(y) and residual
+swap roles when a trial is accepted, and a linear march's solution and next
+right-hand side swap at every step.  The step operator's products are bound
+to these buffers once per march, and a step solve overwrites its right-hand
+side and, in 1D, its diagonal: always one the march made for it, never the
+step operator's ``diagonal`` or a diagonal a state keeps in ``factors``.
+What a march returns is copied out of its buffers.
 """
 
 from __future__ import annotations
@@ -73,7 +82,7 @@ def _rounding_floor(stepper, dt, y, y_prev, fy, forcing) -> float:
     residual (M/dt + K) y + M_L f(y) - (M/dt) y_prev - forcing at y."""
     terms = (abs(stepper.base) @ abs(y) + stepper.lumped * abs(fy)
              + stepper.mass @ abs(y_prev) / dt + abs(forcing))
-    return np.finfo(float).eps * stepper.norms(terms)[0]
+    return np.finfo(float).eps * stepper.norms(terms, np.empty_like(terms))[0]
 
 
 def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.ndarray:
@@ -89,23 +98,34 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
     ops, dt, stepper = spec.operators, spec.grid.step, spec.step_operator
     n, count, nodes = spec.grid.n_steps, len(controls), ops.n_nodes
     stack = stepper.stack(count)
-    apply_base, mass_matvec, lumped = stack.apply_base, stack.mass_matvec, stack.lumped
-    norms, diagonal, samples = stack.norms, stack.diagonal, range(count)
-    factor, solve = stack.factor, stack.solve
+    lumped, norms, diagonal = stack.lumped, stack.norms, stack.diagonal
+    factor, solve, samples = stack.factor, stack.solve, range(count)
     # per-step source functionals M g_i + W u_i, one block per control
     forcing = np.tile((ops.mass @ spec.source_samples.T).T, count)
     for k, control in enumerate(controls):
         forcing[:, k * nodes + ops.control_index] += control.values * ops.control_weights
 
     out = np.empty((count, n + 1, nodes))
-    out[:, 0], y = spec.initial_values, np.tile(spec.initial_values, count)
-    # apply_base(y) + M_L value(y) at the current y: the accepted trial
-    # carries it into the next time step's residual
-    a = apply_base(y) + lumped * value(y)
+    out[:, 0] = spec.initial_values
+    b, delta, work = (np.empty(count * nodes) for _ in range(3))
+
+    def buffers():
+        # an iterate y, a = (M/dt + K) y + M_L value(y), its residual a - b,
+        # and the products with y bound to a and b
+        y, a, r = (np.empty(count * nodes) for _ in range(3))
+        return y, a, r, stack.base_product(y, a), stack.mass_product(y, b)
+
+    # the current iterate and the trial: an accepted trial swaps the two, and
+    # its a carries into the next time step's residual
+    (y, a, r, base_y, mass_y), trial = buffers(), buffers()
+    y[...] = np.tile(spec.initial_values, count)
+    base_y()
+    a += lumped * value(y)
     for i in range(1, n + 1):
-        b = mass_matvec(y) / dt + forcing[i]
-        r = a - b
-        rn = norms(r)
+        mass_y()
+        b /= dt
+        b += forcing[i]
+        rn = norms(np.subtract(a, b, out=r), work)
         # (live samples, every sample's norm) per iteration, for the histories
         log = [(samples, rn)]
         live = [s for s in samples if not rn[s] <= tolerance]
@@ -119,16 +139,17 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
             # the Newton update is -delta; solving for r instead of -r and
             # subtracting gives the same bits, since the solve is linear in
             # its right-hand side and negation is exact
-            delta = solve(c, r)
+            delta[...] = r
+            solve(c, delta)
+            y_try, a_try, r_try, base_try, _ = trial
             # each sample halves its own damping factor until its residual
             # decreases; a factor of 1.0 leaves delta's bits unchanged
             factors, step = [1.0] * count, delta
             while True:
-                y_try = y - step
-                a_try = apply_base(y_try)
+                np.subtract(y, step, out=y_try)
+                base_try()
                 a_try += lumped * value(y_try)
-                r_try = a_try - b
-                rn_try = norms(r_try)
+                rn_try = norms(np.subtract(a_try, b, out=r_try), work)
                 # a nan or infinite norm fails both comparisons
                 rejected = [s for s in live if not (rn_try[s] < rn[s] or rn_try[s] <= tolerance)]
                 if not rejected:
@@ -155,7 +176,7 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
                 frozen = list(set(samples).difference(live))
                 for new, old in ((y_try, y), (a_try, a), (r_try, r)):
                     new.reshape(count, -1)[frozen] = old.reshape(count, -1)[frozen]
-            y, a, r, rn = y_try, a_try, r_try, rn_try
+            (y, a, r, base_y, mass_y), trial, rn = trial, (y, a, r, base_y, mass_y), rn_try
             log.append((live, rn))
             live = [s for s in live if not rn[s] <= tolerance]
         if live:
@@ -236,11 +257,14 @@ def _linear_march(spec, state, sources, steps):
     ``sources``, and each right-hand side's trajectory ``out[:, b]`` is
     contiguous."""
     dt, stepper, factors = spec.grid.step, spec.step_operator, state.factors
-    mass_matvec, factor, solve = stepper.mass_matvec, stepper.factor, stepper.solve
+    factor, solve = stepper.factor, stepper.solve
     diagonals = stepper.shifted(spec.nonlinearity.derivative(state.values))
     n1, nodes = sources.shape[0], sources.shape[-1]
     out = np.moveaxis(np.zeros(sources.shape[1:-1] + (n1, nodes)), -2, 0)
-    z = np.zeros(sources.shape[1:])
+    # z and the next right-hand side, which the solve turns into the next z:
+    # the two buffers swap at every step
+    z, rhs = np.zeros((2,) + sources.shape[1:])
+    this, other = (stepper.mass_product(z, rhs), rhs), (stepper.mass_product(rhs, z), z)
     last = c = None
     for i in steps:
         d = diagonals[i]
@@ -250,8 +274,12 @@ def _linear_march(spec, state, sources, steps):
             last, c = factors[i]
         elif last is None or not np.array_equal(d, last):
             last, c = d, factor(d)
-        z = solve(c, mass_matvec(z) / dt + sources[i])
-        out[i] = z
+        product, rhs = this
+        product()
+        rhs /= dt
+        rhs += sources[i]
+        out[i] = solve(c, rhs)
+        this, other = other, this
     if not np.all(np.isfinite(out)):
         raise SolverError("linear solve produced non-finite values")
     return out

@@ -10,7 +10,7 @@ from horizonopt.config import apply_overrides, build_problem
 from horizonopt.mesh import MeshError
 from horizonopt.objective import gradient_with_state
 from horizonopt.problem import AssumptionError, default_aux_rate
-from horizonopt.spaces import weighted_l2_norm
+from horizonopt.spaces import weighted_inner, weighted_l2_norm
 
 from conftest import make_spec, random_control, rectangle_spec
 from oracles import discounted_power_sum
@@ -271,6 +271,9 @@ class TestControlMetric:
         for v in (vals, projected):
             assert spec.control_norm(v) == weighted_l2_norm(
                 ho.Trajectory(spec.grid, v, "control"), spec.discounts.control_rate, w)
+        trajectories = [ho.Trajectory(spec.grid, v, "control") for v in (vals, projected)]
+        assert spec.control_inner(vals, projected) == weighted_inner(
+            *trajectories, spec.discounts.control_rate, w)
 
 
 def _multiplier():

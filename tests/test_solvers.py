@@ -108,8 +108,13 @@ class TestForward:
         f = spec.nonlinearity
         spec = replace(spec, nonlinearity=replace(
             f, derivative=lambda s: events.append("n") or f.derivative(s)))
-        apply_base = spec.step_operator.apply_base
-        spec.step_operator.apply_base = lambda y: events.append("t") or apply_base(y)
+        base_product = type(spec.step_operator).base_product
+
+        def traced(self, y, out):
+            product = base_product(self, y, out)
+            return lambda: events.append("t") or product()
+
+        monkeypatch.setattr(type(spec.step_operator), "base_product", traced)
         floor = solvers._rounding_floor
         monkeypatch.setattr(solvers, "_rounding_floor",
                             lambda *args: events.append("F") or floor(*args))
@@ -594,6 +599,71 @@ class TestKernelsMatchReference:
         expected, damped = reference_forward(spec, spec.step_operator, u)
         assert damped > 0
         assert np.array_equal(ho.solve_forward(spec, u).values, expected)
+
+
+# every nonlinearity the march evaluates in place; each rounds on its own
+NONLINEARITIES = {**ho.builtin_nonlinearities(), "linear(2)": ho.linear_nonlinearity(2.0)}
+
+
+class TestEveryNonlinearityMatchesReference:
+    """Forward and adjoint marches against the reference loops of oracles.py
+    for every nonlinearity, alone and in a batch where one sample damps."""
+
+    @pytest.mark.parametrize("name", sorted(NONLINEARITIES))
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_forward_and_adjoint_are_bitwise_reference(self, dimension, name):
+        f = NONLINEARITIES[name]
+        spec = replace(small_spec_of(dimension, 4, seed=3), nonlinearity=f)
+        stepper = spec.step_operator
+        controls = [random_control(spec, seed=0, scale=0.2),
+                    random_control(spec, seed=1, scale=3000.0)]
+        expected = [reference_forward(spec, stepper, u) for u in controls]
+        # a linear step equation is solved by its first Newton step
+        damps = f.second_derivative(np.ones(1)).any()
+        assert [damped > 0 for _, damped in expected] == [False, damps]
+        for u, (values, _) in zip(controls, expected):
+            y = ho.solve_forward(spec, u)
+            assert np.array_equal(y.values, values)
+            residual = y.values - spec.target_samples
+            rate = spec.discounts.state_rate
+            assert np.array_equal(ho.solve_adjoint(spec, y).values,
+                                  reference_adjoint(spec, stepper, y, residual, rate, True))
+        for y, (values, _) in zip(ho.solve_forward(spec, controls), expected):
+            assert np.array_equal(y.values, values)
+
+
+class TestReusedBuffersDoNotLeak:
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_later_marches_leave_earlier_results_and_the_operator_unchanged(self, dimension):
+        # the marches write into buffers they reuse, and the 1D step solve
+        # overwrites its diagonal and right-hand side: none of that may reach
+        # a returned state, a state's factorizations or the step operator
+        spec = small_spec_of(dimension, 4, seed=3)
+        stepper = spec.step_operator
+        y = ho.solve_forward(spec, random_control(spec, seed=0, scale=0.2))
+        batch = ho.solve_forward(spec, [random_control(spec, seed=1, scale=0.2),
+                                        random_control(spec, seed=2, scale=3000.0)])
+        v = random_control(spec, seed=3)
+        z = ho.solve_linearized(spec, y, v)
+        held = [y.values, z.values, *(s.values for s in batch), stepper.diagonal,
+                stepper.lumped, stepper.ab]
+        if dimension == 1:
+            held += [*stepper.bands, *stepper.mass_bands]
+        else:
+            # each stored diagonal is that of S(y_i), its own array
+            derivative = spec.nonlinearity.derivative
+            assert all(np.array_equal(pair[0], stepper.shifted(derivative(y.values[i])))
+                       for i, pair in enumerate(y.factors) if pair is not None)
+            held += [a for pair in y.factors if pair is not None for a in (pair[0], *pair[1])]
+        before = [a.tobytes() for a in held]
+        ho.solve_forward(spec, random_control(spec, seed=4, scale=3000.0))
+        ho.solve_forward(spec, [random_control(spec, seed=k, scale=0.2) for k in (5, 6, 7)])
+        ho.solve_adjoint(spec, y)
+        z1, z2 = ho.solve_linearized(spec, y, [v, random_control(spec, seed=8)])
+        ho.solve_second_order(spec, y, z1, z2)
+        for s in batch:
+            ho.solve_adjoint(spec, s)
+        assert [a.tobytes() for a in held] == before
 
 
 class TestCausality:
