@@ -381,18 +381,21 @@ def _tridiagonals(ab, count):
     return off, np.tile(ab[0], count), off
 
 
+_sum = np.add.reduce
+
+
 def _tri_product(bands, y, out):
     """A function of no arguments that writes T y into ``out`` and returns
     it, for the symmetric tridiagonal T with the (lower, diagonal, upper)
     ``bands`` along the last axis, through views of y and out made once."""
     lo, di, up = bands
     y_next, y_prev, out_up, out_lo = y[..., 1:], y[..., :-1], out[..., :-1], out[..., 1:]
-    term = np.empty(y_next.shape)
+    term, multiply, add = np.empty(y_next.shape), np.multiply, np.add
 
     def product():
-        np.multiply(di, y, out=out)
-        np.add(out_up, np.multiply(up, y_next, out=term), out=out_up)
-        np.add(out_lo, np.multiply(lo, y_prev, out=term), out=out_lo)
+        multiply(di, y, out)
+        add(out_up, multiply(up, y_next, term), out_up)
+        add(out_lo, multiply(lo, y_prev, term), out_lo)
         return out
     return product
 
@@ -474,8 +477,8 @@ class _StepSolver:
         np.multiply(r, r, out=work)
         work /= self.lumped
         if self.count == 1:
-            return [math.sqrt(np.add.reduce(work))]
-        return list(map(math.sqrt, np.add.reduce(work.reshape(self.count, -1), 1).tolist()))
+            return [math.sqrt(_sum(work))]
+        return list(map(math.sqrt, _sum(work.reshape(self.count, -1), 1).tolist()))
 
     def factor(self, d: np.ndarray):
         """The factorization of the step matrix with diagonal d: in 2D the

@@ -99,7 +99,7 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
     n, count, nodes = spec.grid.n_steps, len(controls), ops.n_nodes
     stack = stepper.stack(count)
     lumped, norms, diagonal = stack.lumped, stack.norms, stack.diagonal
-    factor, solve, samples = stack.factor, stack.solve, range(count)
+    factor, solve, samples, subtract = stack.factor, stack.solve, range(count), np.subtract
     # per-step source functionals M g_i + W u_i, one block per control
     forcing = np.tile((ops.mass @ spec.source_samples.T).T, count)
     for k, control in enumerate(controls):
@@ -110,24 +110,27 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
     b, delta, work = (np.empty(count * nodes) for _ in range(3))
 
     def buffers():
-        # an iterate y, a = (M/dt + K) y + M_L value(y), its residual a - b,
-        # and the products with y bound to a and b
-        y, a, r = (np.empty(count * nodes) for _ in range(3))
-        return y, a, r, stack.base_product(y, a), stack.mass_product(y, b)
+        # an iterate y, a = (M/dt + K) y + M_L value(y) and its residual
+        # a - b, as the rows of one array of B blocks each, and the products
+        # with y bound to a and b
+        rows = np.empty((3, count, nodes))
+        y, a, r = rows.reshape(3, -1)
+        return rows, y, a, r, stack.base_product(y, a), stack.mass_product(y, b)
 
     # the current iterate and the trial: an accepted trial swaps the two, and
     # its a carries into the next time step's residual
-    (y, a, r, base_y, mass_y), trial = buffers(), buffers()
-    y[...] = np.tile(spec.initial_values, count)
+    (rows, y, a, r, base_y, mass_y), trial = buffers(), buffers()
+    rows[0] = spec.initial_values
     base_y()
     a += lumped * value(y)
     for i in range(1, n + 1):
         mass_y()
         b /= dt
         b += forcing[i]
-        rn = norms(np.subtract(a, b, out=r), work)
-        # (live samples, every sample's norm) per iteration, for the histories
-        log = [(samples, rn)]
+        rn = norms(subtract(a, b, r), work)
+        # every sample's norms per iteration, for the histories: a sample
+        # that fails has been live at every iteration of its step
+        log = [rn]
         live = [s for s in samples if not rn[s] <= tolerance]
         for it in iterations:
             if not live:
@@ -141,15 +144,15 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
             # its right-hand side and negation is exact
             delta[...] = r
             solve(c, delta)
-            y_try, a_try, r_try, base_try, _ = trial
+            rows_try, y_try, a_try, r_try, base_try, _ = trial
             # each sample halves its own damping factor until its residual
             # decreases; a factor of 1.0 leaves delta's bits unchanged
             factors, step = [1.0] * count, delta
             while True:
-                np.subtract(y, step, out=y_try)
+                subtract(y, step, y_try)
                 base_try()
                 a_try += lumped * value(y_try)
-                rn_try = norms(np.subtract(a_try, b, out=r_try), work)
+                rn_try = norms(subtract(a_try, b, r_try), work)
                 # a nan or infinite norm fails both comparisons
                 rejected = [s for s in live if not (rn_try[s] < rn[s] or rn_try[s] <= tolerance)]
                 if not rejected:
@@ -168,23 +171,23 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
                     factors[s] *= 0.5
                     if factors[s] < 1e-10:
                         raise SolverError(f"Newton damping stalled at time step {i}", step=i,
-                                          history=[v[s] for lv, v in log if s in lv])
+                                          history=[v[s] for v in log])
                 if not set(rejected).intersection(live):
                     break
                 step = np.repeat(factors, nodes) * delta
             if len(live) < count:
                 frozen = list(set(samples).difference(live))
-                for new, old in ((y_try, y), (a_try, a), (r_try, r)):
-                    new.reshape(count, -1)[frozen] = old.reshape(count, -1)[frozen]
-            (y, a, r, base_y, mass_y), trial, rn = trial, (y, a, r, base_y, mass_y), rn_try
-            log.append((live, rn))
+                rows_try[:, frozen] = rows[:, frozen]
+            current = rows, y, a, r, base_y, mass_y
+            (rows, y, a, r, base_y, mass_y), trial, rn = trial, current, rn_try
+            log.append(rn)
             live = [s for s in live if not rn[s] <= tolerance]
         if live:
             s = live[0]
             raise SolverError(
                 f"Newton did not converge at time step {i} (residual {rn[s]:.3e})",
-                step=i, history=[v[s] for lv, v in log if s in lv])
-        out[:, i] = y.reshape(count, nodes)
+                step=i, history=[v[s] for v in log])
+        out[:, i] = rows[0]
     return out
 
 
