@@ -381,6 +381,8 @@ def _tridiagonals(ab, count):
     return off, np.tile(ab[0], count), off
 
 
+# bound once, like the ufuncs of the products: on the few dozen entries of a
+# 1D step, looking them up is a sizeable share of each call
 _sum = np.add.reduce
 
 
