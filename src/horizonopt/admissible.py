@@ -3,7 +3,9 @@
 Two geometries are supported: a ball of given radius in the (lumped)
 L2 norm over the control subdomain, applied at every time step, and a
 nodal box [lower, upper].  Both projections act independently per time
-step, so they commute with any permutation of the steps.
+step, so they commute with any permutation of the steps.  The pointwise
+optimality relations are checked for all steps at once, in the per-step
+control pairings of ``spaces._pairings``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import Trajectory
+from .spaces import Trajectory, _pairings
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,7 @@ def project_values(admissible: AdmissibleSet, values: np.ndarray,
     """Project per-time-step control values onto the admissible set."""
     if admissible.kind == "box":
         return np.clip(values, admissible.lower, admissible.upper)
-    norms = np.sqrt(np.einsum("ij,j,ij->i", values, control_weights, values))
+    norms = np.sqrt(_pairings(values, values, control_weights))
     scale = np.ones_like(norms)
     over = norms > admissible.radius
     scale[over] = admissible.radius / norms[over]
@@ -98,41 +100,34 @@ def check_projection_formulas(spec, u: Trajectory, adjoint: Trajectory) -> Formu
     """Evaluate the pointwise optimality relations at a claimed stationary pair.
 
     Ball sets: at inactive times (control norm below ``radius - active_tol``)
-    the combined density adjoint + weight*e^{-rate t} u must vanish; at
+    the first-order density adjoint + weight*e^{-rate t} u must vanish; at
     active times the control must be the negatively scaled adjoint of norm
-    ``radius``.  Box sets: the control must equal the clamped scaled
-    adjoint; the sup-norm gap per step is recorded.
+    ``radius``, or, where the adjoint vanishes, the density must.  Box sets:
+    the control must equal the clamped scaled adjoint; the sup-norm gap per
+    step is recorded.
     """
-    ops = spec.operators
-    nu = spec.control_weight
-    rate_c = spec.discounts.control_rate
-    t = spec.grid.times
-    w = ops.control_weights
-    phi = adjoint.values[:, ops.control_index]
-    records = []
+    from .objective import first_order_density  # objective imports this module
+
     adm = spec.admissible
+    t = spec.grid.times[1:]
+    phi = adjoint.values[1:, spec.operators.control_index]
+    vals = u.values[1:]
     if adm.kind == "ball":
-        for i in range(1, spec.grid.n_steps + 1):
-            ui = u.values[i]
-            unorm = np.sqrt(float(np.dot(ui * w, ui)))
-            density = phi[i] + nu * np.exp(-rate_c * t[i]) * ui
-            if unorm < adm.radius - adm.active_tol:
-                res = np.sqrt(float(np.dot(density * w, density)))
-                case = "interior"
-            else:
-                pnorm = np.sqrt(float(np.dot(phi[i] * w, phi[i])))
-                if pnorm <= 1e-300:
-                    res = np.sqrt(float(np.dot(density * w, density)))
-                    case = "active-degenerate"
-                else:
-                    gap = ui + adm.radius * phi[i] / pnorm
-                    res = np.sqrt(float(np.dot(gap * w, gap)))
-                    case = "active"
-            records.append(StepFormulaRecord(float(t[i]), case, float(res)))
+        density = first_order_density(spec, u, adjoint)[1:]
+        interior = np.sqrt(spec.control_pairings(vals, vals)) < adm.radius - adm.active_tol
+        pnorm = np.sqrt(spec.control_pairings(phi, phi))
+        active = ~interior & (pnorm > 1e-300)
+        gap = np.where(active[:, None],
+                       vals + adm.radius * phi / np.where(active, pnorm, 1.0)[:, None], density)
+        residuals = np.sqrt(spec.control_pairings(gap, gap))
+        cases = np.where(interior, "interior",
+                         np.where(active, "active", "active-degenerate")).tolist()
     else:
-        for i in range(1, spec.grid.n_steps + 1):
-            target = np.clip(-np.exp(rate_c * t[i]) / nu * phi[i], adm.lower, adm.upper)
-            res = float(np.max(np.abs(u.values[i] - target))) if target.size else 0.0
-            records.append(StepFormulaRecord(float(t[i]), "box", res))
+        target = np.clip(-spec.grid.discount(-spec.discounts.control_rate)[1:, None]
+                         / spec.control_weight * phi, adm.lower, adm.upper)
+        residuals = np.max(np.abs(vals - target), axis=1, initial=0.0)
+        cases = ["box"] * len(t)
+    records = [StepFormulaRecord(float(ti), case, float(res))
+               for ti, case, res in zip(t, cases, residuals)]
     worst = max(records, key=lambda r: r.residual)
     return FormulaReport(records, worst.residual, worst.time)

@@ -131,7 +131,7 @@ def run_horizon_study(spec: ProblemSpec, config: HorizonStudyConfig) -> HorizonS
         gap_y = Trajectory(sub.grid, y_T.values - ref_state.values, "generic")
         err_energy = weighted_l2_norm(gap_y, d.state_rate, ops.h1) \
             + weighted_sup_norm(gap_y, d.state_rate, ops.mass)
-        err_sup = float(np.max(np.exp(-0.5 * d.state_rate * sub.grid.times)
+        err_sup = float(np.max(sub.grid.discount(0.5 * d.state_rate)
                                * np.max(np.abs(gap_y.values), axis=1)))
 
         terminal_state = float(np.sqrt(max(

@@ -6,7 +6,9 @@ control-discounted inner product, so a projected step with length
 adjoint.  All quadratures are right-rectangle in time, matching the
 implicit-Euler discretization; the adjoint is the exact transpose of the
 linearized dynamics, so the gradient and Hessian forms are exact
-derivatives of the discrete cost up to Newton tolerance.
+derivatives of the discrete cost up to Newton tolerance.  Control terms are
+per-step pairings in L2(omega) (``ProblemSpec.control_pairings``), and every
+discount is a weight of the grid (``TimeGrid.discount``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .problem import ProblemSpec
 from .solvers import solve_adjoint, solve_forward, solve_linearized
-from .spaces import Trajectory, quad_energies
+from .spaces import Trajectory, _pairings, quad_energies
 
 
 @dataclass(frozen=True)
@@ -39,16 +41,15 @@ def _masked(values: np.ndarray, mask) -> np.ndarray:
 
 def cost_from_state(spec: ProblemSpec, u: Trajectory, state: Trajectory) -> CostBreakdown:
     """Evaluate the discrete cost given an already-computed state."""
-    ops = spec.operators
     d = spec.discounts
-    t = spec.grid.times[1:]
+    discount = spec.grid.discount
     dt = spec.grid.step
     resid = _masked(state.values[1:] - spec.target_samples[1:], spec.observation_mask)
-    track_e = quad_energies(resid, ops.mass)
-    tracking = 0.5 * dt * float(np.sum(np.exp(-d.state_rate * t) * track_e))
-    ctrl_e = np.einsum("ij,j,ij->i", u.values[1:], ops.control_weights, u.values[1:])
+    track_e = quad_energies(resid, spec.operators.mass)
+    tracking = 0.5 * dt * float(np.sum(discount(d.state_rate)[1:] * track_e))
+    ctrl_e = spec.control_pairings(u.values[1:], u.values[1:])
     control = 0.5 * spec.control_weight * dt * float(
-        np.sum(np.exp(-d.control_rate * t) * ctrl_e))
+        np.sum(discount(d.control_rate)[1:] * ctrl_e))
     return CostBreakdown(tracking, control)
 
 
@@ -61,10 +62,9 @@ def riesz_gradient(spec: ProblemSpec, u: Trajectory, adjoint: Trajectory) -> Tra
 
     The t_0 row carries no quadrature weight and is set to zero.
     """
-    ops = spec.operators
-    t = spec.grid.times
+    growth = spec.grid.discount(-spec.discounts.control_rate)
     vals = spec.control_weight * u.values \
-        + np.exp(spec.discounts.control_rate * t)[:, None] * adjoint.values[:, ops.control_index]
+        + growth[:, None] * adjoint.values[:, spec.operators.control_index]
     vals[0] = 0.0
     return Trajectory(spec.grid, vals, "control")
 
@@ -83,10 +83,9 @@ def gradient(spec: ProblemSpec, u: Trajectory) -> Trajectory:
 def first_order_density(spec: ProblemSpec, u: Trajectory, adjoint: Trajectory) -> np.ndarray:
     """Integrand of the variational inequality on the control nodes:
     adjoint + weight * e^{-rate t} * u, per time step."""
-    ops = spec.operators
-    t = spec.grid.times
-    return adjoint.values[:, ops.control_index] \
-        + spec.control_weight * np.exp(-spec.discounts.control_rate * t)[:, None] * u.values
+    discount = spec.grid.discount(spec.discounts.control_rate)
+    return adjoint.values[:, spec.operators.control_index] \
+        + spec.control_weight * discount[:, None] * u.values
 
 
 class SecondOrderModel:
@@ -137,17 +136,17 @@ class SecondOrderModel:
         spec = self.spec
         ops = spec.operators
         d = spec.discounts
+        discount = spec.grid.discount
         dt = spec.grid.step
-        t = spec.grid.times[1:]
         m1 = _masked(z1.values[1:], spec.observation_mask)
         m2 = _masked(z2.values[1:], spec.observation_mask)
-        track = np.einsum("ij,ji->i", m1, np.asarray(ops.mass @ m2.T))
-        first = dt * float(np.sum(np.exp(-d.state_rate * t) * track))
+        track = _pairings(m1, m2, ops.mass)
+        first = dt * float(np.sum(discount(d.state_rate)[1:] * track))
         curv = self.adjoint.values[1:] * spec.nonlinearity.second_derivative(
             self.state.values[1:]) * z1.values[1:] * z2.values[1:]
         second = -dt * float(np.sum(ops.lumped_mass * curv))
-        ctrl = np.einsum("ij,j,ij->i", v1.values[1:], ops.control_weights, v2.values[1:])
-        third = spec.control_weight * dt * float(np.sum(np.exp(-d.control_rate * t) * ctrl))
+        ctrl = spec.control_pairings(v1.values[1:], v2.values[1:])
+        third = spec.control_weight * dt * float(np.sum(discount(d.control_rate)[1:] * ctrl))
         if multiplier is None:
             return first + second + third
         # with v1 = v2, ctrl holds the squared control norms per step
@@ -158,7 +157,7 @@ class SecondOrderModel:
 # ---------------------------------------------------------------------------
 # norm-ball multiplier and critical directions
 
-INACTIVE, ACTIVE_DEGENERATE, ACTIVE_STRICT = 0, 1, 2
+ACTIVE_DEGENERATE, ACTIVE_STRICT = 1, 2
 
 
 @dataclass(eq=False)
@@ -174,9 +173,6 @@ class Multiplier:
     activity: np.ndarray
     active_tol: float
     strict_tol: float
-
-    def active_steps(self) -> np.ndarray:
-        return np.flatnonzero(self.activity > 0)
 
     def strict_steps(self) -> np.ndarray:
         return np.flatnonzero(self.activity == ACTIVE_STRICT)
@@ -195,10 +191,9 @@ def multiplier_and_cone(spec: ProblemSpec, u: Trajectory, adjoint: Trajectory) -
         raise ValueError("multiplier is defined for ball-constrained problems")
     active_tol = adm.active_tol
     strict_tol = 1e-8 * spec.control_weight * adm.radius
-    w = spec.operators.control_weights
     density = first_order_density(spec, u, adjoint)
-    mu = np.sqrt(np.einsum("ij,j,ij->i", density, w, density))
-    unorm = np.sqrt(np.einsum("ij,j,ij->i", u.values, w, u.values))
+    mu = np.sqrt(spec.control_pairings(density, density))
+    unorm = np.sqrt(spec.control_pairings(u.values, u.values))
     active = np.abs(unorm - adm.radius) <= active_tol
     mu = np.where(active, mu, 0.0)
     activity = np.zeros(u.values.shape[0], dtype=int)
@@ -221,29 +216,26 @@ def sample_critical_directions(spec: ProblemSpec, u: Trajectory, adjoint: Trajec
     means only the zero direction is compatible.
     """
     rng = np.random.default_rng(seed)
-    ops = spec.operators
-    w = ops.control_weights
     n = spec.grid.n_steps
     adm = spec.admissible
     out = []
     if adm.kind == "ball":
         if multiplier is None:
             multiplier = multiplier_and_cone(spec, u, adjoint)
+        uu = spec.control_pairings(u.values, u.values)
+        # the steps whose radial component is removed: all strictly active
+        # ones, and the degenerate ones where it points outward
+        steps = np.flatnonzero((multiplier.activity[1:] > 0) & (uu[1:] > 1e-300)) + 1
+        strict = multiplier.activity[steps] == ACTIVE_STRICT
+        radial, uu = u.values[steps], uu[steps]
         for _ in range(count):
             v = rng.standard_normal((n + 1, spec.control_count))
             v[0] = 0.0
-            for i in range(1, n + 1):
-                code = multiplier.activity[i]
-                if code == INACTIVE:
-                    continue
-                uu = float(np.dot(u.values[i] * w, u.values[i]))
-                if uu <= 1e-300:
-                    continue
-                uv = float(np.dot(u.values[i] * w, v[i]))
-                if code == ACTIVE_STRICT or uv > 0.0:
-                    v[i] -= (uv / uu) * u.values[i]
+            uv = spec.control_pairings(radial, v[steps])
+            fix = strict | (uv > 0.0)
+            v[steps[fix]] -= (uv[fix] / uu[fix])[:, None] * radial[fix]
             traj = Trajectory(spec.grid, v, "control")
-            if _verify_ball_direction(u, traj, multiplier, w):
+            if _verify_ball_direction(spec, u, traj, multiplier):
                 out.append(traj)
     else:
         # at a stationary control the vanishing-derivative condition is the
@@ -269,17 +261,16 @@ def sample_critical_directions(spec: ProblemSpec, u: Trajectory, adjoint: Trajec
     return out
 
 
-def _verify_ball_direction(u, v, multiplier, w) -> bool:
+def _verify_ball_direction(spec, u, v, multiplier) -> bool:
+    """Whether a nonzero direction is orthogonal to the control at strictly
+    active steps and points nowhere outward at the other active steps, to
+    1e-12 relative."""
     vals = v.values
     if not np.any(vals):
         return False
-    for i in multiplier.active_steps():
-        uv = float(np.dot(u.values[i] * w, vals[i]))
-        scale = np.sqrt(float(np.dot(u.values[i] * w, u.values[i]))
-                        * float(np.dot(vals[i] * w, vals[i]))) + 1e-300
-        if multiplier.activity[i] == ACTIVE_STRICT:
-            if abs(uv) > 1e-12 * scale:
-                return False
-        elif uv > 1e-12 * scale:
-            return False
-    return True
+    active = multiplier.activity > 0
+    us, vs = u.values[active], vals[active]
+    uv = spec.control_pairings(us, vs)
+    scale = np.sqrt(spec.control_pairings(us, us) * spec.control_pairings(vs, vs)) + 1e-300
+    outward = np.where(multiplier.activity[active] == ACTIVE_STRICT, np.abs(uv), uv)
+    return not np.any(outward > 1e-12 * scale)

@@ -22,7 +22,7 @@ import scipy.sparse as sps
 
 from .admissible import AdmissibleSet, project_values
 from .mesh import MeshError, SpatialMesh
-from .spaces import TimeGrid, Trajectory, weighted_inner, weighted_l2_norm
+from .spaces import TimeGrid, Trajectory, _discounted_sum, _pairings
 
 
 class AssumptionError(ValueError):
@@ -88,34 +88,29 @@ class Nonlinearity:
 
 
 def builtin_nonlinearities() -> dict:
-    """Catalog of ready-made nonlinearities keyed by name."""
+    """Catalog of ready-made nonlinearities keyed by name; each acts on a
+    float array or a float."""
     return {
         "zero": Nonlinearity(
-            "zero",
-            lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-            lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-            lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+            "zero", np.zeros_like, np.zeros_like, np.zeros_like,
             min_slope=0.0, growth_exponent=0.0, bound_scale=1.0, bound_feedback=0.0,
         ),
         "cubic": Nonlinearity(
             "cubic",
-            lambda s: np.asarray(s, dtype=float) ** 3,
-            lambda s: 3.0 * np.asarray(s, dtype=float) ** 2,
-            lambda s: 6.0 * np.asarray(s, dtype=float),
+            lambda s: s ** 3,
+            lambda s: 3.0 * s ** 2,
+            lambda s: 6.0 * s,
             min_slope=0.0, growth_exponent=2.0, bound_scale=3.0, bound_feedback=0.0,
         ),
         "cubic_minus_linear": Nonlinearity(
             "cubic_minus_linear",
-            lambda s: np.asarray(s, dtype=float) ** 3 - np.asarray(s, dtype=float),
-            lambda s: 3.0 * np.asarray(s, dtype=float) ** 2 - 1.0,
-            lambda s: 6.0 * np.asarray(s, dtype=float),
+            lambda s: s ** 3 - s,
+            lambda s: 3.0 * s ** 2 - 1.0,
+            lambda s: 6.0 * s,
             min_slope=-1.0, growth_exponent=2.0, bound_scale=3.0, bound_feedback=0.0,
         ),
         "exponential": Nonlinearity(
-            "exponential",
-            lambda s: np.expm1(np.asarray(s, dtype=float)),
-            lambda s: np.exp(np.asarray(s, dtype=float)),
-            lambda s: np.exp(np.asarray(s, dtype=float)),
+            "exponential", np.expm1, np.exp, np.exp,
             min_slope=0.0, growth_exponent=0.0, bound_scale=1.0, bound_feedback=1.0,
         ),
     }
@@ -128,9 +123,9 @@ def linear_nonlinearity(coefficient: float) -> Nonlinearity:
     c = float(coefficient)
     return Nonlinearity(
         f"linear({c:g})",
-        lambda s: c * np.asarray(s, dtype=float),
-        lambda s: np.full_like(np.asarray(s, dtype=float), c),
-        lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+        lambda s: c * s,
+        lambda s: np.full_like(s, c),
+        np.zeros_like,
         min_slope=0.0, growth_exponent=0.0, bound_scale=max(1.0, c), bound_feedback=0.0,
     )
 
@@ -272,18 +267,22 @@ class ProblemSpec:
         """Per-time-step projection of control values onto the admissible set."""
         return project_values(self.admissible, values, self.operators.control_weights)
 
+    def control_pairings(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per-step pairings <a_i, b_i> of control values in L2(omega), with
+        the lumped control weights."""
+        return _pairings(a, b, self.operators.control_weights)
+
     def control_norm(self, values: np.ndarray) -> float:
         """Norm of control values on the grid in the control-discounted
-        L2(omega) metric, with the lumped control weights."""
-        return weighted_l2_norm(Trajectory(self.grid, values, "control"),
-                                self.discounts.control_rate, self.operators.control_weights)
+        L2(omega) metric.  The weights are positive, so no pairing of values
+        with themselves is negative, and this is bitwise ``weighted_l2_norm``."""
+        return float(np.sqrt(self.control_inner(values, values)))
 
     def control_inner(self, a: np.ndarray, b: np.ndarray) -> float:
         """Inner product of control values on the grid in the metric of
-        ``control_norm``."""
-        return weighted_inner(Trajectory(self.grid, a, "control"),
-                              Trajectory(self.grid, b, "control"),
-                              self.discounts.control_rate, self.operators.control_weights)
+        ``control_norm``, bitwise ``weighted_inner``."""
+        return _discounted_sum(self.grid, self.discounts.control_rate,
+                               self.control_pairings(a[1:], b[1:]))
 
     def zero_control(self) -> Trajectory:
         return Trajectory(self.grid, np.zeros((self.grid.n_steps + 1, self.control_count)),

@@ -72,7 +72,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .problem import ProblemSpec, SolverError
-from .spaces import (Trajectory, quad_energies, weighted_l2_norm,
+from .spaces import (Trajectory, _discounted_sum, quad_energies, weighted_l2_norm,
                      weighted_sup_norm)
 
 
@@ -338,7 +338,7 @@ def solve_adjoint_from_residual(spec: ProblemSpec, base_state: Trajectory,
     mask = spec.observation_mask if masked else None
     mass_matvec = spec.step_operator.mass_matvec
     src = mass_matvec(residual) if mask is None else mask * mass_matvec(mask * residual)
-    sources = np.exp(-rate * spec.grid.times)[:, None] * src
+    sources = spec.grid.discount(rate)[:, None] * src
     vals = _linear_march(spec, base_state, sources, range(n, -1, -1))
     return Trajectory(spec.grid, vals, "adjoint")
 
@@ -375,12 +375,10 @@ def _combined_source_norm(spec, control, rate):
     g = spec.source_samples
     u = control.values
     e_g = quad_energies(g, ops.mass)
-    cross = np.einsum("ij,j,ij->i", g[:, ops.control_index], ops.control_weights, u)
-    e_u = np.einsum("ij,j,ij->i", u, ops.control_weights, u)
+    cross = spec.control_pairings(g[:, ops.control_index], u)
+    e_u = spec.control_pairings(u, u)
     energy = np.maximum(e_g + 2.0 * cross + e_u, 0.0)
-    t = spec.grid.times[1:]
-    w = spec.grid.step * np.exp(-rate * t)
-    return float(np.sqrt(np.sum(w * energy[1:])))
+    return float(np.sqrt(_discounted_sum(spec.grid, rate, energy[1:])))
 
 
 def check_energy_estimate(spec: ProblemSpec, control: Trajectory, rate: float,

@@ -4,6 +4,11 @@ A trajectory stores nodal coefficients at the times of a uniform grid on
 [0, T].  Time quadrature is the right-rectangle rule (weight dt at
 t_1..t_N, none at t_0), which is the quadrature induced by implicit Euler
 and makes the discrete adjoint an exact transpose.
+
+The grid owns its times and the discount weights e^{-rate t_i}
+(``TimeGrid.discount``); ``_pairings`` is the one per-step bilinear form
+a_i' X b_i, and ``_discounted_sum`` the one quadrature sum, which the norms
+here and the control metric of ``ProblemSpec`` share.
 """
 
 from __future__ import annotations
@@ -26,10 +31,14 @@ def write_csv(path, tag: str, columns: list, rows) -> None:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t_i = i*step, i = 0..n_steps, with horizon = n_steps*step."""
+    """Uniform grid t_i = i*step, i = 0..n_steps, with horizon = n_steps*step.
+
+    ``times`` is made once, with the grid, and is read-only.
+    """
 
     horizon: float
     step: float
+    times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.step <= 0 or self.horizon <= 0:
@@ -37,14 +46,18 @@ class TimeGrid:
         ratio = self.horizon / self.step
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise ValueError(f"horizon {self.horizon} is not an integer multiple of step {self.step}")
+        times = self.step * np.arange(self.n_steps + 1)
+        times.flags.writeable = False
+        object.__setattr__(self, "times", times)
 
     @property
     def n_steps(self) -> int:
         return int(round(self.horizon / self.step))
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.step * np.arange(self.n_steps + 1)
+    def discount(self, rate: float) -> np.ndarray:
+        """Weights e^{-rate t_i} at every grid time; a growth factor is a
+        negative rate."""
+        return np.exp(-rate * self.times)
 
 
 @dataclass(eq=False)
@@ -133,15 +146,16 @@ def quad_energies(values: np.ndarray, form) -> np.ndarray:
     return _pairings(values, values, form)
 
 
-def _quad_weights(grid: TimeGrid, rate: float) -> np.ndarray:
-    t = grid.times[1:]
-    return grid.step * np.exp(-rate * t)
+def _discounted_sum(grid: TimeGrid, rate: float, per_step: np.ndarray) -> float:
+    """sum_i dt e^{-rate t_i} per_step_i over i >= 1, ``per_step`` holding
+    the values at t_1..t_N."""
+    return float(np.sum(grid.step * grid.discount(rate)[1:] * per_step))
 
 
 def weighted_l2_norm(traj: Trajectory, rate: float, form) -> float:
     """Right-rectangle discretization of (int_0^T e^{-rate t} |y(t)|_X^2 dt)^{1/2}."""
     e = quad_energies(traj.values[1:], form)
-    return float(np.sqrt(np.sum(_quad_weights(traj.grid, rate) * np.maximum(e, 0.0))))
+    return float(np.sqrt(_discounted_sum(traj.grid, rate, np.maximum(e, 0.0))))
 
 
 def weighted_lp_norm(traj: Trajectory, rate: float, p: float, form) -> float:
@@ -149,19 +163,17 @@ def weighted_lp_norm(traj: Trajectory, rate: float, p: float, form) -> float:
     if p <= 0:
         raise ValueError("p must be positive")
     e = np.sqrt(np.maximum(quad_energies(traj.values[1:], form), 0.0))
-    s = np.sum(_quad_weights(traj.grid, rate) * e**p)
-    return float(s ** (1.0 / p))
+    return float(_discounted_sum(traj.grid, rate, e**p) ** (1.0 / p))
 
 
 def weighted_sup_norm(traj: Trajectory, rate: float, form) -> float:
     """max_i e^{-rate t_i / 2} |y_i|_X over the whole grid, including t_0."""
     e = np.sqrt(np.maximum(quad_energies(traj.values, form), 0.0))
-    return float(np.max(np.exp(-0.5 * rate * traj.grid.times) * e))
+    return float(np.max(traj.grid.discount(0.5 * rate) * e))
 
 
 def weighted_inner(a: Trajectory, b: Trajectory, rate: float, form) -> float:
     """Discrete weighted pairing sum_i dt e^{-rate t_i} a_i' X b_i (i >= 1)."""
     if a.values.shape != b.values.shape:
         raise ValueError("trajectory shapes do not match")
-    cross = _pairings(a.values[1:], b.values[1:], form)
-    return float(np.sum(_quad_weights(a.grid, rate) * cross))
+    return _discounted_sum(a.grid, rate, _pairings(a.values[1:], b.values[1:], form))

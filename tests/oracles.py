@@ -13,6 +13,11 @@ Newton step, and the adjoint sources built one time row at a time.  They
 read only the step operator's matrices, never its methods; the 2D step
 solve is band Cholesky on the lower symmetric band.  The reference growth
 probe solves its samples one at a time with the reference march.
+
+The reference optimality diagnostics at the very end are the per-step loops
+the library's masked array code replaced: the pointwise first-order
+relations and the ball directions of the critical cone, one ``np.dot`` per
+pairing.
 """
 
 import numpy as np
@@ -324,3 +329,86 @@ def reference_growth(spec, stepper, u_star, radius, samples, seed=0):
         margins.append(2.0 * (cost(Trajectory(spec.grid, cand, "control")) - j_star) / dist**2)
         distances.append(dist)
     return min(margins), margins, distances
+
+
+# ---------------------------------------------------------------------------
+# reference optimality diagnostics, one time step at a time
+
+
+def reference_projection_formulas(spec, u, adjoint):
+    """(t_i, case, residual) of the pointwise first-order relations at every
+    step i >= 1, as ``check_projection_formulas`` records them."""
+    ops = spec.operators
+    nu = spec.control_weight
+    rate_c = spec.discounts.control_rate
+    t = spec.grid.times
+    w = ops.control_weights
+    phi = adjoint.values[:, ops.control_index]
+    adm = spec.admissible
+    out = []
+    for i in range(1, spec.grid.n_steps + 1):
+        ui = u.values[i]
+        if adm.kind == "box":
+            target = np.clip(-np.exp(rate_c * t[i]) / nu * phi[i], adm.lower, adm.upper)
+            res = float(np.max(np.abs(ui - target))) if target.size else 0.0
+            out.append((float(t[i]), "box", res))
+            continue
+        unorm = np.sqrt(float(np.dot(ui * w, ui)))
+        density = phi[i] + nu * np.exp(-rate_c * t[i]) * ui
+        if unorm < adm.radius - adm.active_tol:
+            res, case = np.sqrt(float(np.dot(density * w, density))), "interior"
+        else:
+            pnorm = np.sqrt(float(np.dot(phi[i] * w, phi[i])))
+            if pnorm <= 1e-300:
+                res = np.sqrt(float(np.dot(density * w, density)))
+                case = "active-degenerate"
+            else:
+                gap = ui + adm.radius * phi[i] / pnorm
+                res, case = np.sqrt(float(np.dot(gap * w, gap))), "active"
+        out.append((float(t[i]), case, float(res)))
+    return out
+
+
+def reference_ball_directions(spec, u, multiplier, count, seed):
+    """The ball directions of ``sample_critical_directions`` as value arrays:
+    each seeded draw has its radial component removed at strictly active
+    steps (activity 2), and at degenerate active steps (activity 1) where it
+    points outward, and is kept if it passes the cone's conditions."""
+    rng = np.random.default_rng(seed)
+    w = spec.operators.control_weights
+    n = spec.grid.n_steps
+    out = []
+    for _ in range(count):
+        v = rng.standard_normal((n + 1, spec.control_count))
+        v[0] = 0.0
+        for i in range(1, n + 1):
+            code = multiplier.activity[i]
+            if code == 0:
+                continue
+            uu = float(np.dot(u.values[i] * w, u.values[i]))
+            if uu <= 1e-300:
+                continue
+            uv = float(np.dot(u.values[i] * w, v[i]))
+            if code == 2 or uv > 0.0:
+                v[i] -= (uv / uu) * u.values[i]
+        if reference_ball_cone_member(u, v, multiplier, w):
+            out.append(v)
+    return out
+
+
+def reference_ball_cone_member(u, v, multiplier, w):
+    """Whether direction values v are nonzero, orthogonal to u at strictly
+    active steps and nowhere outward at degenerate active ones, to 1e-12
+    relative."""
+    if not np.any(v):
+        return False
+    for i in np.flatnonzero(multiplier.activity > 0):
+        uv = float(np.dot(u.values[i] * w, v[i]))
+        scale = np.sqrt(float(np.dot(u.values[i] * w, u.values[i]))
+                        * float(np.dot(v[i] * w, v[i]))) + 1e-300
+        if multiplier.activity[i] == 2:
+            if abs(uv) > 1e-12 * scale:
+                return False
+        elif uv > 1e-12 * scale:
+            return False
+    return True

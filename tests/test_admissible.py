@@ -9,6 +9,7 @@ from horizonopt.admissible import (check_projection_formulas, project_values,
 from horizonopt.spaces import weighted_l2_norm
 
 from conftest import admissible_contains, make_spec, random_control
+from oracles import reference_projection_formulas
 
 
 class TestProjection:
@@ -220,3 +221,42 @@ def test_box_stationarity_implies_formula_residual():
     assert stationarity_residual(spec, u, grad) <= 1e-12
     report_f = check_projection_formulas(spec, u, adjoint)
     assert report_f.max_residual <= 1e-10
+
+
+def formula_instance(kind):
+    """A control and an adjoint, not a stationary pair, whose steps take every
+    case of their set: for the ball, odd steps lie inside it, even steps on
+    its sphere, and at every fourth step the adjoint vanishes on the control
+    nodes; for the box, the scaled adjoint is clamped at some nodes."""
+    adm = (ho.AdmissibleSet("ball", radius=0.3) if kind == "ball"
+           else ho.AdmissibleSet("box", lower=-0.3, upper=0.25))
+    spec = make_spec(admissible=adm)
+    ops = spec.operators
+    rng = np.random.default_rng(40)
+    n, m = spec.grid.n_steps, spec.control_count
+    vals = 0.1 * rng.standard_normal((n + 1, m))
+    if kind == "ball":
+        vals[::2] = project_values(adm, 10.0 * vals[::2], ops.control_weights)
+    else:
+        vals = np.clip(3.0 * vals, adm.lower, adm.upper)
+    adj = 0.2 * rng.standard_normal((n + 1, ops.n_nodes))
+    if kind == "ball":
+        adj[4::4, ops.control_index] = 0.0
+    return (spec, ho.Trajectory(spec.grid, vals, "control"),
+            ho.Trajectory(spec.grid, adj, "adjoint"))
+
+
+class TestFormulasMatchReference:
+    @pytest.mark.parametrize("kind", ["ball", "box"])
+    def test_cases_exact_and_residuals_to_rounding(self, kind):
+        spec, u, adjoint = formula_instance(kind)
+        report = check_projection_formulas(spec, u, adjoint)
+        expected = reference_projection_formulas(spec, u, adjoint)
+        assert [(r.time, r.case) for r in report.records] == [e[:2] for e in expected]
+        assert [r.residual for r in report.records] == pytest.approx(
+            [e[2] for e in expected], rel=1e-12)
+        assert report.worst_time == max(expected, key=lambda e: e[2])[0]
+        cases = {"ball": {"interior", "active", "active-degenerate"}, "box": {"box"}}[kind]
+        assert {r.case for r in report.records} == cases
+        if kind == "box":
+            assert any(r.residual > 0.0 for r in report.records)

@@ -11,7 +11,8 @@ from horizonopt.solvers import solve_adjoint
 from horizonopt.spaces import weighted_inner, weighted_l2_norm
 
 from conftest import make_spec, random_control
-from oracles import geometric_weight_sum
+from oracles import (geometric_weight_sum, reference_ball_cone_member,
+                     reference_ball_directions)
 
 
 def fd_directional(spec, u, v, eps):
@@ -315,6 +316,59 @@ class TestCriticalDirections:
         assert dirs
         for v in dirs:
             assert np.all(v.values[1:] <= 0)
+
+
+class TestCriticalDirectionsMatchReference:
+    def ball_instance(self):
+        # every step on the sphere of radius 0.3, so the multiplier marks all
+        # of them active
+        spec = make_spec(nonlinearity="cubic", initial=0.5 * np.ones(21),
+                         target=0.4 * np.ones((21, 21)),
+                         admissible=ho.AdmissibleSet("ball", radius=0.3))
+        rng = np.random.default_rng(24)
+        vals = rng.standard_normal((spec.grid.n_steps + 1, spec.control_count))
+        vals = project_values(spec.admissible, 5.0 * vals, spec.operators.control_weights)
+        u = ho.Trajectory(spec.grid, vals, "control")
+        adjoint = solve_adjoint(spec, ho.solve_forward(spec, u))
+        return spec, u, adjoint, ho.multiplier_and_cone(spec, u, adjoint)
+
+    def assert_match(self, spec, u, adjoint, mult, seed):
+        dirs = ho.sample_critical_directions(spec, u, adjoint, mult, count=6, seed=seed)
+        expected = reference_ball_directions(spec, u, mult, 6, seed)
+        assert len(dirs) == len(expected) > 0
+        for v, ref in zip(dirs, expected):
+            np.testing.assert_allclose(v.values, ref, rtol=1e-12, atol=1e-12)
+
+    def test_strictly_active_steps(self):
+        spec, u, adjoint, mult = self.ball_instance()
+        assert np.all(mult.activity[1:] == 2)
+        self.assert_match(spec, u, adjoint, mult, seed=3)
+
+    def test_inactive_degenerate_and_strict_steps(self):
+        spec, u, adjoint, mult = self.ball_instance()
+        activity = mult.activity.copy()
+        activity[1::3], activity[2::3] = 0, 1
+        mixed = ho.Multiplier(mult.values, activity, mult.active_tol, mult.strict_tol)
+        self.assert_match(spec, u, adjoint, mixed, seed=4)
+
+    def test_the_cone_check_accepts_and_rejects_as_the_loop(self):
+        # a radial part added to an accepted direction keeps it in the cone
+        # only if it points inward at a degenerate active step
+        from horizonopt.objective import _verify_ball_direction
+        spec, u, adjoint, mult = self.ball_instance()
+        activity = mult.activity.copy()
+        activity[1::3], activity[2::3] = 0, 1
+        mixed = ho.Multiplier(mult.values, activity, mult.active_tol, mult.strict_tol)
+        w = spec.operators.control_weights
+        v = reference_ball_directions(spec, u, mixed, 1, 5)[0]
+        verdicts = []
+        for step, radial in ((1, 0.0), (2, -0.5), (2, 0.5), (3, -0.5), (3, 0.5)):
+            vals = v.copy()
+            vals[step] += radial * u.values[step]
+            verdict = _verify_ball_direction(spec, u, ho.Trajectory(spec.grid, vals), mixed)
+            assert verdict == reference_ball_cone_member(u, vals, mixed, w)
+            verdicts.append(verdict)
+        assert verdicts == [True, True, False, False, False]
 
 
 def density_pairing(spec, u, adjoint, v):

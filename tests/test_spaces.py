@@ -316,6 +316,23 @@ def test_weighted_inner_matches_norm():
         weighted_l2_norm(u, 0.6, ops.control_weights), rel=1e-13)
 
 
+class TestTimeGridTimes:
+    def test_times_are_made_once_and_read_only(self):
+        grid = ho.TimeGrid(2.0, 0.05)
+        assert grid.times is grid.times
+        assert np.array_equal(grid.times, 0.05 * np.arange(41))
+        with pytest.raises(ValueError, match="read-only"):
+            grid.times[3] = 0.0
+        assert grid == ho.TimeGrid(2.0, 0.05) and "times" not in repr(grid)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3, -0.3, 0.5 * 0.7, 1e-3, 40.0])
+    def test_discount_is_bitwise_the_exponential_of_the_times(self, rate):
+        grid = ho.TimeGrid(3.0, 0.01)
+        assert np.array_equal(grid.discount(rate), np.exp(-rate * grid.times))
+        # and so the slices its callers take are the exponentials of the slices
+        assert np.array_equal(grid.discount(rate)[1:], np.exp(-rate * grid.times[1:]))
+
+
 def test_import_does_not_load_scipy_integrate():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
