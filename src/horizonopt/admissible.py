@@ -56,17 +56,15 @@ def project_values(admissible: AdmissibleSet, values: np.ndarray,
     return values * scale[:, None]
 
 
-def stationarity_residual(spec, u: Trajectory, grad: Trajectory,
-                          step: float | None = None) -> float:
+def stationarity_residual(spec, u: Trajectory, grad: Trajectory) -> float:
     """Norm of the projected-gradient fixed-point gap.
 
-    Returns |u - P(u - step*grad)| in the control-discounted metric.  The
-    default step 1/control_weight makes the projected point coincide with
+    Returns |u - P(u - grad/control_weight)| in the control-discounted
+    metric.  At the step 1/control_weight the projected point coincides with
     the closed-form projection of the scaled adjoint, so the residual
     vanishes exactly at first-order stationary points.
     """
-    if step is None:
-        step = 1.0 / spec.control_weight
+    step = 1.0 / spec.control_weight
     return spec.control_norm(u.values - spec.project(u.values - step * grad.values))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import fields, replace
+from dataclasses import fields
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -289,21 +289,24 @@ def build_problem(cfg: dict) -> ProblemSpec:
     except ValueError as exc:
         raise ConfigError(f"optimizer.newton: {exc}") from exc
     ccfg = _read(doc["cost"], "cost", {"control_weight": (float, _REQUIRED, *_POSITIVE)})
+    data = _read(doc["data"], "data", {name: (dict, _REQUIRED)
+                                       for name in ("initial", "source", "target")})
+    # only building the data fields and sampling them carry the label; sampling
+    # here checks every field against the mesh and the grid, so a template
+    # that cannot be sampled is a configuration error, not a failure of the
+    # first solve
+    try:
+        initial, source, target = (build_field(data[key], f"data.{key}")
+                                   for key in ("initial", "source", "target"))
+    except ValueError as exc:
+        raise ConfigError(f"data field: {exc}") from exc
     spec = ProblemSpec(
         mesh=mesh, operator=form, nonlinearity=nonlin, discounts=discounts,
-        grid=grid, initial_state=None, source=None, target=None,
+        grid=grid, initial_state=initial, source=source, target=target,
         control_weight=float(ccfg["control_weight"]), admissible=admissible,
         newton=newton,
     )
-    # the data fields go in last, so that only their errors carry the label;
-    # sampling checks every field against the mesh and the grid here, so a
-    # template that cannot be sampled is a configuration error, not a failure
-    # of the first solve
-    data = _read(doc["data"], "data", {name: (dict, _REQUIRED)
-                                       for name in ("initial", "source", "target")})
     try:
-        spec = replace(spec, **{name: build_field(data[key], f"data.{key}") for name, key in (
-            ("initial_state", "initial"), ("source", "source"), ("target", "target"))})
         for name in ("initial_values", "source_samples", "target_samples"):
             getattr(spec, name)
     except ValueError as exc:

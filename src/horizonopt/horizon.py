@@ -36,7 +36,9 @@ class HorizonStudyConfig:
     def __post_init__(self):
         hs = tuple(float(h) for h in self.horizons)
         object.__setattr__(self, "horizons", tuple(sorted(hs)))
-        if len(set(self.horizons)) != len(self.horizons) or len(self.horizons) < 1:
+        if not self.horizons:
+            raise ValueError("at least one horizon is needed")
+        if len(set(self.horizons)) != len(self.horizons):
             raise ValueError("horizons must be distinct")
         if self.extension not in ("reference", "zero"):
             raise ValueError("extension must be 'reference' or 'zero'")

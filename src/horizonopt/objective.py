@@ -171,11 +171,6 @@ class Multiplier:
 
     values: np.ndarray
     activity: np.ndarray
-    active_tol: float
-    strict_tol: float
-
-    def strict_steps(self) -> np.ndarray:
-        return np.flatnonzero(self.activity == ACTIVE_STRICT)
 
 
 def multiplier_and_cone(spec: ProblemSpec, u: Trajectory, adjoint: Trajectory) -> Multiplier:
@@ -189,17 +184,15 @@ def multiplier_and_cone(spec: ProblemSpec, u: Trajectory, adjoint: Trajectory) -
     adm = spec.admissible
     if adm.kind != "ball":
         raise ValueError("multiplier is defined for ball-constrained problems")
-    active_tol = adm.active_tol
-    strict_tol = 1e-8 * spec.control_weight * adm.radius
     density = first_order_density(spec, u, adjoint)
     mu = np.sqrt(spec.control_pairings(density, density))
     unorm = np.sqrt(spec.control_pairings(u.values, u.values))
-    active = np.abs(unorm - adm.radius) <= active_tol
+    active = np.abs(unorm - adm.radius) <= adm.active_tol
     mu = np.where(active, mu, 0.0)
     activity = np.zeros(u.values.shape[0], dtype=int)
     activity[active] = ACTIVE_DEGENERATE
-    activity[active & (mu > strict_tol)] = ACTIVE_STRICT
-    return Multiplier(mu, activity, active_tol, strict_tol)
+    activity[active & (mu > 1e-8 * spec.control_weight * adm.radius)] = ACTIVE_STRICT
+    return Multiplier(mu, activity)
 
 
 def sample_critical_directions(spec: ProblemSpec, u: Trajectory, adjoint: Trajectory,

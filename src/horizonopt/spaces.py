@@ -114,7 +114,9 @@ class Trajectory:
                   np.column_stack((self.grid.times, self.values)).tolist())
 
     @staticmethod
-    def from_csv(path, kind: str | None = None) -> "Trajectory":
+    def from_csv(path) -> "Trajectory":
+        """Read a file of ``to_csv``, whose header gives the kind; it needs
+        at least two time rows, which give the step."""
         meta = {}
         with open(path) as fh:
             first = fh.readline()
@@ -125,10 +127,12 @@ class Trajectory:
                         meta[k] = v
                 fh.readline()  # column names
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        if data.shape[0] < 2:
+            raise ValueError(f"{path}: a trajectory file needs at least two time rows, "
+                             f"found {data.shape[0]}")
         t, vals = data[:, 0], data[:, 1:]
-        step = t[1] - t[0]
-        grid = TimeGrid(t[-1], step)
-        return Trajectory(grid, vals, kind or meta.get("kind", "generic"))
+        grid = TimeGrid(t[-1], t[1] - t[0])
+        return Trajectory(grid, vals, meta.get("kind", "generic"))
 
 
 def _pairings(a: np.ndarray, b: np.ndarray, form) -> np.ndarray:

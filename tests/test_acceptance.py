@@ -157,8 +157,8 @@ def test_criterion_4_energy_estimates():
         h = rng.standard_normal((spec.grid.n_steps + 1, 31))
         d = spec.discounts
         for rate in (d.state_rate, d.aux_rate, 0.5 * (d.state_rate + d.aux_rate)):
-            fw = ho.check_energy_estimate(spec, u, rate, slack=0.05)
-            ln = ho.check_linearized_estimate(spec, u, h, rate, slack=0.05)
+            fw = ho.check_energy_estimate(spec, u, rate)
+            ln = ho.check_linearized_estimate(spec, u, h, rate)
             assert fw.satisfied and ln.satisfied, (name, rate, fw.to_dict(),
                                                    ln.to_dict())
             worst = max(worst, fw.lhs / max(fw.rhs, 1e-300),

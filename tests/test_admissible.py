@@ -116,12 +116,14 @@ class TestStationarityResidual:
         assert stationarity_residual(spec, u, g) == 0.0
 
     def test_unconstrained_unit_step_equals_gradient_norm(self):
-        spec = make_spec(admissible=ho.AdmissibleSet("ball", radius=1e12))
+        # the residual's step is 1/control_weight, a unit step at weight 1
+        spec = make_spec(admissible=ho.AdmissibleSet("ball", radius=1e12),
+                         control_weight=1.0)
         u = random_control(spec, seed=7, scale=0.1)
         g = random_control(spec, seed=8, scale=0.2)
-        res = stationarity_residual(spec, u, g, step=1.0)
+        res = stationarity_residual(spec, u, g)
         expected = weighted_l2_norm(g, spec.discounts.control_rate,
-                                    spec.operators.control_weights)
+                                    spec.operators.control_weights) / spec.control_weight
         assert res == pytest.approx(expected, rel=1e-12)
 
     def test_default_step_scales_with_inverse_weight(self):

@@ -375,6 +375,17 @@ class TestRunnerFailures:
         assert manifest["status"] == "failed"
         assert "step matrix not positive definite (pbtrf info" in manifest["error"]
 
+    def test_negative_diffusion_fails_assembly(self, tmp_path, capsys):
+        # solve-forward runs on any problem, so assembly's own check of the
+        # ellipticity constant, the smallest diffusion, stops it
+        out = tmp_path / "run"
+        assert main(["solve-forward", "--config", str(CONFIG_DIR / "ball_cubic.json"),
+                     "--set", "operator.diffusion=-1", "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == "ellipticity bound must be positive"
+
     @pytest.mark.parametrize("malformed, override", [
         (True, None), (False, "nonlinearity.name=quartic"), (False, "no-equals-sign"),
         (False, "optimizer.newton.foo=1"), (False, "optimizer.newton=3"),
@@ -603,7 +614,7 @@ class TestOutputSchemas:
         validation = keys("val", "validation.json")
         assert set(validation) == {"passed", "sample_range", "sample_count", "items"}
         for item in validation["items"]:
-            assert set(item) == {"key", "requirement", "passed", "detail", "mandatory"}
+            assert set(item) == {"key", "requirement", "passed", "detail"}
         assert set(keys("so", "socheck.json")["growth"]) == {"kappa", "margins", "distances"}
 
 

@@ -154,6 +154,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             HorizonStudyConfig(horizons=(2.0, 2.0), reference_horizon=5.0)
 
+    def test_empty_sweep_rejected(self):
+        with pytest.raises(ValueError, match="at least one horizon is needed"):
+            HorizonStudyConfig(horizons=(), reference_horizon=5.0)
+
     def test_reference_must_exceed_sweep(self):
         with pytest.raises(ValueError):
             HorizonStudyConfig(horizons=(2.0, 4.0), reference_horizon=4.0)

@@ -9,7 +9,7 @@ from horizonopt.admissible import project_values
 from horizonopt.config import apply_overrides, build_problem
 from horizonopt.mesh import MeshError
 from horizonopt.objective import gradient_with_state
-from horizonopt.problem import AssumptionError, default_aux_rate
+from horizonopt.problem import default_aux_rate
 from horizonopt.spaces import weighted_inner, weighted_l2_norm
 
 from conftest import make_spec, random_control, rectangle_spec
@@ -65,12 +65,6 @@ class TestAssembly:
     def test_control_weights_cover_control_subdomain(self):
         _, ops = ops_for()
         assert ops.control_weights.sum() == pytest.approx(0.6, abs=1e-12)
-
-    def test_ellipticity_violation_raises(self):
-        mesh = ho.interval_mesh(1.0, 11, control=(0.2, 0.8))
-        form = ho.EllipticForm(diffusion=np.full(10, 0.5), ellipticity=1.0)
-        with pytest.raises(AssumptionError):
-            ho.assemble_operators(mesh, form)
 
     def test_degenerate_mesh_raises(self):
         with pytest.raises(MeshError):

@@ -160,6 +160,16 @@ class TestTrajectoryIO:
         assert back.values.shape == y.values.shape
         assert np.array_equal(back.values.view(np.int64), y.values.view(np.int64))
 
+    @pytest.mark.filterwarnings("ignore:loadtxt")
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_csv_with_fewer_than_two_times_is_refused(self, tmp_path, rows):
+        # the step is the difference of the first two times
+        path = tmp_path / "short.csv"
+        path.write_text("# horizonopt trajectory v1 kind=state columns=1\nt,node_0\n"
+                        + "0,1.5\n" * rows)
+        with pytest.raises(ValueError, match=f"short.csv: .*at least two time rows, found {rows}"):
+            ho.Trajectory.from_csv(path)
+
     def test_csv_header_carries_schema_version(self, tmp_path):
         spec, _ = unit_setup(horizon=0.5, step=0.05)
         y = constant_trajectory(spec)
