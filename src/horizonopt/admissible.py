@@ -74,9 +74,6 @@ class StepFormulaRecord:
     case: str
     residual: float
 
-    def to_dict(self):
-        return {"t": self.time, "case": self.case, "residual": self.residual}
-
 
 @dataclass
 class FormulaReport:
@@ -85,13 +82,6 @@ class FormulaReport:
     records: list
     max_residual: float
     worst_time: float
-
-    def to_dict(self):
-        return {
-            "max_residual": self.max_residual,
-            "worst_time": self.worst_time,
-            "steps": [r.to_dict() for r in self.records],
-        }
 
 
 def check_projection_formulas(spec, u: Trajectory, adjoint: Trajectory) -> FormulaReport:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import fields
 from typing import get_args, get_origin, get_type_hints
 
@@ -53,9 +54,10 @@ _REQUIRED = object()
 
 
 def _fits(value, hint) -> bool:
-    """Whether a JSON value has the type ``hint``: ``float`` is any number and
-    ``int`` an integer, neither of them a boolean; ``list[X]`` is an array of
-    X, and a union admits any of its members."""
+    """Whether a JSON value has the type ``hint``: ``float`` is any finite
+    number (JSON readers take ``NaN`` and ``Infinity``) and ``int`` an
+    integer, neither of them a boolean; ``list[X]`` is an array of X, and a
+    union admits any of its members."""
     args = get_args(hint)
     if get_origin(hint) is list:
         return isinstance(value, list) and all(_fits(item, args[0]) for item in value)
@@ -63,7 +65,9 @@ def _fits(value, hint) -> bool:
         return any(_fits(value, arg) for arg in args)
     if isinstance(value, bool):
         return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
+    if hint is float:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, hint)
 
 
 def _one_of(*choices) -> tuple:

@@ -44,8 +44,6 @@ class SpatialMesh:
 
     def __post_init__(self):
         self.coords = np.atleast_2d(np.asarray(self.coords, dtype=float))
-        if self.coords.shape[0] == 1 and self.coords.shape[1] > 2:
-            self.coords = self.coords.T
         self.elements = np.asarray(self.elements, dtype=int)
         self.control_mask = np.asarray(self.control_mask, dtype=bool)
         if self.dimension not in (1, 2):

@@ -158,6 +158,9 @@ class SecondOrderModel:
 # norm-ball multiplier and critical directions
 
 ACTIVE_DEGENERATE, ACTIVE_STRICT = 1, 2
+# a box problem's first-order density counts as nonzero, so that its node is
+# strictly active, above this magnitude
+DENSITY_TOL = 1e-7
 
 
 @dataclass(eq=False)
@@ -197,7 +200,7 @@ def multiplier_and_cone(spec: ProblemSpec, u: Trajectory, adjoint: Trajectory) -
 
 def sample_critical_directions(spec: ProblemSpec, u: Trajectory, adjoint: Trajectory,
                                multiplier: Multiplier | None = None, count: int = 10,
-                               seed: int = 0, density_tol: float = 1e-7):
+                               seed: int = 0):
     """Seeded random directions satisfying the active-set compatibility conditions.
 
     Ball case: directions are orthogonalized (in the control inner product)
@@ -238,7 +241,7 @@ def sample_critical_directions(spec: ProblemSpec, u: Trajectory, adjoint: Trajec
         tol = 1e-8 * (adm.upper - adm.lower)
         at_lower = u.values <= adm.lower + tol
         at_upper = u.values >= adm.upper - tol
-        nonzero_density = np.abs(density) > density_tol
+        nonzero_density = np.abs(density) > DENSITY_TOL
         for _ in range(count):
             v = rng.standard_normal((n + 1, spec.control_count))
             v[0] = 0.0

@@ -44,13 +44,13 @@ class OptimizerConfig:
     min_step: float = 1e-14
 
     def __post_init__(self):
-        if self.initial_step is not None and self.initial_step <= 0:
+        if self.initial_step is not None and not self.initial_step > 0:
             raise ValueError("initial_step must be positive")
         if not 0 < self.armijo_slope < 1:
             raise ValueError("armijo_slope must lie in (0, 1)")
         if not 0 < self.backtrack < 1:
             raise ValueError("backtrack factor must lie in (0, 1)")
-        if self.tolerance <= 0 or self.max_iterations < 1 or self.min_step <= 0:
+        if not (self.tolerance > 0 and self.max_iterations >= 1 and self.min_step > 0):
             raise ValueError("tolerance, max_iterations, min_step must be positive")
 
 

@@ -167,7 +167,7 @@ class NewtonConfig:
     max_iterations: int = 30
 
     def __post_init__(self):
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
@@ -201,7 +201,7 @@ class ProblemSpec:
 
     def __post_init__(self):
         if not np.isfinite(self.control_weight) or self.control_weight <= 0:
-            raise ValueError("control_weight must be positive")
+            raise ValueError("control_weight must be positive and finite")
 
     # -- assembled operators ------------------------------------------------
 

@@ -233,10 +233,13 @@ def solve_forward(spec: ProblemSpec, control: Trajectory | list):
             except SolverError as own:
                 failures.append((math.inf if own.step is None else own.step, k, own))
         raise (min(failures)[2] if failures else exc) from None
-    if not all(np.isfinite(v).all() for v in values):
-        raise SolverError("forward solve produced non-finite values")
+    # every row is the initial state, checked when sampled, or an accepted
+    # iterate, whose residual norm passed a comparison that nan and inf fail:
+    # the rows are finite without a scan here
     if single:
-        return Trajectory(spec.grid, values[0], "state", kept)
+        state = Trajectory(spec.grid, values[0], "state")
+        state.factors = kept
+        return state
     return [Trajectory(spec.grid, v, "state") for v in values]
 
 

@@ -41,8 +41,8 @@ class TimeGrid:
     times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.step <= 0 or self.horizon <= 0:
-            raise ValueError("horizon and step must be positive")
+        if not (0 < self.step < np.inf and 0 < self.horizon < np.inf):
+            raise ValueError("horizon and step must be positive and finite")
         ratio = self.horizon / self.step
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise ValueError(f"horizon {self.horizon} is not an integer multiple of step {self.step}")
@@ -67,12 +67,12 @@ class Trajectory:
     ``kind`` is one of "state", "adjoint", "control", "generic"; control
     trajectories hold values on the control-subdomain nodes only.
 
-    ``factors`` is None except on a state ``solvers.solve_forward`` returns
-    for one control in 2D: there ``factors[i]`` (i < n) is the diagonal and
-    the factorization of the step matrix S(y_i) made by the first Newton
-    iteration of step i + 1 (None if that step took none), for the linear
-    marches around the state to reuse.  They describe ``values``, which
-    nothing changes.
+    ``factors`` is not a constructor argument.  It is None except on a state
+    ``solvers.solve_forward`` returns for one control in 2D, which sets it:
+    there ``factors[i]`` (i < n) is the diagonal and the factorization of
+    the step matrix S(y_i) made by the first Newton iteration of step i + 1
+    (None if that step took none), for the linear marches around the state
+    to reuse.  They describe ``values``, which nothing changes.
 
     Trajectories compare by identity: elementwise equality of ``values`` has
     no single truth value.
@@ -81,14 +81,12 @@ class Trajectory:
     grid: TimeGrid
     values: np.ndarray
     kind: str = "generic"
-    factors: list | None = field(default=None, repr=False)
+    factors: list | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim == 1:
-            self.values = self.values[:, None]
-        if self.values.shape[0] != self.grid.n_steps + 1:
-            raise ValueError("trajectory length must be n_steps + 1")
+        if self.values.ndim != 2 or self.values.shape[0] != self.grid.n_steps + 1:
+            raise ValueError("trajectory values must have shape (n_steps + 1, width)")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("trajectory contains non-finite entries")
         if self.kind not in ("state", "adjoint", "control", "generic"):
@@ -112,27 +110,6 @@ class Trajectory:
         write_csv(path, f"horizonopt trajectory v1 kind={self.kind} columns={self.width}",
                   ["t"] + [f"node_{k}" for k in range(self.width)],
                   np.column_stack((self.grid.times, self.values)).tolist())
-
-    @staticmethod
-    def from_csv(path) -> "Trajectory":
-        """Read a file of ``to_csv``, whose header gives the kind; it needs
-        at least two time rows, which give the step."""
-        meta = {}
-        with open(path) as fh:
-            first = fh.readline()
-            if first.startswith("#"):
-                for tok in first.split():
-                    if "=" in tok:
-                        k, v = tok.split("=", 1)
-                        meta[k] = v
-                fh.readline()  # column names
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        if data.shape[0] < 2:
-            raise ValueError(f"{path}: a trajectory file needs at least two time rows, "
-                             f"found {data.shape[0]}")
-        t, vals = data[:, 0], data[:, 1:]
-        grid = TimeGrid(t[-1], t[1] - t[0])
-        return Trajectory(grid, vals, meta.get("kind", "generic"))
 
 
 def _pairings(a: np.ndarray, b: np.ndarray, form) -> np.ndarray:

@@ -61,6 +61,21 @@ def rectangle_spec(shape, seed=0, horizon=0.4, step=0.05, observation=None):
         admissible=AdmissibleSet("ball", radius=5.0))
 
 
+def read_trajectory(path):
+    """A ``Trajectory.to_csv`` file read back strictly: the ``# horizonopt
+    trajectory`` header line gives the kind, and the times must be i*dt from 0."""
+    with open(path) as fh:
+        header = fh.readline().split()
+        assert header[:3] == ["#", "horizonopt", "trajectory"], f"{path}: no trajectory header"
+        kind = dict(token.split("=", 1) for token in header if "=" in token)["kind"]
+        fh.readline()  # column names
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    t = data[:, 0]
+    grid = TimeGrid(t[-1], t[1])
+    assert np.array_equal(t, grid.times), f"{path}: times are not i*dt from 0"
+    return Trajectory(grid, data[:, 1:], kind)
+
+
 def random_control(spec, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
     vals = scale * rng.standard_normal((spec.grid.n_steps + 1, spec.control_count))

@@ -180,16 +180,6 @@ class TestProjectionFormulas:
         assert rec.case == "interior"
         assert rec.residual == pytest.approx(expected, rel=1e-12)
 
-    def test_report_serializes(self):
-        spec = make_spec(admissible=ho.AdmissibleSet("box", lower=-1, upper=1))
-        u = spec.zero_control()
-        state = ho.solve_forward(spec, u)
-        adjoint = ho.solve_adjoint(spec, state)
-        report = check_projection_formulas(spec, u, adjoint)
-        d = report.to_dict()
-        assert {"max_residual", "worst_time", "steps"} <= set(d)
-        assert all({"t", "case", "residual"} <= set(s) for s in d["steps"])
-
     def test_large_weight_drives_box_residual_to_zero(self):
         # growing control weight sends the optimal control and the clamped
         # scaled adjoint to zero together

@@ -9,6 +9,8 @@ from horizonopt.cli import GRADIENT_TOLERANCE, main
 from horizonopt.config import (ConfigError, apply_overrides, build_problem,
                                build_optimizer_config, load_config)
 
+from conftest import read_trajectory
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -221,7 +223,7 @@ class TestOptimizeCommand:
         assert report["residual"] <= 1e-10
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "complete"
-        traj = ho.Trajectory.from_csv(out / "u_star.csv")
+        traj = read_trajectory(out / "u_star.csv")
         assert traj.kind == "control"
 
     def test_written_state_and_adjoint_belong_to_reported_cost(self, tmp_path):
@@ -234,11 +236,11 @@ class TestOptimizeCommand:
                      "--set", "optimizer.max_iterations=3"])
         assert code == 1  # not converged, outputs written all the same
         spec = build_problem(load_config(path))
-        u = ho.Trajectory.from_csv(out / "u_star.csv")
-        state = ho.Trajectory.from_csv(out / "state.csv")
+        u = read_trajectory(out / "u_star.csv")
+        state = read_trajectory(out / "state.csv")
         total = json.loads((out / "report.json").read_text())["cost"]["total"]
         assert abs(ho.cost_from_state(spec, u, state).total - total) <= 1e-13 * abs(total)
-        adjoint = ho.Trajectory.from_csv(out / "adjoint.csv")
+        adjoint = read_trajectory(out / "adjoint.csv")
         assert np.array_equal(ho.solve_adjoint(spec, state).values, adjoint.values)
 
     @pytest.mark.parametrize("override, message, has_history", [
@@ -298,6 +300,21 @@ class TestHorizonStudyCommand:
         assert all(Path(p).exists() for p in manifest["outputs"])
         assert not (out / "decay.svg").exists()
 
+    def test_data_tails_beyond_the_terminal_term_warn(self, tmp_path):
+        # a target without support_end keeps its tail past every horizon,
+        # which then outweighs the terminal term; the fit is still judged
+        out = tmp_path / "run"
+        assert main(["horizon-study", "--config", str(CONFIG_DIR / "horizon_compact.json"),
+                     "--set", "data.target.support_end=null",
+                     "--set", "horizon_study.horizons=[2,3,4,5]",
+                     "--set", "horizon_study.reference_horizon=10", "--out", str(out)]) == 0
+        fit = json.loads((out / "fit.json").read_text())
+        assert fit["warnings"] == [
+            f"tail terms exceed the terminal term at horizon {h}; "
+            "the decay rate may be masked by the data tails" for h in (2, 3, 4, 5)]
+        assert not any(r["tail_dominated"] for r in fit["records"])
+        assert fit["rate_status"] == "pass"
+
     @pytest.mark.parametrize("horizons", ["[4.0,4.0]", "[4.03,6.0]"],
                              ids=["repeated", "off-step"])
     def test_malformed_horizons_exit_two(self, tmp_path, capsys, horizons):
@@ -323,6 +340,16 @@ class TestSocheckCommand:
         assert payload["growth"]["kappa"] > 0
         assert payload["min_normalized_form"] is None or \
             payload["min_normalized_form"] > -1e-6
+
+    def test_box_problem_has_positive_form_and_no_multiplier(self, tmp_path):
+        out = tmp_path / "so"
+        assert main(["socheck", "--config", str(CONFIG_DIR / "box_cubic.json"),
+                     "--seed", "2", "--out", str(out)]) == 0
+        payload = json.loads((out / "socheck.json").read_text())
+        assert payload["admissible_kind"] == "box"
+        assert payload["directions_sampled"] == 50
+        assert payload["min_normalized_form"] > 0
+        assert not (out / "multiplier.csv").exists()
 
     @pytest.mark.parametrize("option, value", [
         ("--samples", "0"), ("--radius", "-1"), ("--radius", "nan"), ("--directions", "-5"),
@@ -441,18 +468,38 @@ class TestRunnerFailures:
         ("optimizer.newton.tolerance=true", "optimizer.newton.tolerance: expected float"),
         ('optimizer.tolerance="abc"', "optimizer.tolerance: expected float"),
         ('mesh={"dimension":2,"control":{"box":[[0.2,0.8]]}}', "mesh.control.box"),
+        # Python's JSON reader takes NaN and Infinity, which no number key admits
+        ("time.horizon=Infinity", "time.horizon: expected float, got Infinity"),
+        ("time.step=Infinity", "time.step: expected float, got Infinity"),
+        ('horizon_study={"horizons":[1],"reference_horizon":Infinity}',
+         "horizon_study.reference_horizon: expected float, got Infinity"),
+        ("optimizer.tolerance=NaN", "optimizer.tolerance: expected float, got NaN"),
+        ("optimizer.newton.tolerance=NaN", "optimizer.newton.tolerance: expected float, got NaN"),
+        ("discounts.state_discount=Infinity",
+         "discounts.state_discount: expected float, got Infinity"),
+        ("cost.control_weight=Infinity", "cost.control_weight: expected float, got Infinity"),
+        ("operator.diffusion=[1,NaN]", "operator.diffusion: expected float | list[float]"),
+        ("data.target.support_end=-Infinity", "data field: data.target.support_end: expected"),
     ], ids=["control-empty", "control-without-box", "observation-without-hi",
             "diffusion-length", "reaction-length", "newton-unknown-key",
             "newton-tolerance", "aux-rate-misspelled", "control-weight-misspelled",
             "amplitude-misspelled", "step-misspelled", "nodes-misspelled",
             "max-iterations-fraction", "newton-max-iterations-fraction",
             "max-iterations-boolean", "newton-tolerance-boolean", "tolerance-string",
-            "control-one-box-pair"])
+            "control-one-box-pair", "horizon-infinite", "step-infinite",
+            "reference-horizon-infinite", "tolerance-nan", "newton-tolerance-nan",
+            "state-discount-infinite", "control-weight-infinite", "diffusion-item-nan",
+            "support-end-infinite"])
     def test_config_error_names_the_field(self, tmp_path, capsys, override, field):
+        out = tmp_path / "run"
         code = main(["optimize", "--config", str(CONFIG_DIR / "ball_cubic.json"),
-                     "--set", override, "--out", str(tmp_path / "run")])
+                     "--set", override, "--out", str(out)])
         assert code == 2
-        assert f"configuration error: {field}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"configuration error: {field}" in err
+        assert "Traceback" not in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and field in manifest["error"]
 
     @pytest.mark.parametrize("command", ["validate", "solve-forward", "gradient-check"])
     def test_malformed_optimizer_section_exits_two(self, tmp_path, capsys, command):
@@ -644,7 +691,7 @@ class TestSmokeRuns:
         out = tmp_path / "fw2"
         assert main(["solve-forward", "--config", str(CONFIG_DIR / "lq_small.json"),
                      "--out", str(out)]) == 0
-        state = ho.Trajectory.from_csv(out / "state.csv")
+        state = read_trajectory(out / "state.csv")
         assert state.kind == "state"
         summary = json.loads((out / "summary.json").read_text())
         assert summary["state_norm_discounted"] > 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import horizonopt as ho
+from horizonopt import objective
 from horizonopt.admissible import project_values
 from horizonopt.objective import (ACTIVE_STRICT, SecondOrderModel,
                                   first_order_density, riesz_gradient)
@@ -301,7 +302,7 @@ class TestCriticalDirections:
                                 * np.dot(v.values[i] * w, v.values[i])) + 1e-300
                 assert abs(ip) <= 1e-12 * scale
 
-    def test_box_directions_respect_sign_constraints(self):
+    def test_box_directions_respect_sign_constraints(self, monkeypatch):
         spec = make_spec(nonlinearity="zero",
                          admissible=ho.AdmissibleSet("box", lower=-0.5, upper=0.5),
                          target=0.3 * np.ones((21, 21)))
@@ -309,10 +310,10 @@ class TestCriticalDirections:
         u = ho.Trajectory(spec.grid, vals, "control")
         state = ho.solve_forward(spec, u)
         adjoint = solve_adjoint(spec, state)
-        dirs = ho.sample_critical_directions(spec, u, adjoint, count=4, seed=5,
-                                             density_tol=1e30)
         # with an untight density tolerance nothing is strictly active, so the
         # directions only need the sign clipping at the upper bound
+        monkeypatch.setattr(objective, "DENSITY_TOL", 1e30)
+        dirs = ho.sample_critical_directions(spec, u, adjoint, count=4, seed=5)
         assert dirs
         for v in dirs:
             assert np.all(v.values[1:] <= 0)

@@ -72,6 +72,12 @@ class TestAssembly:
                            np.array([[0, 1], [1, 2]]),
                            np.array([True, True, True]))
 
+    def test_one_dimensional_coordinate_array_is_refused(self):
+        # coordinates are one row per node, never one row of nodes
+        with pytest.raises(MeshError, match="coordinate array does not match mesh dimension"):
+            ho.SpatialMesh(1, np.array([0.0, 0.5, 1.0]), np.array([[0, 1], [1, 2]]),
+                           np.array([True, True, True]))
+
     def test_2d_assembly_kernel_and_volume(self):
         mesh = ho.rectangle_mesh((1.0, 2.0), (4, 5), control=((0.2, 0.8), (0.5, 1.5)))
         ops = ho.assemble_operators(mesh, ho.EllipticForm())
@@ -222,6 +228,17 @@ class TestProblemSpec:
         assert ho.solve_forward(coarse, coarse.zero_control()).values.shape == (41, 21)
         sub = spec.with_horizon(1.0)
         assert sub.operators is spec.operators and sub.step_operator is spec.step_operator
+
+    @pytest.mark.parametrize("build", [
+        lambda: ho.NewtonConfig(tolerance=np.nan),
+        lambda: ho.OptimizerConfig(tolerance=np.nan),
+        lambda: ho.OptimizerConfig(min_step=np.nan),
+        lambda: ho.TimeGrid(np.inf, 0.1),
+        lambda: ho.TimeGrid(1.0, np.inf),
+    ], ids=["newton-tolerance", "tolerance", "min-step", "horizon", "step"])
+    def test_settings_and_grids_refuse_non_finite_numbers(self, build):
+        with pytest.raises(ValueError, match="must be positive"):
+            build()
 
     def test_assembled_operators_are_not_constructor_parameters(self):
         spec = make_spec()

@@ -20,7 +20,7 @@ from horizonopt.solvers import (FORWARD_BATCH, SolverError, _linear_march,
                                 solve_adjoint_from_residual)
 from horizonopt.spaces import weighted_sup_norm
 
-from conftest import make_spec, random_control, rectangle_spec
+from conftest import make_spec, random_control, read_trajectory, rectangle_spec
 from oracles import (reference_adjoint, reference_forward, rk4,
                      scalar_adjoint_recursion, scalar_forward_recursion,
                      scalar_newton_recursion)
@@ -536,7 +536,7 @@ class TestKernelsMatchReference:
         assert y.factors is not None
         assert y.restrict(ho.TimeGrid(0.1, spec.grid.step)).factors is None
         y.to_csv(tmp_path / "state.csv")
-        loaded = ho.Trajectory.from_csv(tmp_path / "state.csv")
+        loaded = read_trajectory(tmp_path / "state.csv")
         assert loaded.factors is None and np.array_equal(loaded.values, y.values)
         # the factors do not show in repr
         bare = ho.Trajectory(y.grid, y.values, "state")

@@ -15,7 +15,7 @@ from horizonopt.descriptors import (DivergenceError, Field, SpaceProfile,
 from horizonopt.spaces import (weighted_inner, weighted_l2_norm,
                                weighted_lp_norm, weighted_sup_norm)
 
-from conftest import make_spec
+from conftest import make_spec, read_trajectory
 from oracles import discounted_power_sum, geometric_weight_sum
 
 
@@ -137,7 +137,7 @@ class TestTrajectoryIO:
         y = ho.Trajectory(spec.grid, rng.standard_normal((11, 21)), "state")
         path = tmp_path / "traj.csv"
         y.to_csv(path)
-        back = ho.Trajectory.from_csv(path)
+        back = read_trajectory(path)
         assert back.kind == "state"
         assert np.array_equal(back.values, y.values)
         assert back.grid.n_steps == y.grid.n_steps
@@ -154,21 +154,18 @@ class TestTrajectoryIO:
         y = ho.Trajectory(ho.TimeGrid(n_steps * step, step), values.reshape(-1, width), kind)
         path = tmp_path / "traj.csv"
         y.to_csv(path)
-        back = ho.Trajectory.from_csv(path)
+        back = read_trajectory(path)
         assert back.kind == kind
         assert back.grid.step == step and back.grid.n_steps == n_steps
         assert back.values.shape == y.values.shape
         assert np.array_equal(back.values.view(np.int64), y.values.view(np.int64))
 
-    @pytest.mark.filterwarnings("ignore:loadtxt")
-    @pytest.mark.parametrize("rows", [0, 1])
-    def test_csv_with_fewer_than_two_times_is_refused(self, tmp_path, rows):
-        # the step is the difference of the first two times
-        path = tmp_path / "short.csv"
-        path.write_text("# horizonopt trajectory v1 kind=state columns=1\nt,node_0\n"
-                        + "0,1.5\n" * rows)
-        with pytest.raises(ValueError, match=f"short.csv: .*at least two time rows, found {rows}"):
-            ho.Trajectory.from_csv(path)
+    def test_one_dimensional_values_are_refused(self):
+        # values are one row per time of one column per node, even for one node
+        grid = ho.TimeGrid(0.5, 0.05)
+        with pytest.raises(ValueError, match=r"must have shape \(n_steps \+ 1, width\)"):
+            ho.Trajectory(grid, np.zeros(11), "state")
+        assert ho.Trajectory(grid, np.zeros((11, 1)), "state").width == 1
 
     def test_csv_header_carries_schema_version(self, tmp_path):
         spec, _ = unit_setup(horizon=0.5, step=0.05)
@@ -229,6 +226,20 @@ class TestTailNorms:
         from scipy.integrate import quad
         expected = np.sqrt(quad(lambda t: np.exp(-1.0 * t - 1.0 * t * t), 1.0, 20.0)[0])
         assert got == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("decay, rate, support_end, t_start", [
+        (0.2, 1.0, 3.5, 1.0), (-0.8, 0.5, 2.0, 0.0), (-0.5, 1.0, 4.0, 1.5),
+        (-0.5, 1.0 + 4e-15, 4.0, 0.5),
+    ], ids=["decaying", "growing", "mu-zero", "mu-below-1e-14"])
+    def test_compact_exponential_tail_by_quadrature(self, decay, rate, support_end, t_start):
+        # no Gaussian term and t_start < support_end: the closed form
+        # (e^{-mu t_start} - e^{-mu end}) / mu, mu = rate + 2 decay, or the
+        # interval length when |mu| < 1e-14
+        from scipy.integrate import quad
+        profile = TimeProfile(decay=decay, support_end=support_end)
+        expected = quad(lambda t: np.exp(-rate * t - 2.0 * decay * t), t_start, support_end,
+                        epsabs=0.0, epsrel=1e-13)[0]
+        assert profile.squared_tail(rate, t_start) == pytest.approx(expected, rel=1e-12)
 
     # reference values: the integral evaluated with mpmath at 50 digits
     @pytest.mark.parametrize("decay, gauss_decay, support_end, rate, t_start, expected", [
