@@ -48,8 +48,14 @@ def _json_default(obj):
 
 
 def write_json(path: Path, payload: dict) -> None:
+    """Write ``payload`` as RFC 8259 JSON: a non-finite float, which that
+    standard has no number for, is written as the string "NaN", "Infinity"
+    or "-Infinity"."""
+    # Python's encoder writes those three as bare tokens, which its decoder
+    # hands back to parse_constant as the same names
+    plain = json.loads(json.dumps(payload, default=_json_default), parse_constant=str)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, default=_json_default, sort_keys=True)
+        json.dump(plain, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

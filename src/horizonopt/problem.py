@@ -416,16 +416,18 @@ class _StepSolver:
     half-bandwidth k is 1 on an interval and nx + 2 on an nx x ny rectangle
     with the mesh's x-fastest node numbering.  ``factor`` takes a diagonal,
     such as ``shifted(shift)``, and ``solve`` takes only what ``factor``
-    returned: in 2D the band Cholesky factors of ``pbtrf``, one per block,
-    which ``solve`` applies with ``pbtrs``; in 1D the diagonal itself, since
-    ``gtsv`` factors as it solves, overwriting it.
+    returned: in 2D the band Cholesky factor of ``pbtrf``, which ``solve``
+    applies with ``pbtrs``; in 1D the diagonal itself, since ``gtsv``
+    factors as it solves, overwriting it.
 
     The kernels act on arrays their caller owns, with the nodes on the last
     axis, so that a (B, N) array is B systems: ``solve`` overwrites its
     right-hand side, and ``base_product`` and ``mass_product`` bind the
     products with M/dt + K and M to an input and an output array.  No kernel
     writes into the operator's own arrays.  ``stack(B)`` is the solver of B
-    stacked copies of the system, on flat arrays of B * N.
+    stacked copies of the system, on flat arrays of B * N; in 2D it only
+    multiplies and takes norms, and each block is factored and solved by the
+    solver of one copy, on its slice of N.
     """
 
     __slots__ = ("count", "lumped", "base", "mass", "k", "ab", "diagonal", "bands",
@@ -479,19 +481,16 @@ class _StepSolver:
         return list(map(math.sqrt, _sum(work.reshape(self.count, -1), 1).tolist()))
 
     def factor(self, d: np.ndarray):
-        """The factorization of the step matrix with diagonal d: in 2D the
-        lower band Cholesky factor of each block, in 1D d itself."""
+        """The factorization of the step matrix with diagonal d: in 2D its
+        lower band Cholesky factor, in 1D d itself."""
         if self.k == 1:
             return d
-        size, factors = self.ab.shape[1], []
-        for block in range(self.count):
-            ab = self.ab.copy(order="F")
-            ab[0] = d[block * size:(block + 1) * size]
-            c, info = self._pbtrf(ab, lower=1, overwrite_ab=True)
-            if info != 0:
-                raise SolverError(f"step matrix not positive definite (pbtrf info {info})")
-            factors.append(c)
-        return factors
+        ab = self.ab.copy(order="F")
+        ab[0] = d
+        c, info = self._pbtrf(ab, lower=1, overwrite_ab=True)
+        if info != 0:
+            raise SolverError(f"step matrix not positive definite (pbtrf info {info})")
+        return c
 
     def solve(self, c, rhs: np.ndarray) -> np.ndarray:
         """Solve in place with the factorization ``c`` of ``factor``: a
@@ -505,10 +504,7 @@ class _StepSolver:
                 raise SolverError(f"singular step matrix (gtsv info {info})")
             return rhs
         # pbtrs reports only illegal arguments, which these calls cannot pass
-        size = self.ab.shape[1]
-        for b, cb in enumerate(c):
-            block = rhs[..., b * size:(b + 1) * size]
-            block[...] = self._pbtrs(cb, block.T, lower=1, overwrite_b=1)[0].T
+        rhs[...] = self._pbtrs(c, rhs.T, lower=1, overwrite_b=1)[0].T
         return rhs
 
 

@@ -40,8 +40,21 @@ M/dt + K + min_slope M_L positive definite.  A step matrix that is not
 raises ``SolverError``.  A forward batch joins its B systems
 into one of B * N unknowns with zero couplings: one ``gtsv`` call in 1D,
 where a zero subdiagonal never makes it swap rows, so elimination stays
-inside each block; one ``pbtrf`` + ``pbtrs`` per block in 2D, as LAPACK has
-no batched band Cholesky.  Each gets the bits it gets alone.
+inside each block; in 2D each block is factored and solved on its own,
+as LAPACK has no batched band Cholesky.  Each gets the bits it gets alone.
+
+In 1D every Newton iteration solves with S at its iterate (exact Newton):
+``gtsv`` factors as it solves, so a held factorization would save nothing.
+In 2D the forward march is simplified Newton with a monitored contraction
+(Deuflhard, Newton Methods for Nonlinear Problems, 2004; Hairer & Wanner,
+Solving ODEs II, IV.8), decided per sample: the first iteration of a step
+factors S(y_{i-1}), and a later one keeps the sample's factorization while
+its last trial was accepted undamped, its residual norm contracted by a
+ratio of at most ``CONTRACTION`` = 1/4, and that ratio, kept up over the
+iterations left, would bring the norm within the tolerance.  Otherwise, and
+after a trial on a kept factorization that fails to reduce the norm, the
+sample refactors at its iterate.  So a smooth step factors once, and the
+linear marches' reuse of ``Trajectory.factors`` below is unchanged.
 
 Every linear march around a state y steps with S_i = S(y_i), which for
 i < N is bitwise the matrix of the first Newton iteration of forward step
@@ -85,6 +98,11 @@ def _rounding_floor(stepper, dt, y, y_prev, fy, forcing) -> float:
     return np.finfo(float).eps * stepper.norms(terms, np.empty_like(terms))[0]
 
 
+# the largest ratio of successive residual norms at which a 2D Newton
+# iteration keeps its sample's factorization (simplified Newton)
+CONTRACTION = 0.25
+
+
 def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.ndarray:
     """The forward march of B controls to states of shape (B, N+1, N); the
     first failure raises.  With a list ``kept`` (one control), entry i - 1
@@ -92,7 +110,18 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
     time step i, which is S(y_{i-1}); a step that needs no iteration leaves
     its None.  A sample whose residual is within ``_rounding_floor``, as
     after a large source, keeps its iterate at its first rejected trial; one
-    above it whose damping stalls raises."""
+    above it whose damping stalls raises.
+
+    In 1D every iteration solves with S at its iterate (exact Newton).  In
+    2D a sample's first iteration of a step factors its block of S(y_{i-1}),
+    and a later one keeps the sample's last factorization (simplified
+    Newton) while its last trial was accepted undamped, its residual norm
+    fell to at most ``CONTRACTION`` times the one before, and, contracting
+    at that ratio, would reach the tolerance within the iterations left;
+    otherwise it factors its block at its iterate.  A trial on a kept
+    factorization that the sample rejects is not damped: the block is
+    factored at the iterate and the trial repeated, and from there damping
+    and the floor apply as in 1D."""
     tolerance, iterations = spec.newton.tolerance, range(spec.newton.max_iterations)
     value, derivative = spec.nonlinearity.value, spec.nonlinearity.derivative
     ops, dt, stepper = spec.operators, spec.grid.step, spec.step_operator
@@ -117,6 +146,22 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
         y, a, r = rows.reshape(3, -1)
         return rows, y, a, r, stack.base_product(y, a), stack.mass_product(y, b)
 
+    # each sample's slice of the flat arrays; in 2D also its (diagonal,
+    # factorization) in the form ``kept`` takes, and the live samples whose
+    # iteration kept theirs
+    chord, blocks = stepper.k > 1, [slice(s * nodes, (s + 1) * nodes) for s in samples]
+    held, stale = [None] * count, set()
+
+    def newton_step(s, fresh):
+        # sample s's block of delta, the solve of its residual block with
+        # its factorization, after factoring S at its iterate when fresh
+        block = blocks[s]
+        if fresh:
+            d = diagonal[block] + lumped[block] * derivative(y[block])
+            held[s] = d, stepper.factor(d)
+        delta[block] = r[block]
+        stepper.solve(held[s][1], delta[block])
+
     # the current iterate and the trial: an accepted trial swaps the two, and
     # its a carries into the next time step's residual
     (rows, y, a, r, base_y, mass_y), trial = buffers(), buffers()
@@ -135,19 +180,30 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
         for it in iterations:
             if not live:
                 break
-            d = diagonal + lumped * derivative(y)
-            c = factor(d)
-            if not it and kept is not None:
-                kept[i - 1] = d, c
             # the Newton update is -delta; solving for r instead of -r and
             # subtracting gives the same bits, since the solve is linear in
             # its right-hand side and negation is exact
-            delta[...] = r
-            solve(c, delta)
+            if chord:
+                # a sample that is not live takes no step
+                delta.fill(0.0)
+                stale.clear()
+                left = len(iterations) - it
+                for s in live:
+                    ratio = rn[s] / log[-2][s] if it else math.inf
+                    if (ratio <= CONTRACTION and damping[s] == 1.0
+                            and rn[s] * ratio ** left <= tolerance):
+                        stale.add(s)
+                    newton_step(s, s not in stale)
+                if not it and kept is not None:
+                    kept[i - 1] = held[0]
+            else:
+                c = factor(diagonal + lumped * derivative(y))
+                delta[...] = r
+                solve(c, delta)
             rows_try, y_try, a_try, r_try, base_try, _ = trial
             # each sample halves its own damping factor until its residual
             # decreases; a factor of 1.0 leaves delta's bits unchanged
-            factors, step = [1.0] * count, delta
+            damping, step = [1.0] * count, delta
             while True:
                 subtract(y, step, y_try)
                 base_try()
@@ -158,23 +214,28 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
                 if not rejected:
                     break
                 for s in rejected:
+                    if s in stale:
+                        # a kept factorization that fails is replaced, not damped
+                        stale.remove(s)
+                        newton_step(s, True)
+                        continue
                     # a sample's residual is fixed within this loop, so its
                     # floor is tested once, at its first rejected trial:
                     # within it, the sample is frozen below at its current
                     # iterate, like a converged sample
-                    block = slice(s * nodes, (s + 1) * nodes)
-                    if factors[s] == 1.0 and rn[s] <= _rounding_floor(
+                    block = blocks[s]
+                    if damping[s] == 1.0 and rn[s] <= _rounding_floor(
                             stepper, dt, y[block], out[s, i - 1], value(y[block]),
                             forcing[i, block]):
                         live.remove(s)
                         continue
-                    factors[s] *= 0.5
-                    if factors[s] < 1e-10:
+                    damping[s] *= 0.5
+                    if damping[s] < 1e-10:
                         raise SolverError(f"Newton damping stalled at time step {i}", step=i,
                                           history=[v[s] for v in log])
                 if not set(rejected).intersection(live):
                     break
-                step = np.repeat(factors, nodes) * delta
+                step = np.repeat(damping, nodes) * delta
             if len(live) < count:
                 frozen = list(set(samples).difference(live))
                 rows_try[:, frozen] = rows[:, frozen]

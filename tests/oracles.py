@@ -7,12 +7,14 @@ Runge-Kutta integrator, and a dense saddle-point solve of the
 linear-quadratic problem.
 
 The reference marches at the end are the plain loops the library's march
-kernels must match bit for bit: one right-hand side and one LAPACK call per
-step solve (``gtsv`` in 1D, ``pbsv`` in 2D), a residual closure in the
-Newton step, and the adjoint sources built one time row at a time.  They
-read only the step operator's matrices, never its methods; the 2D step
-solve is band Cholesky on the lower symmetric band.  The reference growth
-probe solves its samples one at a time with the reference march.
+kernels must match bit for bit: one right-hand side per step solve (``gtsv``
+in 1D; in 2D band Cholesky on the lower symmetric band, ``pbtrf`` and then
+``pbtrs``, so that the forward march can hold a factorization across Newton
+iterations as the library's simplified Newton does), a residual closure in
+the Newton step, and the adjoint sources built one time row at a time.
+They read only the step operator's matrices, never its methods.  The
+reference growth probe solves its samples one at a time with the reference
+march.
 
 The reference optimality diagnostics at the very end are the per-step loops
 the library's masked array code replaced: the pointwise first-order
@@ -201,16 +203,27 @@ class ReferenceStep:
     def apply_base(self, y):
         return self._tri_matvec(self.ab, y) if self.k == 1 else self.base @ y
 
+    def factor(self, shift):
+        """The lower band Cholesky factor of the 2D step matrix."""
+        pbtrf = sla.get_lapack_funcs("pbtrf", (self.ab,))
+        ab = self.ab.copy(order="F")
+        ab[0] += self.lumped * shift
+        chol, info = pbtrf(ab, lower=1)
+        assert info == 0
+        return chol
+
+    def solve_factored(self, chol, rhs):
+        pbtrs = sla.get_lapack_funcs("pbtrs", (self.ab,))
+        x, info = pbtrs(chol, rhs, lower=1)
+        assert info == 0
+        return x
+
     def solve(self, shift, rhs):
-        if self.k == 1:
-            gtsv = sla.get_lapack_funcs("gtsv", (self.ab,))
-            d = self.ab[0] + self.lumped * shift
-            _, _, _, x, info = gtsv(self.ab[1, :-1], d, self.ab[1, :-1], rhs)
-        else:
-            pbsv = sla.get_lapack_funcs("pbsv", (self.ab,))
-            ab = self.ab.copy(order="F")
-            ab[0] += self.lumped * shift
-            _, x, info = pbsv(ab, rhs, lower=1)
+        if self.k > 1:
+            return self.solve_factored(self.factor(shift), rhs)
+        gtsv = sla.get_lapack_funcs("gtsv", (self.ab,))
+        d = self.ab[0] + self.lumped * shift
+        _, _, _, x, info = gtsv(self.ab[1, :-1], d, self.ab[1, :-1], rhs)
         assert info == 0
         return x
 
@@ -223,8 +236,14 @@ def reference_forward(spec, stepper, control, tolerance=1e-12, max_iterations=30
     eps times the norm of the residual's absolute terms,
     |M/dt + K| |y| + M_L |f(y)| + (M/dt) |y_prev| + |M g + W u|, from plain
     CSR products, keeps its iterate; damping that stalls above that floor
-    fails.  Returns the state values and the number of damped trial steps
-    taken."""
+    fails.  In 1D every iteration solves with the step matrix at its iterate.
+    In 2D (simplified Newton) the first iteration of a step factors it at
+    y_{i-1}, and a later iteration keeps the last factorization when the last
+    trial was accepted undamped, the residual norm fell by a ratio q <= 0.25,
+    and rn * q^(iterations left) <= tolerance; otherwise it factors at the
+    iterate.  A rejected trial on a kept factorization refactors at the
+    iterate and is repeated undamped.  Returns the state values and the
+    number of damped trial steps taken."""
     step = ReferenceStep(stepper)
     ops = spec.operators
     f = spec.nonlinearity
@@ -249,10 +268,21 @@ def reference_forward(spec, stepper, control, tolerance=1e-12, max_iterations=30
         r = residual(y)
         rn = norm(r)
         stalled = False
-        for _ in range(max_iterations):
+        chol = rn_old = None
+        for it in range(max_iterations):
             if rn <= tolerance:
                 break
-            delta = step.solve(f.derivative(y), -r)
+            kept = False
+            if step.k > 1:
+                if it:
+                    q = rn / rn_old
+                    kept = (alpha == 1.0 and q <= 0.25
+                            and rn * q ** (max_iterations - it) <= tolerance)
+                if not kept:
+                    chol = step.factor(f.derivative(y))
+                delta = step.solve_factored(chol, -r)
+            else:
+                delta = step.solve(f.derivative(y), -r)
             alpha = 1.0
             while True:
                 y_try = y + alpha * delta
@@ -260,6 +290,11 @@ def reference_forward(spec, stepper, control, tolerance=1e-12, max_iterations=30
                 rn_try = norm(r_try)
                 if np.isfinite(rn_try) and (rn_try < rn or rn_try <= tolerance):
                     break
+                if kept:
+                    kept = False
+                    chol = step.factor(f.derivative(y))
+                    delta = step.solve_factored(chol, -r)
+                    continue
                 stalled = alpha == 1.0 and rn <= np.finfo(float).eps * norm(
                     abs(step.base) @ abs(y) + ml * abs(f.value(y))
                     + step.mass @ abs(out[i - 1]) / dt + abs(forcing[i]))
@@ -270,6 +305,7 @@ def reference_forward(spec, stepper, control, tolerance=1e-12, max_iterations=30
                 assert alpha >= 1e-10, "damping stalled above the rounding floor"
             if stalled:
                 break
+            rn_old = rn
             y, r, rn = y_try, r_try, rn_try
         assert rn <= tolerance or stalled
         out[i] = y

@@ -1,6 +1,7 @@
 """Acceptance gate: every criterion below prints one PASS/FAIL line and is
 enforced at its stated tolerance.  Desk scale throughout (1D meshes, a few
-hundred time steps)."""
+hundred time steps).  Criteria 3, 5, 6 and 7 also run in 2D, on the shipped
+documents put on an 8x8 mesh (p = 3), each at its criterion's tolerance."""
 
 import json
 from dataclasses import replace
@@ -31,9 +32,20 @@ def announce(num, label, passed, detail):
     assert passed, f"criterion {num}: {label} ({detail})"
 
 
-def solved_config(name, tolerance=None):
+def on_8x8(cfg):
+    """A shipped 1D document put on an 8x8 mesh of the unit square, its
+    control region the box [0.2, 0.8]^2; a document with an observation
+    region gets the box [0, 0.6]^2."""
+    mesh = cfg["mesh"]
+    mesh.update(dimension=2, shape=[8, 8], control={"box": [[0.2, 0.8], [0.2, 0.8]]})
+    if "observation" in mesh:
+        mesh["observation"] = {"box": [[0.0, 0.6], [0.0, 0.6]]}
+    return cfg
+
+
+def solved_config(name, tolerance=None, two_d=False):
     cfg = load_config(CONFIG_DIR / name)
-    spec = build_problem(cfg)
+    spec = build_problem(on_8x8(cfg) if two_d else cfg)
     ocfg = build_optimizer_config(cfg)
     if tolerance is not None:
         import dataclasses
@@ -58,11 +70,32 @@ def lq_solution():
 
 
 @pytest.fixture(scope="module")
-def horizon_report():
+def ball_solution_2d():
+    return solved_config("ball_cubic.json", tolerance=1e-9, two_d=True)
+
+
+@pytest.fixture(scope="module")
+def box_solution_2d():
+    return solved_config("box_cubic.json", tolerance=1e-9, two_d=True)
+
+
+def horizon_study(two_d=False):
     cfg = load_config(CONFIG_DIR / "horizon_compact.json")
+    if two_d:
+        on_8x8(cfg)
     spec = build_problem(cfg)
     from horizonopt.config import build_horizon_config
     return spec, run_horizon_study(spec, build_horizon_config(cfg))
+
+
+@pytest.fixture(scope="module")
+def horizon_report():
+    return horizon_study()
+
+
+@pytest.fixture(scope="module")
+def horizon_report_2d():
+    return horizon_study(two_d=True)
 
 
 def test_criterion_1_gradient_and_duality():
@@ -124,10 +157,10 @@ def test_criterion_2_lq_matches_dense_kkt(lq_solution):
              f"weighted control gap {err:.2e} (<=1e-6)")
 
 
-def test_criterion_3_first_order_system(ball_solution, box_solution):
+def first_order_system(solutions, where=""):
     worst_res = 0.0
     worst_formula = 0.0
-    for spec, u, report in (ball_solution, box_solution):
+    for spec, u, report in solutions:
         assert report.converged
         state = ho.solve_forward(spec, u)
         adjoint = ho.solve_adjoint(spec, state)
@@ -137,10 +170,18 @@ def test_criterion_3_first_order_system(ball_solution, box_solution):
         worst_res = max(worst_res, stationarity_residual(spec, u, grad))
         worst_formula = max(worst_formula,
                             check_projection_formulas(spec, u, adjoint).max_residual)
-    announce(3, "first-order system residuals at optimizer outputs",
+    announce(3, "first-order system residuals at optimizer outputs" + where,
              worst_res <= 1e-9 and worst_formula <= 1e-8,
              f"stationarity {worst_res:.2e} (<=1e-9), "
              f"formulas {worst_formula:.2e} (<=1e-8)")
+
+
+def test_criterion_3_first_order_system(ball_solution, box_solution):
+    first_order_system((ball_solution, box_solution))
+
+
+def test_criterion_3_first_order_system_2d(ball_solution_2d, box_solution_2d):
+    first_order_system((ball_solution_2d, box_solution_2d), ", 2D")
 
 
 def test_criterion_4_energy_estimates():
@@ -168,7 +209,7 @@ def test_criterion_4_energy_estimates():
              worst <= 1.05, f"{count} checks, worst lhs/rhs ratio {worst:.3f}")
 
 
-def test_criterion_5_second_order(ball_solution, box_solution, lq_solution):
+def second_order(ball_solution, box_solution, lq_solution=None, where=""):
     worst_form = np.inf
     # ball case: multiplier-augmented form over sampled critical directions
     spec, u, _ = ball_solution
@@ -200,21 +241,30 @@ def test_criterion_5_second_order(ball_solution, box_solution, lq_solution):
         rep = ho.verify_growth(spec_g, u_g, radius=0.05, samples=30, seed=7)
         kappas[label] = rep.kappa
         growth_ok = growth_ok and rep.kappa > 0
-    spec_lq, u_lq, _ = lq_solution
-    rep_lq = ho.verify_growth(spec_lq, u_lq, radius=0.1, samples=50, seed=8)
-    kappas["lq"] = rep_lq.kappa
-    growth_ok = growth_ok and rep_lq.kappa >= 0.8 * spec_lq.control_weight
-    announce(5, "second-order forms and quadratic growth",
+    if lq_solution is not None:
+        spec_lq, u_lq, _ = lq_solution
+        rep_lq = ho.verify_growth(spec_lq, u_lq, radius=0.1, samples=50, seed=8)
+        kappas["lq"] = rep_lq.kappa
+        growth_ok = growth_ok and rep_lq.kappa >= 0.8 * spec_lq.control_weight
+    announce(5, "second-order forms and quadratic growth" + where,
              worst_form >= -1e-6 and growth_ok,
              f"min normalized form {worst_form:.3e} (>=-1e-6), growth "
              + ", ".join(f"{k}={v:.3g}" for k, v in kappas.items()))
 
 
-def test_criterion_6_horizon_rate(horizon_report):
+def test_criterion_5_second_order(ball_solution, box_solution, lq_solution):
+    second_order(ball_solution, box_solution, lq_solution)
+
+
+def test_criterion_5_second_order_2d(ball_solution_2d, box_solution_2d):
+    second_order(ball_solution_2d, box_solution_2d, where=", 2D")
+
+
+def horizon_rate(horizon_report, where=""):
     spec, report = horizon_report
     d = spec.discounts
     slope_ok = report.slope <= -0.5 * d.state_rate * (1.0 - 0.3)
-    announce(6, "finite-horizon decay rate, monotonicity, cost comparison",
+    announce(6, "finite-horizon decay rate, monotonicity, cost comparison" + where,
              slope_ok and report.rate_status == "pass" and report.monotone_ok
              and report.cost_check_ok and d.control_rate <= d.aux_rate,
              f"slope {report.slope:.3f} (<= {-0.35 * d.state_rate:.3f}), "
@@ -222,16 +272,34 @@ def test_criterion_6_horizon_rate(horizon_report):
              f"{report.cost_check_ok}")
 
 
-def test_criterion_7_state_error_laws(horizon_report):
+def test_criterion_6_horizon_rate(horizon_report):
+    horizon_rate(horizon_report)
+
+
+def test_criterion_6_horizon_rate_2d(horizon_report_2d):
+    horizon_rate(horizon_report_2d, ", 2D")
+
+
+def state_error_laws(horizon_report, where=""):
     spec, report = horizon_report
     bounds = check_state_error_bounds(report, spec)
     e_exp = bounds.energy_fit.exponent
     s_exp = bounds.sup_fit.exponent
     predicted = 2.0 / spec.discounts.integrability_exponent
-    announce(7, "state-error scaling laws across the sweep",
+    announce(7, "state-error scaling laws across the sweep" + where,
              0.8 <= e_exp <= 1.2 and s_exp >= predicted - 0.2,
              f"energy exponent {e_exp:.3f} (in [0.8, 1.2]), "
              f"sup exponent {s_exp:.3f} (>= {predicted - 0.2:.2f})")
+
+
+def test_criterion_7_state_error_laws(horizon_report):
+    state_error_laws(horizon_report)
+
+
+def test_criterion_7_state_error_laws_2d(horizon_report_2d):
+    spec, _ = horizon_report_2d
+    assert spec.mesh.dimension == 2 and spec.discounts.integrability_exponent == 3.0
+    state_error_laws(horizon_report_2d, ", 2D")
 
 
 def test_criterion_8_assumption_gate():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import horizonopt as ho
-from horizonopt.cli import GRADIENT_TOLERANCE, main
+from horizonopt.cli import GRADIENT_TOLERANCE, main, write_json
 from horizonopt.config import (ConfigError, apply_overrides, build_problem,
                                build_optimizer_config, load_config)
 
@@ -500,6 +500,22 @@ class TestRunnerFailures:
         assert "Traceback" not in err
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed" and field in manifest["error"]
+
+    def test_non_finite_numbers_are_written_as_strings(self, tmp_path):
+        def refuse(name):
+            raise AssertionError(f"bare {name} in a JSON file")
+
+        out = tmp_path / "run"
+        code = main(["optimize", "--config", str(CONFIG_DIR / "ball_cubic.json"),
+                     "--set", "optimizer.tolerance=NaN", "--out", str(out)])
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
+        assert manifest["status"] == "failed"
+        assert manifest["config"]["optimizer"]["tolerance"] == "NaN"
+        write_json(tmp_path / "values.json", {"a": [np.inf, -np.inf, 0.5],
+                                               "b": np.array([np.nan, 1.0]), "c": np.float64(2.0)})
+        assert json.loads((tmp_path / "values.json").read_text(), parse_constant=refuse) == {
+            "a": ["Infinity", "-Infinity", 0.5], "b": ["NaN", 1.0], "c": 2.0}
 
     @pytest.mark.parametrize("command", ["validate", "solve-forward", "gradient-check"])
     def test_malformed_optimizer_section_exits_two(self, tmp_path, capsys, command):

@@ -601,6 +601,73 @@ class TestKernelsMatchReference:
         assert np.array_equal(ho.solve_forward(spec, u).values, expected)
 
 
+class TestStepEquationHolds:
+    """Every row i >= 1 of a 2D forward-solved state satisfies the step
+    equation M (y_i - y_{i-1})/dt + K y_i + M_L f(y_i) = M g_i + W u_i,
+    evaluated with plain CSR products, whichever Newton variant produced it:
+    its residual norm is within the Newton tolerance, or within the rounding
+    floor of evaluating it.  Each side's rounding error is bounded by the
+    floor, so the bound is the larger of the two plus twice the floor."""
+
+    @staticmethod
+    def assert_step_equation(spec, control, state):
+        ops, f, dt = spec.operators, spec.nonlinearity, spec.grid.step
+        mass, stiffness, lumped = ops.mass.tocsr(), ops.stiffness.tocsr(), ops.lumped_mass
+        y, g = state.values, spec.source_samples
+        eps = np.finfo(float).eps
+        for i in range(1, spec.grid.n_steps + 1):
+            forcing = mass @ g[i]
+            forcing[ops.control_index] += control.values[i] * ops.control_weights
+            fy = f.value(y[i])
+            r = (mass @ (y[i] - y[i - 1]) / dt + stiffness @ y[i] + lumped * fy - forcing)
+            terms = (abs(mass) @ abs(y[i]) / dt + abs(stiffness) @ abs(y[i]) + lumped * abs(fy)
+                     + mass @ abs(y[i - 1]) / dt + abs(forcing))
+            floor = eps * np.sqrt(np.sum(terms * terms / lumped))
+            rn = np.sqrt(np.sum(r * r / lumped))
+            assert rn <= max(spec.newton.tolerance, floor) + 2.0 * floor, (i, rn, floor)
+
+    def test_one_control(self):
+        spec = small_spec_of(2, 4, seed=3)
+        u = random_control(spec, seed=0, scale=0.2)
+        self.assert_step_equation(spec, u, ho.solve_forward(spec, u))
+
+    def test_batch_with_a_damped_sample(self):
+        spec = small_spec_of(2, 4, seed=3)
+        controls = [random_control(spec, seed=0, scale=0.2),
+                    random_control(spec, seed=1, scale=3000.0),
+                    random_control(spec, seed=2, scale=0.2)]
+        assert reference_forward(spec, spec.step_operator, controls[1])[1] > 0
+        for u, y in zip(controls, ho.solve_forward(spec, controls)):
+            self.assert_step_equation(spec, u, y)
+
+    def test_large_constant_source(self):
+        spec = rectangle_spec((5, 5))
+        spec = replace(spec, source=np.full((spec.grid.n_steps + 1, 36), 1e4))
+        u = spec.zero_control()
+        self.assert_step_equation(spec, u, ho.solve_forward(spec, u))
+
+
+class TestSimplifiedNewton:
+    def test_a_smooth_2d_solve_factors_once_per_iterating_step(self, monkeypatch):
+        # a smooth control contracts fast enough that every step keeps the
+        # factorization of its first Newton iteration: one band Cholesky
+        # block per step that iterates, each kept in the state's factors
+        spec = small_spec_of(2, 4, seed=3)
+        stepper_type = type(spec.step_operator)
+        factor = stepper_type.factor
+        blocks = []
+
+        def counted(self, d):
+            blocks.append(d)
+            return factor(self, d)
+
+        monkeypatch.setattr(stepper_type, "factor", counted)
+        y = ho.solve_forward(spec, random_control(spec, seed=0, scale=0.2))
+        iterating = sum(pair is not None for pair in y.factors)
+        assert iterating == spec.grid.n_steps
+        assert len(blocks) == iterating
+
+
 # every nonlinearity the march evaluates in place; each rounds on its own
 NONLINEARITIES = {**ho.builtin_nonlinearities(), "linear(2)": ho.linear_nonlinearity(2.0)}
 
