@@ -74,7 +74,7 @@ class Manifest:
             "schema": "horizonopt-manifest v1",
             "command": command,
             "config": None,
-            "seed": 0,
+            "seed": None,
             "versions": {
                 "horizonopt": __version__,
                 "python": sys.version.split()[0],
@@ -88,9 +88,10 @@ class Manifest:
         if self.out_dir is not None:
             self.out_dir.mkdir(parents=True, exist_ok=True)
 
-    def begin(self, cfg: dict, seed: int):
-        """Record the resolved configuration and seed, and write the manifest
-        as ``running``."""
+    def begin(self, cfg: dict, seed: int | None):
+        """Record the resolved configuration and the command's ``--seed``
+        (None for a command that takes none), and write the manifest as
+        ``running``."""
         self.payload["config"] = cfg
         self.payload["seed"] = seed
         self._write()
@@ -230,7 +231,7 @@ def cmd_optimize(args, spec, optimizer, study, manifest) -> int:
 
 
 def cmd_horizon_study(args, spec, optimizer, study, manifest) -> int:
-    report = run_horizon_study(spec, study)
+    report = run_horizon_study(spec, study, optimizer)
     manifest.stage("sweep")
     # every column after T is the record attribute of the same name
     columns = ["T", "control_error", "state_error_energy", "state_error_sup",
@@ -363,7 +364,7 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
             if args.set:
                 cfg = apply_overrides(cfg, args.set)
-            manifest.begin(cfg, getattr(args, "seed", cfg.get("seed", 0)))
+            manifest.begin(cfg, getattr(args, "seed", None))
             spec = build_problem(cfg)
             # every command checks every section before its first solve
             optimizer = build_optimizer_config(cfg)

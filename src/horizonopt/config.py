@@ -2,7 +2,7 @@
 
 A configuration has sections mesh / operator / nonlinearity / discounts /
 cost / data / admissible / time, plus optional optimizer and horizon_study
-sections and a seed.  The builders are the one declaration of the format:
+sections.  The builders are the one declaration of the format:
 each reads its section through ``_read``, which checks every key the builder
 declares and rejects every other key.  An error raised while building
 objects from a document is a ConfigError.
@@ -194,41 +194,33 @@ _SPACE_KEYS = {
 }
 _SPACE_DEFAULTS = {key: default for keys in _SPACE_KEYS.values()
                    for key, (_, default) in keys.items()}
-_TIME_KEYS = {"rate": (float, 0.0), "support_end": (float | None, None)}
-# shorthands of ``separable``: the space kind each names, whose keys and the
-# time keys but ``gauss_rate`` it reads from the template itself
-_SHORTHANDS = {"constant": "constant", "gauss_decay": "gaussian", "cosine_decay": "cosine",
-               "cosine_compact": "cosine", "nodal": "nodal"}
+# the space kind each template but ``zero`` names; such a template reads that
+# kind's keys, ``amplitude`` and the time profile's keys
+_SPACE_KIND = {"constant": "constant", "gauss_decay": "gaussian", "cosine_decay": "cosine",
+               "nodal": "nodal"}
 _TEMPLATE_KEYS = {
     "zero": {},
-    "separable": {"amplitude": (float, 1.0), "space": (dict, _REQUIRED), "time": (dict, {})},
-    **{name: {"amplitude": (float, 1.0), **_SPACE_KEYS[kind], **_TIME_KEYS}
-       for name, kind in _SHORTHANDS.items()}}
+    **{name: {"amplitude": (float, 1.0), **_SPACE_KEYS[kind], "rate": (float, 0.0),
+              "gauss_rate": (float, 0.0), "support_end": (float | None, None)}
+       for name, kind in _SPACE_KIND.items()}}
 
 
 def build_field(doc, path: str) -> Field:
-    """The data template ``doc`` at ``path`` as a Field: ``zero``,
-    ``separable`` with ``space`` and ``time`` objects, or a shorthand."""
+    """The data template ``doc`` at ``path`` as a Field: ``zero``, or a
+    template that names a space kind and reads its keys and the time
+    profile's ``rate``, ``gauss_rate`` and ``support_end``."""
     template = doc.get("template") if isinstance(doc, dict) else None
     tcfg = _read(doc, path, {"template": (str, _REQUIRED, *_one_of(*_TEMPLATE_KEYS)),
                              **_kind_keys(_TEMPLATE_KEYS, template)})
     if template == "zero":
         return zero_field()
-    if template == "separable":
-        kind = tcfg["space"].get("kind")
-        space = _read(tcfg["space"], f"{path}.space",
-                      {"kind": (str, _REQUIRED, *_one_of(*_SPACE_KEYS)),
-                       **_kind_keys(_SPACE_KEYS, kind)})
-        time = _read(tcfg["time"], f"{path}.time", {**_TIME_KEYS, "gauss_rate": (float, 0.0)})
-    else:
-        kind, space, time = _SHORTHANDS[template], tcfg, {**tcfg, "gauss_rate": 0.0}
-    sp = {**_SPACE_DEFAULTS, **space}
+    sp = {**_SPACE_DEFAULTS, **tcfg}
     profile = SpaceProfile(
-        kind, value=float(sp["value"]), width=float(sp["width"]), mode=sp["mode"],
-        center=tuple(np.atleast_1d(np.asarray(sp["center"], dtype=float))),
+        _SPACE_KIND[template], value=float(sp["value"]), width=float(sp["width"]),
+        mode=sp["mode"], center=tuple(np.atleast_1d(np.asarray(sp["center"], dtype=float))),
         nodal=tuple(float(v) for v in sp["values"]))
-    end = time["support_end"]
-    decay = TimeProfile(decay=float(time["rate"]), gauss_decay=float(time["gauss_rate"]),
+    end = tcfg["support_end"]
+    decay = TimeProfile(decay=float(tcfg["rate"]), gauss_decay=float(tcfg["gauss_rate"]),
                         support_end=None if end is None else float(end))
     return Field(profile, decay, amplitude=float(tcfg["amplitude"]))
 
@@ -241,7 +233,7 @@ def build_problem(cfg: dict) -> ProblemSpec:
         "mesh": (dict, _REQUIRED), "operator": (dict, {}), "nonlinearity": (dict, _REQUIRED),
         "discounts": (dict, _REQUIRED), "cost": (dict, _REQUIRED), "data": (dict, _REQUIRED),
         "admissible": (dict, _REQUIRED), "time": (dict, _REQUIRED), "optimizer": (dict, {}),
-        "horizon_study": (dict, None), "seed": (int, 0)})
+        "horizon_study": (dict, None)})
     mesh = _build_mesh(doc["mesh"])
     ocfg = _read(doc["operator"], "operator", {"diffusion": (float | list[float], 1.0),
                                                "reaction": (float | list[float], 0.0)})
@@ -341,9 +333,9 @@ def build_horizon_config(cfg: dict) -> HorizonStudyConfig:
         "horizons": (list[float], _REQUIRED, len, "must not be empty"),
         "reference_horizon": (float, None),
         "extension": (str, "reference", *_one_of("reference", "zero"))})
-    config = HorizonStudyConfig(**hcfg, optimizer=build_optimizer_config(cfg))
+    config = HorizonStudyConfig(**hcfg)
     step = float(cfg["time"]["step"])
-    for horizon in (*config.horizons, config.resolved_reference()):
+    for horizon in (*config.horizons, config.reference_horizon):
         TimeGrid(horizon, step)
     return config
 

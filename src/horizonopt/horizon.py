@@ -12,7 +12,7 @@ state is, bit for bit, the truncated reference state, which it reuses.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,13 +25,13 @@ from .spaces import (Trajectory, quad_energies, weighted_l2_norm,
 
 @dataclass(frozen=True)
 class HorizonStudyConfig:
-    """Sweep description: distinct horizons, a longer reference horizon, the
-    extension convention for the bound, and the shared optimizer controls."""
+    """Sweep description: distinct horizons, a longer reference horizon
+    (twice the largest horizon when None is given) and the extension
+    convention for the bound."""
 
     horizons: tuple
     reference_horizon: float | None = None
     extension: str = "reference"
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def __post_init__(self):
         hs = tuple(float(h) for h in self.horizons)
@@ -42,14 +42,11 @@ class HorizonStudyConfig:
             raise ValueError("horizons must be distinct")
         if self.extension not in ("reference", "zero"):
             raise ValueError("extension must be 'reference' or 'zero'")
-        ref = self.resolved_reference()
+        ref = 2.0 * self.horizons[-1] if self.reference_horizon is None \
+            else float(self.reference_horizon)
         if ref <= self.horizons[-1]:
             raise ValueError("reference horizon must exceed every swept horizon")
-
-    def resolved_reference(self) -> float:
-        if self.reference_horizon is not None:
-            return float(self.reference_horizon)
-        return 2.0 * self.horizons[-1]
+        object.__setattr__(self, "reference_horizon", ref)
 
 
 @dataclass
@@ -107,14 +104,16 @@ def _fit_decay(horizons, errors):
     return float(slope), float(intercept), True
 
 
-def run_horizon_study(spec: ProblemSpec, config: HorizonStudyConfig) -> HorizonStudyReport:
-    """Solve the truncated problems over the sweep and assemble the report."""
-    ref_T = config.resolved_reference()
+def run_horizon_study(spec: ProblemSpec, config: HorizonStudyConfig,
+                      optimizer: OptimizerConfig | None = None) -> HorizonStudyReport:
+    """Solve the truncated problems over the sweep, each with the controls
+    ``optimizer`` (defaulting as in ``optimize``), and assemble the report."""
+    ref_T = config.reference_horizon
     # every grid is built before the first solve, so a horizon that is not a
     # multiple of the time step fails at once
     ref_spec = spec.with_horizon(ref_T)
     subs = [spec.with_horizon(h) for h in config.horizons]
-    u_ref, ref_report = optimize(ref_spec, config.optimizer)
+    u_ref, ref_report = optimize(ref_spec, optimizer)
     y_ref = ref_report.state
 
     d = spec.discounts
@@ -125,7 +124,7 @@ def run_horizon_study(spec: ProblemSpec, config: HorizonStudyConfig) -> HorizonS
         horizon = sub.grid.horizon
         warm = u_ref.restrict(sub.grid)
         ref_state = y_ref.restrict(sub.grid)
-        u_T, rep = optimize(sub, config.optimizer, start=warm, state=ref_state)
+        u_T, rep = optimize(sub, optimizer, start=warm, state=ref_state)
         y_T = rep.state
 
         e_T = sub.control_norm(u_T.values - warm.values)

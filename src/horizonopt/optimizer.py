@@ -28,28 +28,22 @@ class LineSearchError(RuntimeError):
     pass
 
 
+# the Armijo sufficient-decrease slope and the factor a rejected trial step
+# is cut by
+ARMIJO_SLOPE = 1e-4
+BACKTRACK = 0.5
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Projected-gradient controls, the ``optimizer`` section of a document
-    except its ``newton`` settings, which belong to the problem.
+    except its ``newton`` settings, which belong to the problem."""
 
-    ``initial_step`` defaults to 1/control_weight.
-    """
-
-    initial_step: float | None = None
-    armijo_slope: float = 1e-4
-    backtrack: float = 0.5
     tolerance: float = 1e-9
     max_iterations: int = 2000
     min_step: float = 1e-14
 
     def __post_init__(self):
-        if self.initial_step is not None and not self.initial_step > 0:
-            raise ValueError("initial_step must be positive")
-        if not 0 < self.armijo_slope < 1:
-            raise ValueError("armijo_slope must lie in (0, 1)")
-        if not 0 < self.backtrack < 1:
-            raise ValueError("backtrack factor must lie in (0, 1)")
         if not (self.tolerance > 0 and self.max_iterations >= 1 and self.min_step > 0):
             raise ValueError("tolerance, max_iterations, min_step must be positive")
 
@@ -98,8 +92,7 @@ def optimize(spec: ProblemSpec, config: OptimizerConfig | None = None,
     """
     config = config or OptimizerConfig()
     t0 = time.perf_counter()
-    step0 = config.initial_step if config.initial_step is not None \
-        else 1.0 / spec.control_weight
+    step0 = 1.0 / spec.control_weight
 
     u = _initial_control(spec, start)
     if state is None or start is None or not np.array_equal(u.values, start.values):
@@ -141,7 +134,7 @@ def optimize(spec: ProblemSpec, config: OptimizerConfig | None = None,
                 break
             trial_state = solve_forward(spec, trial)
             trial_cost = cost_from_state(spec, trial, trial_state)
-            required = config.armijo_slope / step * gap_norm**2
+            required = ARMIJO_SLOPE / step * gap_norm**2
             if required > floor:
                 if trial_cost.total <= breakdown.total - required:
                     accepted = True
@@ -150,7 +143,7 @@ def optimize(spec: ProblemSpec, config: OptimizerConfig | None = None,
                 accepted = True
                 break
             trial_state.factors = None
-            step *= config.backtrack
+            step *= BACKTRACK
         if not accepted:
             raise LineSearchError(
                 f"line search failed below step {config.min_step:g} at iteration {iterations}")

@@ -118,9 +118,9 @@ class TestValidateCommand:
         assert manifest["status"] == "complete"
 
     @pytest.mark.parametrize("field", [
-        {"template": "separable", "space": {"kind": "gausian"}},
+        {"template": "gauss_decya"},
         {"template": "nodal", "values": [0.0, 1.0, 0.0]},
-    ], ids=["misspelled-space-kind", "nodal-length-mismatch"])
+    ], ids=["misspelled-template", "nodal-length-mismatch"])
     def test_unsamplable_data_template_exits_two(self, capsys, field):
         code = main(["validate", "--config", str(CONFIG_DIR / "ball_cubic.json"),
                      "--set", f"data.source={json.dumps(field)}"])
@@ -198,6 +198,16 @@ class TestGradientCheckCommand:
                   "--out", str(tmp_path / "gc"), "--epsilons", "0", "1e-4"])
         assert exc.value.code == 2
         assert not (tmp_path / "gc").exists()
+
+    def test_manifest_records_only_a_command_seed(self, tmp_path):
+        # gradient-check and socheck take --seed; no other command draws a
+        # random number, and its manifest records no seed
+        lq = str(CONFIG_DIR / "lq_small.json")
+        for command, seed in (("gradient-check", ["--seed", "5"]), ("solve-forward", [])):
+            out = tmp_path / command
+            assert main([command, "--config", lq, *seed, "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["seed"] == (5 if seed else None)
 
     def test_repeated_seed_reproduces_bytes(self, tmp_path):
         outs = []
@@ -501,6 +511,30 @@ class TestRunnerFailures:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed" and field in manifest["error"]
 
+    @pytest.mark.parametrize("override, field", [
+        ("seed=0", "seed: unknown field"),
+        ("optimizer.initial_step=1", "optimizer.initial_step: unknown field"),
+        ("optimizer.armijo_slope=0.5", "optimizer.armijo_slope: unknown field"),
+        ("optimizer.backtrack=0.5", "optimizer.backtrack: unknown field"),
+        ("data.source.template=separable", "data field: data.source.template: must be one of"),
+        ("data.target.template=cosine_compact",
+         "data field: data.target.template: must be one of"),
+    ], ids=["seed", "initial-step", "armijo-slope", "backtrack", "separable",
+            "cosine-compact"])
+    @pytest.mark.parametrize("command", ["optimize", "socheck"])
+    def test_retired_key_exits_two_naming_it(self, tmp_path, capsys, override, field,
+                                             command):
+        # the manifest's seed is the command's --seed, never the document's
+        out = tmp_path / "run"
+        seed = ["--seed", "4"] if command == "socheck" else []
+        code = main([command, "--config", str(CONFIG_DIR / "ball_cubic.json"),
+                     "--set", override, *seed, "--out", str(out)])
+        assert code == 2
+        assert f"configuration error: {field}" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and field in manifest["error"]
+        assert manifest["seed"] == (4 if seed else None)
+
     def test_non_finite_numbers_are_written_as_strings(self, tmp_path):
         def refuse(name):
             raise AssertionError(f"bare {name} in a JSON file")
@@ -574,7 +608,7 @@ _CONSTRAINTS = [
     'discounts.integrability_exponent="a"', "discounts.enforce_second_order=1", "cost=3",
     "cost.control_weight=true", "data=3", "data.initial=3", "data.source.template=3",
     "admissible=3", 'admissible.radius="a"', 'admissible.lower="a"', "admissible.upper=true",
-    "time=3", 'time.horizon="a"', "time.step=true", "optimizer=3", "seed=1.5",
+    "time=3", 'time.horizon="a"', "time.step=true", "optimizer=3",
     # lower bounds
     "mesh.length=0", "cost.control_weight=0", "time.horizon=0", "time.step=0",
     "admissible.radius=0", "mesh.nodes=2",

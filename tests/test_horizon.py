@@ -28,16 +28,19 @@ def study_spec(nonlinearity="zero", reaction=1.0, amplitude=2.0, n_nodes=21,
                      reaction=reaction)
 
 
+# the optimizer controls of every sweep below
+STUDY_OPTIMIZER = OptimizerConfig(tolerance=1e-11, max_iterations=400)
+
+
 def small_config(**kw):
-    defaults = dict(horizons=(2.0, 3.0, 4.0, 5.0), reference_horizon=10.0,
-                    optimizer=OptimizerConfig(tolerance=1e-11, max_iterations=400))
+    defaults = dict(horizons=(2.0, 3.0, 4.0, 5.0), reference_horizon=10.0)
     defaults.update(kw)
     return HorizonStudyConfig(**defaults)
 
 
 @pytest.fixture(scope="module")
 def small_report():
-    return run_horizon_study(study_spec(), small_config())
+    return run_horizon_study(study_spec(), small_config(), STUDY_OPTIMIZER)
 
 
 class TestHorizonStudy:
@@ -83,15 +86,16 @@ class TestHorizonStudy:
 
     def test_outside_hypotheses_flagged(self):
         spec = study_spec(control_rate=0.34, aux_rate=0.325)
-        report = run_horizon_study(spec, small_config(horizons=(2.0, 3.0, 4.0)))
+        report = run_horizon_study(spec, small_config(horizons=(2.0, 3.0, 4.0)),
+                                   STUDY_OPTIMIZER)
         assert report.rate_status == "outside_hypotheses"
 
     def test_zero_extension_drops_offset_term(self):
         spec = study_spec()
         cfg_ref = small_config(horizons=(2.0, 3.0))
         cfg_zero = small_config(horizons=(2.0, 3.0), extension="zero")
-        rep_ref = run_horizon_study(spec, cfg_ref)
-        rep_zero = run_horizon_study(spec, cfg_zero)
+        rep_ref = run_horizon_study(spec, cfg_ref, STUDY_OPTIMIZER)
+        rep_zero = run_horizon_study(spec, cfg_zero, STUDY_OPTIMIZER)
         for a, b in zip(rep_ref.records, rep_zero.records):
             offset = np.exp(-0.5 * spec.discounts.state_rate * a.horizon)
             assert a.bound_terminal - b.bound_terminal == pytest.approx(offset, rel=1e-9)
@@ -130,21 +134,36 @@ class TestHorizonStudy:
 
         monkeypatch.setattr("horizonopt.optimizer.solve_forward", counted)
         monkeypatch.setattr("horizonopt.horizon.optimize", recording)
-        run_horizon_study(spec, config)
+        run_horizon_study(spec, config, STUDY_OPTIMIZER)
         in_study = len(solves)
         solves.clear()
         for sub, start, (u, report) in runs:
-            u_own, report_own = run(sub, config.optimizer, start=start)
+            u_own, report_own = run(sub, STUDY_OPTIMIZER, start=start)
             assert np.array_equal(u.values, u_own.values)
             assert report.history == report_own.history
         assert len(runs) == 1 + len(config.horizons)
         assert in_study == len(solves) - len(config.horizons)
 
+    @pytest.mark.parametrize("controls", [None, STUDY_OPTIMIZER], ids=["default", "given"])
+    def test_every_solve_takes_the_given_optimizer_controls(self, monkeypatch, controls):
+        # the study's one optimizer argument reaches the reference solve and
+        # every sub-horizon solve; left out, optimize applies its own default
+        seen = []
+
+        def recording(spec, config, start=None, state=None):
+            seen.append(config)
+            return optimizer.optimize(spec, config, start=start, state=state)
+
+        monkeypatch.setattr("horizonopt.horizon.optimize", recording)
+        config = small_config(horizons=(2.0, 3.0), reference_horizon=6.0)
+        run_horizon_study(study_spec(), config, *(() if controls is None else (controls,)))
+        assert len(seen) == 3 and all(c is controls for c in seen)
+
     def test_bound_constant_stable_across_data_seeds(self):
         constants = []
         for amp in (1.5, 2.0, 3.0):
             rep = run_horizon_study(study_spec(amplitude=amp),
-                                    small_config(horizons=(2.0, 3.0, 4.0)))
+                                    small_config(horizons=(2.0, 3.0, 4.0)), STUDY_OPTIMIZER)
             constants.append(rep.bound_constant)
         assert max(constants) <= 3.0 * min(constants), constants
 
@@ -164,7 +183,9 @@ class TestConfigValidation:
 
     def test_default_reference_is_twice_largest(self):
         cfg = HorizonStudyConfig(horizons=(2.0, 4.0))
-        assert cfg.resolved_reference() == 8.0
+        assert cfg.reference_horizon == 8.0
+        given = HorizonStudyConfig(horizons=(4.0, 2.0), reference_horizon=5)
+        assert given.reference_horizon == 5.0 and isinstance(given.reference_horizon, float)
 
     def test_non_multiple_horizon_rejected_at_run(self):
         spec = study_spec()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import horizonopt as ho
-from horizonopt import solvers
+from horizonopt import optimizer, solvers
 from horizonopt.admissible import check_projection_formulas
 from horizonopt.admissible import project_values
 from horizonopt.optimizer import OptimizerConfig, optimize, verify_growth
@@ -279,10 +279,16 @@ class TestGrowthMatchesPerSampleReference:
 
 
 class TestConfigValidation:
-    def test_bad_parameters_rejected(self):
+    @pytest.mark.parametrize("bad", [{"tolerance": -1.0}, {"max_iterations": 0},
+                                     {"min_step": 0.0}])
+    def test_bad_parameters_rejected(self, bad):
         with pytest.raises(ValueError):
-            OptimizerConfig(armijo_slope=2.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(backtrack=1.5)
-        with pytest.raises(ValueError):
-            OptimizerConfig(tolerance=-1.0)
+            OptimizerConfig(**bad)
+
+    @pytest.mark.parametrize("retired", ["initial_step", "armijo_slope", "backtrack"])
+    def test_line_search_constants_are_not_settings(self, retired):
+        # the first trial step is always 1/control_weight, and the Armijo
+        # slope and the backtracking factor are module constants
+        with pytest.raises(TypeError):
+            OptimizerConfig(**{retired: 0.5})
+        assert (optimizer.ARMIJO_SLOPE, optimizer.BACKTRACK) == (1e-4, 0.5)

@@ -274,20 +274,22 @@ class TestFieldTemplates:
     # closed forms on the unit interval; every time profile is cut off at
     # t = 1.25, between two times of the sampled grid on [0, 2]
     @pytest.mark.parametrize("cfg, space, tau", [
-        ({"template": "cosine_compact", "amplitude": 1.5, "mode": 2, "rate": 0.4,
+        ({"template": "constant", "amplitude": 1.5, "value": -0.7, "rate": 0.4,
+          "support_end": 1.25},
+         lambda x: np.full_like(x, 1.5 * -0.7), lambda t: np.exp(-0.4 * t)),
+        ({"template": "cosine_decay", "amplitude": 1.5, "mode": 2, "rate": 0.4,
           "support_end": 1.25},
          lambda x: 1.5 * _cos_space(x), lambda t: np.exp(-0.4 * t)),
         ({"template": "nodal", "amplitude": -2.0, "values": list(np.linspace(0.0, 1.0, 21) ** 2),
           "rate": 0.3, "support_end": 1.25},
          lambda x: -2.0 * x ** 2, lambda t: np.exp(-0.3 * t)),
-        ({"template": "separable", "amplitude": 0.5,
-          "space": {"kind": "gaussian", "center": 0.3, "width": 0.15},
-          "time": {"rate": 0.2, "gauss_rate": 0.7, "support_end": 1.25}},
+        ({"template": "gauss_decay", "amplitude": 0.5, "center": 0.3, "width": 0.15,
+          "rate": 0.2, "gauss_rate": 0.7, "support_end": 1.25},
          lambda x: 0.5 * _gauss_space(x), lambda t: np.exp(-0.2 * t - 0.7 * t * t)),
-        ({"template": "separable", "space": {"kind": "cosine", "mode": 2},
-          "time": {"gauss_rate": 0.1, "support_end": 1.25}},
+        ({"template": "cosine_decay", "mode": 2, "gauss_rate": 0.1, "support_end": 1.25},
          _cos_space, lambda t: np.exp(-0.1 * t * t)),
-    ], ids=["cosine_compact", "nodal", "separable-gaussian", "separable-cosine"])
+    ], ids=["constant", "cosine_decay", "nodal", "gauss_decay-gauss_rate",
+            "cosine_decay-gauss_rate"])
     def test_samples_match_closed_form(self, cfg, space, tau):
         spec = make_spec(n_nodes=21, horizon=2.0, step=0.1)
         x, t = spec.mesh.coords[:, 0], spec.grid.times
@@ -295,35 +297,18 @@ class TestFieldTemplates:
         got = build_field(cfg, "field").sample(spec.mesh, t)
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-15)
 
-    def test_cosine_compact_is_cosine_decay(self):
-        spec = make_spec(n_nodes=21, horizon=2.0, step=0.1)
-        cfg = {"amplitude": 1.5, "mode": 2, "rate": 0.4, "support_end": 1.25}
-        compact = build_field({"template": "cosine_compact", **cfg}, "field")
-        decay = build_field({"template": "cosine_decay", **cfg}, "field")
-        assert compact == decay
-        assert np.array_equal(compact.sample(spec.mesh, spec.grid.times),
-                              decay.sample(spec.mesh, spec.grid.times))
+    @pytest.mark.parametrize("template", ["constant", "gauss_decay", "cosine_decay", "nodal"])
+    def test_every_template_but_zero_accepts_gauss_rate(self, template):
+        # the one spelling of a Gaussian time profile, whose tail is the
+        # closed form of _gaussian_tail
+        field = build_field({"template": template, "rate": 0.2, "gauss_rate": 0.7}, "field")
+        assert field.time == TimeProfile(decay=0.2, gauss_decay=0.7)
 
-    @pytest.mark.parametrize("template, kind, keys", [
-        ("constant", "constant", {"value": -0.7}),
-        ("gauss_decay", "gaussian", {"center": 0.3, "width": 0.15}),
-        ("cosine_decay", "cosine", {"mode": 3}),
-        ("cosine_compact", "cosine", {"mode": 3}),
-        ("nodal", "nodal", {"values": list(np.linspace(0.0, 1.0, 21) ** 2)}),
-    ])
-    def test_shorthand_samples_as_its_separable_spelling(self, template, kind, keys):
-        spec = make_spec(n_nodes=21, horizon=2.0, step=0.1)
-        time = {"rate": 0.4, "support_end": 1.25}
-        separable = build_field({"template": "separable", "amplitude": 1.5,
-                                 "space": {"kind": kind, **keys}, "time": time}, "field")
-        shorthand = build_field({"template": template, "amplitude": 1.5,
-                                 **keys, **time}, "field")
-        assert np.array_equal(shorthand.sample(spec.mesh, spec.grid.times),
-                              separable.sample(spec.mesh, spec.grid.times))
-
-    def test_shorthand_rejects_gauss_rate(self):
-        with pytest.raises(ValueError, match="field.gauss_rate: unknown field"):
-            build_field({"template": "gauss_decay", "gauss_rate": 0.7}, "field")
+    @pytest.mark.parametrize("template", ["separable", "cosine_compact"])
+    def test_retired_spellings_are_refused(self, template):
+        with pytest.raises(ValueError, match='field.template: must be one of "zero", '
+                                             '"constant", "gauss_decay", "cosine_decay", "nodal"'):
+            build_field({"template": template}, "field")
 
 
 def test_weighted_inner_matches_norm():
