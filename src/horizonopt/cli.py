@@ -62,19 +62,23 @@ def write_json(path: Path, payload: dict) -> None:
 class Manifest:
     """Run record: resolved config, seeds, versions, outputs, timings.
 
+    The command's ``--seed`` (None for a command that takes none) is
+    recorded from the start, so a run that fails while its document is read
+    still names it.
+
     Used as a context manager: an exception escaping the ``with`` block
     finalizes the manifest as ``failed`` with the error message (and the
     residual history of a solver error) before it propagates.  Without an
     output directory (``validate`` without ``--out``) nothing is written.
     """
 
-    def __init__(self, out_dir: str | None, command: str):
+    def __init__(self, out_dir: str | None, command: str, seed: int | None):
         self.out_dir = None if out_dir is None else Path(out_dir)
         self.payload = {
             "schema": "horizonopt-manifest v1",
             "command": command,
             "config": None,
-            "seed": None,
+            "seed": seed,
             "versions": {
                 "horizonopt": __version__,
                 "python": sys.version.split()[0],
@@ -88,12 +92,10 @@ class Manifest:
         if self.out_dir is not None:
             self.out_dir.mkdir(parents=True, exist_ok=True)
 
-    def begin(self, cfg: dict, seed: int | None):
-        """Record the resolved configuration and the command's ``--seed``
-        (None for a command that takes none), and write the manifest as
+    def begin(self, cfg: dict):
+        """Record the resolved configuration and write the manifest as
         ``running``."""
         self.payload["config"] = cfg
-        self.payload["seed"] = seed
         self._write()
 
     def output(self, name: str) -> Path:
@@ -280,6 +282,8 @@ def cmd_socheck(args, spec, optimizer, study, manifest) -> int:
              for v, val in zip(directions, values)]
     payload["directions_sampled"] = len(directions)
     payload["min_normalized_form"] = min(forms) if forms else None
+    # the growth probe reads only the state's values
+    report.state.factors = None
     growth = verify_growth(spec, u, radius=args.radius, samples=args.samples,
                            seed=args.seed, state=report.state)
     payload["growth"] = growth.to_dict()
@@ -358,13 +362,13 @@ def main(argv=None) -> int:
     and finalize the manifest.  A failure at any step finalizes the manifest
     as ``failed`` and maps to the documented exit code."""
     args = build_parser().parse_args(argv)
-    manifest = Manifest(args.out, args.command)
+    manifest = Manifest(args.out, args.command, getattr(args, "seed", None))
     try:
         with manifest:
             cfg = load_config(args.config)
             if args.set:
                 cfg = apply_overrides(cfg, args.set)
-            manifest.begin(cfg, getattr(args, "seed", None))
+            manifest.begin(cfg)
             spec = build_problem(cfg)
             # every command checks every section before its first solve
             optimizer = build_optimizer_config(cfg)

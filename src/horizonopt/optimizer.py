@@ -54,7 +54,8 @@ class SolveReport:
 
     ``state`` and ``adjoint`` are the forward and adjoint trajectories at the
     returned control, so callers never need to solve for it again; they are
-    left out of ``to_dict``.
+    left out of ``to_dict``.  In 2D ``state`` owns its ``factors``, so a
+    linear march around it reuses the optimizer's factorizations.
     """
 
     iterations: int
@@ -88,7 +89,9 @@ def optimize(spec: ProblemSpec, config: OptimizerConfig | None = None,
     """Solve the discrete control problem from the projection of ``start``
     (of zero when it is None); returns (control, report).  ``state``, the
     state at ``start``, is used if projecting ``start`` leaves it unchanged.
-    A state's ``factors`` are dropped once its adjoint is made.
+    The returned ``report.state`` keeps its ``factors``, for the linear
+    marches of its caller; every state left behind has them dropped once
+    its adjoint is made, or once its trial is rejected.
     """
     config = config or OptimizerConfig()
     t0 = time.perf_counter()
@@ -106,7 +109,6 @@ def optimize(spec: ProblemSpec, config: OptimizerConfig | None = None,
 
     for iterations in range(config.max_iterations + 1):
         adjoint = solve_adjoint(spec, state)
-        state.factors = None
         grad = riesz_gradient(spec, u, adjoint)
         residual = stationarity_residual(spec, u, grad)
         history.append({"cost": breakdown.total, "residual": residual, "step": last_step})
@@ -116,6 +118,7 @@ def optimize(spec: ProblemSpec, config: OptimizerConfig | None = None,
         if iterations == config.max_iterations:
             message = "maximum iterations reached"
             break
+        state.factors = None
 
         # sufficient decrease below the floating-point resolution of the cost
         # cannot be measured; such steps are accepted if the cost does not

@@ -26,7 +26,8 @@ A linear march takes B right-hand sides at once (the second-order check
 marches all its directions together); the forward march takes B controls
 at once (the growth probe solves all its samples together, up to
 ``FORWARD_BATCH`` of them per march), as blocks of one flat vector, each
-with its own residual norm, damping and convergence.
+with its own residual norm, damping and convergence, so that each state of
+a list is bitwise its solve as a list of one.
 
 Every march steps through the problem's ``step_operator``: M/dt + K in the
 band storage of half-bandwidth k of ``problem.band_storage``, to whose
@@ -47,25 +48,33 @@ In 1D every Newton iteration solves with S at its iterate (exact Newton):
 ``gtsv`` factors as it solves, so a held factorization would save nothing.
 In 2D the forward march is simplified Newton with a monitored contraction
 (Deuflhard, Newton Methods for Nonlinear Problems, 2004; Hairer & Wanner,
-Solving ODEs II, IV.8), decided per sample: the first iteration of a step
-factors S(y_{i-1}), and a later one keeps the sample's factorization while
-its last trial was accepted undamped, its residual norm contracted by a
-ratio of at most ``CONTRACTION`` = 1/4, and that ratio, kept up over the
-iterations left, would bring the norm within the tolerance.  Otherwise, and
-after a trial on a kept factorization that fails to reduce the norm, the
-sample refactors at its iterate.  So a smooth step factors once, and the
-linear marches' reuse of ``Trajectory.factors`` below is unchanged.
+Solving ODEs II, IV.8), decided per sample: a later iteration of a step
+keeps the sample's factorization while its last trial was accepted
+undamped, its residual norm contracted by a ratio of at most
+``CONTRACTION`` = 1/4, and that ratio, kept up over the iterations left,
+would bring the norm within the tolerance.  The first iteration of a step
+depends on the march.  A march of one control factors S(y_{i-1}), which
+its state hands to the linear marches as ``Trajectory.factors`` below.  A
+march of a list keeps no factorizations, so a sample carries its last one
+into the next step while its last accepted iteration was undamped and
+contracted by a ratio of at most ``CARRY`` = 1e-3 (RADAU5's default), and
+factors S(y_{i-1}) otherwise.  After a trial on a kept or carried
+factorization that fails to reduce the norm the sample refactors at its
+iterate.  So a smooth step of one control factors once, and a smooth
+sample of a list factors in its first steps only.
 
 Every linear march around a state y steps with S_i = S(y_i), which for
 i < N is bitwise the matrix of the first Newton iteration of forward step
-i + 1.  So in 2D the state a forward solve of one control returns owns
-those factorizations, ``Trajectory.factors``.  The march takes the state
-itself: it derives f'(y_i) from the state's values and reads its
+i + 1 of a march of one control.  So in 2D the state a forward solve of one
+control returns owns those factorizations, ``Trajectory.factors``, and
+``optimize`` hands them on with the state it returns.  The march takes the
+state itself: it derives f'(y_i) from the state's values and reads its
 factorizations, each where its own step matrix has the same diagonal.  A
 march factors S_N itself and reuses a factorization down any run of steps
 the forward march took without a Newton iteration, where S_i did not
 change; around any other state (restricted, loaded, batched, 1D) it
-factors every step.
+factors every step.  The trajectories made from a linear march's result
+are its one finiteness scan: a non-finite value raises ``SolverError``.
 
 Every buffer a march writes is its own, reused from step to step: the
 forward march's two sets of iterate y, (M/dt + K) y + M_L f(y) and residual
@@ -101,6 +110,11 @@ def _rounding_floor(stepper, dt, y, y_prev, fy, forcing) -> float:
 # the largest ratio of successive residual norms at which a 2D Newton
 # iteration keeps its sample's factorization (simplified Newton)
 CONTRACTION = 0.25
+# the largest ratio of successive residual norms of a sample's last accepted
+# undamped iteration at which a 2D march that keeps no factorizations
+# carries the sample's factorization into the next time step (RADAU5's
+# default for keeping a Jacobian, Hairer & Wanner, Solving ODEs II, IV.8)
+CARRY = 1e-3
 
 
 def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.ndarray:
@@ -113,15 +127,18 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
     above it whose damping stalls raises.
 
     In 1D every iteration solves with S at its iterate (exact Newton).  In
-    2D a sample's first iteration of a step factors its block of S(y_{i-1}),
-    and a later one keeps the sample's last factorization (simplified
-    Newton) while its last trial was accepted undamped, its residual norm
-    fell to at most ``CONTRACTION`` times the one before, and, contracting
-    at that ratio, would reach the tolerance within the iterations left;
-    otherwise it factors its block at its iterate.  A trial on a kept
-    factorization that the sample rejects is not damped: the block is
-    factored at the iterate and the trial repeated, and from there damping
-    and the floor apply as in 1D."""
+    2D a later iteration of a step keeps the sample's last factorization
+    (simplified Newton) while its last trial was accepted undamped, its
+    residual norm fell to at most ``CONTRACTION`` times the one before, and,
+    contracting at that ratio, would reach the tolerance within the
+    iterations left; otherwise it factors its block at its iterate.  The
+    first iteration of a step factors the block of S(y_{i-1}) when ``kept``
+    is a list.  When it is None each sample carries its last factorization
+    into the step while its last accepted iteration, in an earlier step,
+    was undamped and fell by a ratio of at most ``CARRY``.  A trial on a
+    kept or carried factorization that the sample rejects is not damped:
+    the block is factored at the iterate and the trial repeated, and from
+    there damping and the floor apply as in 1D."""
     tolerance, iterations = spec.newton.tolerance, range(spec.newton.max_iterations)
     value, derivative = spec.nonlinearity.value, spec.nonlinearity.derivative
     ops, dt, stepper = spec.operators, spec.grid.step, spec.step_operator
@@ -151,6 +168,8 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
     # iteration kept theirs
     chord, blocks = stepper.k > 1, [slice(s * nodes, (s + 1) * nodes) for s in samples]
     held, stale = [None] * count, set()
+    # the samples whose factorization the next time step starts with
+    carries, carried = chord and kept is None, [False] * count
 
     def newton_step(s, fresh):
         # sample s's block of delta, the solve of its residual block with
@@ -189,11 +208,15 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
                 stale.clear()
                 left = len(iterations) - it
                 for s in live:
-                    ratio = rn[s] / log[-2][s] if it else math.inf
-                    if (ratio <= CONTRACTION and damping[s] == 1.0
-                            and rn[s] * ratio ** left <= tolerance):
+                    if it:
+                        ratio = rn[s] / log[-2][s]
+                        keep = (ratio <= CONTRACTION and damping[s] == 1.0
+                                and rn[s] * ratio ** left <= tolerance)
+                    else:
+                        keep = carried[s]
+                    if keep:
                         stale.add(s)
-                    newton_step(s, s not in stale)
+                    newton_step(s, not keep)
                 if not it and kept is not None:
                     kept[i - 1] = held[0]
             else:
@@ -236,6 +259,9 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
                 if not set(rejected).intersection(live):
                     break
                 step = np.repeat(damping, nodes) * delta
+            if carries:
+                for s in live:
+                    carried[s] = damping[s] == 1.0 and rn_try[s] / rn[s] <= CARRY
             if len(live) < count:
                 frozen = list(set(samples).difference(live))
                 rows_try[:, frozen] = rows[:, frozen]
@@ -262,11 +288,15 @@ def solve_forward(spec: ProblemSpec, control: Trajectory | list):
     with the Newton settings ``spec.newton``.
 
     A list of controls is marched in batches of at most ``FORWARD_BATCH``
-    and gives a list of states, each bitwise equal to its own solve.  If any
-    batch fails, every sample is solved alone and the own-solve error of the
-    lowest-indexed sample among those failing first in time is raised: a
-    failing sample's non-finite trial can reach its neighbours through the
-    zero couplings, so the error comes from the samples' own solves.
+    and gives a list of states, each bitwise equal to its solve as a list of
+    one.  In 1D that is the solve of the control alone; in 2D a list keeps
+    no factorizations and carries them across time steps instead, so its
+    states agree with those of single solves to the Newton tolerance.  If
+    any batch fails, every sample is solved as a list of one and the error
+    of the lowest-indexed sample among those failing first in time is
+    raised: a failing sample's non-finite trial can reach its neighbours
+    through the zero couplings, so the error comes from the samples' own
+    solves.
 
     For one control in 2D the state's ``factors`` are the factorizations
     of its first Newton iterations, for the linear marches around it; in 1D
@@ -285,12 +315,12 @@ def solve_forward(spec: ProblemSpec, control: Trajectory | list):
         for start in range(0, len(controls), FORWARD_BATCH):
             values.extend(_newton_march(spec, controls[start:start + FORWARD_BATCH], kept))
     except SolverError as exc:
-        if single:
+        if len(controls) == 1:
             raise
         failures = []
         for k, c in enumerate(controls):
             try:
-                solve_forward(spec, c)
+                solve_forward(spec, [c])
             except SolverError as own:
                 failures.append((math.inf if own.step is None else own.step, k, own))
         raise (min(failures)[2] if failures else exc) from None
@@ -347,9 +377,21 @@ def _linear_march(spec, state, sources, steps):
         rhs += sources[i]
         out[i] = solve(c, rhs)
         this, other = other, this
-    if not np.all(np.isfinite(out)):
-        raise SolverError("linear solve produced non-finite values")
     return out
+
+
+def _march_trajectories(spec, state, sources, steps, kind):
+    """``_linear_march`` as trajectories of ``kind``: one for sources of
+    shape (n+1, N), a list of B for (n+1, B, N).  Their own finiteness check
+    is the one scan of the result; a non-finite value raises SolverError."""
+    out = _linear_march(spec, state, sources, steps)
+    try:
+        if out.ndim == 2:
+            return Trajectory(spec.grid, out, kind)
+        return [Trajectory(spec.grid, out[:, b], kind) for b in range(out.shape[1])]
+    except ValueError:
+        # shape and kind are the march's own, so only that check can fail
+        raise SolverError("linear solve produced non-finite values") from None
 
 
 def solve_linearized(spec: ProblemSpec, base_state: Trajectory,
@@ -371,10 +413,7 @@ def solve_linearized(spec: ProblemSpec, base_state: Trajectory,
     if values.shape[-1] != spec.control_count:
         raise ValueError("control-supported right-hand side has the wrong width")
     sources = spec.operators.scatter_control(values)
-    vals = _linear_march(spec, base_state, sources, range(1, n + 1))
-    if single:
-        return Trajectory(spec.grid, vals, "generic")
-    return [Trajectory(spec.grid, vals[:, b], "generic") for b in range(len(rhs))]
+    return _march_trajectories(spec, base_state, sources, range(1, n + 1), "generic")
 
 
 def solve_second_order(spec: ProblemSpec, base_state: Trajectory,
@@ -382,8 +421,8 @@ def solve_second_order(spec: ProblemSpec, base_state: Trajectory,
     """Second-order sensitivity: forcing -f''(y) z1 z2 through nodal quadrature."""
     prod = -spec.nonlinearity.second_derivative(base_state.values) * z1.values * z2.values
     sources = spec.operators.lumped_mass * prod
-    vals = _linear_march(spec, base_state, sources, range(1, spec.grid.n_steps + 1))
-    return Trajectory(spec.grid, vals, "generic")
+    return _march_trajectories(spec, base_state, sources, range(1, spec.grid.n_steps + 1),
+                               "generic")
 
 
 def solve_adjoint_from_residual(spec: ProblemSpec, base_state: Trajectory,
@@ -403,8 +442,7 @@ def solve_adjoint_from_residual(spec: ProblemSpec, base_state: Trajectory,
     mass_matvec = spec.step_operator.mass_matvec
     src = mass_matvec(residual) if mask is None else mask * mass_matvec(mask * residual)
     sources = spec.grid.discount(rate)[:, None] * src
-    vals = _linear_march(spec, base_state, sources, range(n, -1, -1))
-    return Trajectory(spec.grid, vals, "adjoint")
+    return _march_trajectories(spec, base_state, sources, range(n, -1, -1), "adjoint")
 
 
 def solve_adjoint(spec: ProblemSpec, base_state: Trajectory) -> Trajectory:
@@ -496,9 +534,8 @@ def check_linearized_estimate(spec: ProblemSpec, base_control: Trajectory,
     y = solve_forward(spec, base_control)
     rhs_traj = Trajectory(spec.grid, rhs_field, "generic")
     # the linearized equation with the full-domain source M h
-    vals = _linear_march(spec, y, (ops.mass @ rhs_traj.values.T).T,
-                         range(1, spec.grid.n_steps + 1))
-    z = Trajectory(spec.grid, vals, "generic")
+    z = _march_trajectories(spec, y, (ops.mass @ rhs_traj.values.T).T,
+                            range(1, spec.grid.n_steps + 1), "generic")
     lhs = weighted_sup_norm(z, rate, ops.mass) + weighted_l2_norm(z, rate, ops.h1)
     ell = spec.operator.ellipticity_bound(spec.mesh)
     stability = 2.0 / min(1.0, 0.5 * rate, ell)

@@ -68,11 +68,13 @@ class Trajectory:
     trajectories hold values on the control-subdomain nodes only.
 
     ``factors`` is not a constructor argument.  It is None except on a state
-    ``solvers.solve_forward`` returns for one control in 2D, which sets it:
-    there ``factors[i]`` (i < n) is the diagonal and the factorization of
-    the step matrix S(y_i) made by the first Newton iteration of step i + 1
-    (None if that step took none), for the linear marches around the state
-    to reuse.  They describe ``values``, which nothing changes.
+    ``solvers.solve_forward`` returns for one control (not a list) in 2D,
+    which sets it: there ``factors[i]`` (i < n) is the diagonal and the
+    factorization of the step matrix S(y_i) made by the first Newton
+    iteration of step i + 1 (None if that step took none), for the linear
+    marches around the state to reuse.  ``optimizer.optimize`` keeps them on
+    the state it returns and drops them from every other.  They describe
+    ``values``, which nothing changes.
 
     Trajectories compare by identity: elementwise equality of ``values`` has
     no single truth value.

@@ -10,11 +10,11 @@ The reference marches at the end are the plain loops the library's march
 kernels must match bit for bit: one right-hand side per step solve (``gtsv``
 in 1D; in 2D band Cholesky on the lower symmetric band, ``pbtrf`` and then
 ``pbtrs``, so that the forward march can hold a factorization across Newton
-iterations as the library's simplified Newton does), a residual closure in
-the Newton step, and the adjoint sources built one time row at a time.
-They read only the step operator's matrices, never its methods.  The
-reference growth probe solves its samples one at a time with the reference
-march.
+iterations and time steps as the library's simplified Newton does), a
+residual closure in the Newton step, and the adjoint sources built one time
+row at a time.  They read only the step operator's matrices, never its
+methods.  The reference growth probe solves its samples one at a time with
+the reference march, under the rule of a march of a list of controls.
 
 The reference optimality diagnostics at the very end are the per-step loops
 the library's masked array code replaced: the pointwise first-order
@@ -229,7 +229,7 @@ class ReferenceStep:
 
 
 def reference_forward(spec, stepper, control, tolerance=1e-12, max_iterations=30,
-                      damping=0.5):
+                      damping=0.5, carry=None):
     """Damped Newton implicit-Euler march with a residual closure per step.
 
     A step whose first trial fails to reduce a residual norm already within
@@ -242,8 +242,12 @@ def reference_forward(spec, stepper, control, tolerance=1e-12, max_iterations=30
     trial was accepted undamped, the residual norm fell by a ratio q <= 0.25,
     and rn * q^(iterations left) <= tolerance; otherwise it factors at the
     iterate.  A rejected trial on a kept factorization refactors at the
-    iterate and is repeated undamped.  Returns the state values and the
-    number of damped trial steps taken."""
+    iterate and is repeated undamped.  With a ratio ``carry`` (the rule of a
+    2D march that keeps no factorizations, as of a list of controls) the
+    first iteration of a step keeps the last factorization when the last
+    accepted iteration, in this step or an earlier one, was undamped and
+    its residual norm fell by a ratio of at most ``carry``.  Returns the
+    state values and the number of damped trial steps taken."""
     step = ReferenceStep(stepper)
     ops = spec.operators
     f = spec.nonlinearity
@@ -256,6 +260,7 @@ def reference_forward(spec, stepper, control, tolerance=1e-12, max_iterations=30
     out[0] = spec.initial_values
     y = out[0].copy()
     damped = 0
+    chol, carried = None, False
     for i in range(1, n + 1):
         b = step.mass_matvec(y) / dt + forcing[i]
 
@@ -268,7 +273,7 @@ def reference_forward(spec, stepper, control, tolerance=1e-12, max_iterations=30
         r = residual(y)
         rn = norm(r)
         stalled = False
-        chol = rn_old = None
+        rn_old = None
         for it in range(max_iterations):
             if rn <= tolerance:
                 break
@@ -278,6 +283,8 @@ def reference_forward(spec, stepper, control, tolerance=1e-12, max_iterations=30
                     q = rn / rn_old
                     kept = (alpha == 1.0 and q <= 0.25
                             and rn * q ** (max_iterations - it) <= tolerance)
+                else:
+                    kept = carried
                 if not kept:
                     chol = step.factor(f.derivative(y))
                 delta = step.solve_factored(chol, -r)
@@ -305,6 +312,7 @@ def reference_forward(spec, stepper, control, tolerance=1e-12, max_iterations=30
                 assert alpha >= 1e-10, "damping stalled above the rounding floor"
             if stalled:
                 break
+            carried = carry is not None and alpha == 1.0 and rn_try / rn <= carry
             rn_old = rn
             y, r, rn = y_try, r_try, rn_try
         assert rn <= tolerance or stalled
@@ -332,17 +340,18 @@ def reference_adjoint(spec, stepper, base_state, residual, rate, masked):
     return out
 
 
-def reference_growth(spec, stepper, u_star, radius, samples, seed=0):
+def reference_growth(spec, stepper, u_star, radius, samples, seed=0, carry=None):
     """The sampled quadratic-growth probe as a per-sample loop: draw,
     project, solve with ``reference_forward`` and take the margin, one
-    candidate at a time.  Returns (kappa, margins, distances)."""
+    candidate at a time, each candidate with the ratio ``carry`` and u*
+    without.  Returns (kappa, margins, distances)."""
     from horizonopt.admissible import project_values
     from horizonopt.objective import cost_from_state
     from horizonopt.spaces import Trajectory, weighted_l2_norm
 
-    def cost(control):
+    def cost(control, carry=None):
         values, _ = reference_forward(spec, stepper, control, spec.newton.tolerance,
-                                      spec.newton.max_iterations)
+                                      spec.newton.max_iterations, carry=carry)
         return cost_from_state(spec, control, Trajectory(spec.grid, values, "state")).total
 
     weights = spec.operators.control_weights
@@ -362,7 +371,8 @@ def reference_growth(spec, stepper, u_star, radius, samples, seed=0):
                                 rate_c, weights)
         if dist <= 1e-14:
             continue
-        margins.append(2.0 * (cost(Trajectory(spec.grid, cand, "control")) - j_star) / dist**2)
+        margins.append(2.0 * (cost(Trajectory(spec.grid, cand, "control"), carry) - j_star)
+                       / dist**2)
         distances.append(dist)
     return min(margins), margins, distances
 

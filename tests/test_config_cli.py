@@ -371,6 +371,17 @@ class TestSocheckCommand:
         assert exc.value.code == 2
         assert not (tmp_path / "so").exists()
 
+    def test_malformed_document_leaves_the_seed_in_the_failed_manifest(self, tmp_path,
+                                                                        capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"mesh": [,}')
+        out = tmp_path / "so"
+        assert main(["socheck", "--config", str(bad), "--seed", "4", "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["config"] is None
+        assert manifest["seed"] == 4
+
 
 class TestRunnerFailures:
     @pytest.mark.parametrize("command, name", [
@@ -411,6 +422,26 @@ class TestRunnerFailures:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert "step matrix not positive definite (pbtrf info" in manifest["error"]
+
+    def test_non_finite_linear_solve_exits_one(self, tmp_path, capsys, monkeypatch):
+        # an adjoint march of a nan residual stands in for a solve that
+        # overflows: the run fails with the linear solve's own message
+        from horizonopt.solvers import solve_adjoint_from_residual
+
+        def poisoned(spec, state):
+            residual = np.full(state.values.shape, np.nan)
+            return solve_adjoint_from_residual(spec, state, residual, 0.0)
+
+        monkeypatch.setattr("horizonopt.optimizer.solve_adjoint", poisoned)
+        out = tmp_path / "run"
+        assert main(["optimize", "--config", str(CONFIG_DIR / "lq_small.json"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: linear solve produced non-finite values" in err
+        assert "Traceback" not in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == "linear solve produced non-finite values"
 
     def test_negative_diffusion_fails_assembly(self, tmp_path, capsys):
         # solve-forward runs on any problem, so assembly's own check of the

@@ -96,7 +96,7 @@ class TestOptimize:
         # both runs reject trials (1D: 37 forward solves in 20 iterations;
         # 2D: 35 in 14), and in 2D every state whose adjoint is made still
         # owns its factorizations: every adjoint made with them is the one
-        # made around the bare state
+        # made around the bare state; the returned 2D state keeps them
         handed = []
 
         def checked_adjoint(spec, state):
@@ -118,7 +118,7 @@ class TestOptimize:
         spec = replace(spec, newton=ho.NewtonConfig(tolerance=1e-6))
         u, report = optimize(spec, OptimizerConfig(tolerance=1e-10))
         assert all(handed) if dimension == 2 else not any(handed)
-        assert report.state.factors is None
+        assert (report.state.factors is None) == (dimension == 1)
         state = ho.solve_forward(spec, u)
         assert np.array_equal(report.state.values, state.values)
         assert np.array_equal(report.adjoint.values, ho.solve_adjoint(spec, state).values)
@@ -222,7 +222,8 @@ class TestVerifyGrowth:
 
 
 class TestGrowthMatchesPerSampleReference:
-    """The batched probe against the per-sample loop of oracles.py: the
+    """The batched probe against the per-sample loop of oracles.py, whose
+    candidates follow the rule of a march that keeps no factorizations: the
     same kappa, margins and distances, bit for bit."""
 
     @staticmethod
@@ -243,7 +244,7 @@ class TestGrowthMatchesPerSampleReference:
         u = self.admissible_control(spec, seed=5)
         growth = verify_growth(spec, u, radius=0.3, samples=12, seed=6)
         kappa, margins, distances = reference_growth(spec, spec.step_operator, u, radius=0.3,
-                                                     samples=12, seed=6)
+                                                     samples=12, seed=6, carry=solvers.CARRY)
         assert len(margins) == 12
         assert (growth.kappa, growth.margins, growth.distances) == (kappa, margins, distances)
 
@@ -262,7 +263,7 @@ class TestGrowthMatchesPerSampleReference:
         growth = verify_growth(spec, u, radius=0.3, samples=131, seed=6)
         assert batches == [1, 64, 64, 3]
         kappa, margins, distances = reference_growth(spec, spec.step_operator, u, radius=0.3,
-                                                     samples=131, seed=6)
+                                                     samples=131, seed=6, carry=solvers.CARRY)
         assert len(margins) == 131
         assert (growth.kappa, growth.margins, growth.distances) == (kappa, margins, distances)
 
@@ -276,6 +277,57 @@ class TestGrowthMatchesPerSampleReference:
         monkeypatch.setattr("horizonopt.optimizer.solve_forward", no_solve)
         with pytest.raises(ValueError, match="growth probe produced no usable samples"):
             verify_growth(spec, spec.zero_control(), radius=0.1, samples=5)
+
+
+class TestFactorizationCounts:
+    """``_StepSolver.factor`` calls, counted by wrapping them; in 2D each call
+    factors one block."""
+
+    @staticmethod
+    def counting_factor(monkeypatch, spec):
+        blocks, stepper_type = [], type(spec.step_operator)
+        factor = stepper_type.factor
+
+        def counted(self, d):
+            blocks.append(d)
+            return factor(self, d)
+
+        monkeypatch.setattr(stepper_type, "factor", counted)
+        return blocks
+
+    def test_2d_growth_probe_factors_a_few_blocks_per_sample(self, monkeypatch):
+        # 12 samples over 20 time steps: refactoring at every step would make
+        # 240 blocks, carrying factorizations across steps makes 24; the bound
+        # is 3 blocks per sample whatever the number of steps
+        spec = rectangle_spec((5, 4), seed=2, horizon=1.0)
+        u = TestGrowthMatchesPerSampleReference.admissible_control(spec, seed=5)
+        state = ho.solve_forward(spec, u)
+        blocks = self.counting_factor(monkeypatch, spec)
+        growth = verify_growth(spec, u, radius=0.3, samples=12, seed=6, state=state)
+        assert len(growth.margins) == 12 and spec.grid.n_steps == 20
+        assert len(blocks) <= 3 * len(growth.margins)
+
+    def test_lagrangian_form_around_the_returned_2d_state_reuses_its_factors(self,
+                                                                             monkeypatch):
+        # the optimizer's returned state keeps the factorizations of its
+        # forward solve, so the batched march of the form factors only S_N,
+        # which no forward step makes, where a bare copy factors all n steps
+        spec = replace(rectangle_spec((5, 4), seed=2), admissible=ho.AdmissibleSet("ball",
+                                                                                  radius=0.5))
+        u, report = optimize(spec, OptimizerConfig(tolerance=1e-10))
+        assert report.converged
+        multiplier = ho.multiplier_and_cone(spec, u, report.adjoint)
+        directions = [random_control(spec, seed=30 + b) for b in range(3)]
+        bare = ho.Trajectory(spec.grid, report.state.values, "state")
+        models = [ho.SecondOrderModel(spec, u, state=y, adjoint=report.adjoint)
+                  for y in (report.state, bare)]
+        blocks = self.counting_factor(monkeypatch, spec)
+        forms = models[0].lagrangian_form(directions, multiplier)
+        n = spec.grid.n_steps
+        last = spec.step_operator.shifted(spec.nonlinearity.derivative(report.state.values[n]))
+        assert len(blocks) == 1 and np.array_equal(blocks[0], last)
+        assert forms == models[1].lagrangian_form(directions, multiplier)
+        assert len(blocks) == 1 + n
 
 
 class TestConfigValidation:

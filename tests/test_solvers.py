@@ -16,7 +16,7 @@ from horizonopt import solvers
 from horizonopt.descriptors import Field, SpaceProfile, TimeProfile
 from horizonopt.objective import SecondOrderModel
 from horizonopt.problem import band_storage
-from horizonopt.solvers import (FORWARD_BATCH, SolverError, _linear_march,
+from horizonopt.solvers import (CARRY, FORWARD_BATCH, SolverError, _linear_march,
                                 solve_adjoint_from_residual)
 from horizonopt.spaces import weighted_sup_norm
 
@@ -674,7 +674,8 @@ NONLINEARITIES = {**ho.builtin_nonlinearities(), "linear(2)": ho.linear_nonlinea
 
 class TestEveryNonlinearityMatchesReference:
     """Forward and adjoint marches against the reference loops of oracles.py
-    for every nonlinearity, alone and in a batch where one sample damps."""
+    for every nonlinearity, alone and in a batch where one sample damps; the
+    batch against the reference that carries factorizations across steps."""
 
     @pytest.mark.parametrize("name", sorted(NONLINEARITIES))
     @pytest.mark.parametrize("dimension", [1, 2])
@@ -695,8 +696,8 @@ class TestEveryNonlinearityMatchesReference:
             rate = spec.discounts.state_rate
             assert np.array_equal(ho.solve_adjoint(spec, y).values,
                                   reference_adjoint(spec, stepper, y, residual, rate, True))
-        for y, (values, _) in zip(ho.solve_forward(spec, controls), expected):
-            assert np.array_equal(y.values, values)
+        for y, u in zip(ho.solve_forward(spec, controls), controls):
+            assert np.array_equal(y.values, reference_forward(spec, stepper, u, carry=CARRY)[0])
 
 
 class TestReusedBuffersDoNotLeak:
@@ -731,6 +732,36 @@ class TestReusedBuffersDoNotLeak:
         for s in batch:
             ho.solve_adjoint(spec, s)
         assert [a.tobytes() for a in held] == before
+
+
+class TestNonFiniteLinearSolve:
+    """A linear march result with a non-finite value raises one SolverError,
+    found by the one finiteness scan of the trajectories made from it."""
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_adjoint_of_a_non_finite_residual(self, dimension):
+        spec = small_spec_of(dimension, 4, seed=3)
+        y = ho.solve_forward(spec, random_control(spec, seed=0, scale=0.2))
+        residual = np.zeros_like(y.values)
+        residual[3, 1] = np.nan
+        with pytest.raises(SolverError, match="^linear solve produced non-finite values$"):
+            solve_adjoint_from_residual(spec, y, residual, spec.discounts.state_rate)
+
+    def test_one_non_finite_source_in_a_batch(self, monkeypatch):
+        # a batch's responses are scanned as its trajectories are made
+        spec = small_spec_of(2, 4, seed=3)
+        y = ho.solve_forward(spec, random_control(spec, seed=0, scale=0.2))
+        scatter = type(spec.operators).scatter_control
+
+        def poisoned(self, values):
+            sources = scatter(self, values)
+            sources[2, 1, 0] = np.inf
+            return sources
+
+        monkeypatch.setattr(type(spec.operators), "scatter_control", poisoned)
+        directions = [random_control(spec, seed=k) for k in (1, 2, 3)]
+        with pytest.raises(SolverError, match="^linear solve produced non-finite values$"):
+            ho.solve_linearized(spec, y, directions)
 
 
 class TestCausality:
@@ -787,7 +818,8 @@ class TestBatchedMarch:
 
 class TestBatchedForward:
     """A list of controls is marched in one batch; each state must be what
-    its own solve gives, bit for bit."""
+    its solve as a list of one gives, bit for bit, and what the reference
+    march gives under the rule of a march that keeps no factorizations."""
 
     @settings(max_examples=15)
     @given(dimension=st.sampled_from([1, 2]), size=st.integers(3, 5),
@@ -803,8 +835,8 @@ class TestBatchedForward:
         assert len(states) == batch
         for u, y in zip(controls, states):
             assert y.kind == "state" and y.values.flags.c_contiguous
-            assert np.array_equal(y.values, ho.solve_forward(spec, u).values)
-            assert np.array_equal(y.values, reference_forward(spec, stepper, u)[0])
+            assert np.array_equal(y.values, ho.solve_forward(spec, [u])[0].values)
+            assert np.array_equal(y.values, reference_forward(spec, stepper, u, carry=CARRY)[0])
 
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_mixed_batch_damps_some_samples_only(self, dimension):
@@ -812,10 +844,22 @@ class TestBatchedForward:
         stepper = spec.step_operator
         controls = [random_control(spec, seed=0, scale=0.2),
                     random_control(spec, seed=1, scale=3000.0)]
-        expected = [reference_forward(spec, stepper, u) for u in controls]
+        expected = [reference_forward(spec, stepper, u, carry=CARRY) for u in controls]
         assert [damped > 0 for _, damped in expected] == [False, True]
         for y, (values, _) in zip(ho.solve_forward(spec, controls), expected):
             assert np.array_equal(y.values, values)
+
+    def test_a_rejected_carried_factorization_is_refactored(self):
+        # the control jumps from scale 0.2 to 3000 at row 4: the sample
+        # carries a smooth step's factorization into step 4, where the first
+        # trial on it fails, and the march refactors at the iterate and
+        # repeats the trial undamped, as the reference does
+        spec = small_spec_of(2, 4, seed=3)
+        u = random_control(spec, seed=2, scale=0.2)
+        u.values[4:] *= 3000.0 / 0.2
+        values, damped = reference_forward(spec, spec.step_operator, u, carry=CARRY)
+        assert damped > 0
+        assert np.array_equal(ho.solve_forward(spec, [u])[0].values, values)
 
     def test_empty_list_gives_empty_list(self):
         assert ho.solve_forward(make_spec(), []) == []

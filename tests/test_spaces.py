@@ -187,8 +187,9 @@ class TestTrajectoryIO:
 
     def test_nonfinite_values_rejected(self):
         grid = ho.TimeGrid(0.2, 0.1)
-        with pytest.raises(ValueError):
-            ho.Trajectory(grid, np.array([[0.0], [np.nan], [0.0]]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^trajectory contains non-finite entries$"):
+                ho.Trajectory(grid, np.array([[0.0], [bad], [0.0]]))
 
     def test_equality_is_identity_and_a_bool(self):
         # elementwise equality of the values has no single truth value
