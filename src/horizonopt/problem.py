@@ -370,11 +370,10 @@ def band_storage(mat):
     return k, ab
 
 
-def _tridiagonals(ab, count):
-    """(lower, diagonal, upper) of a k = 1 symmetric band storage, ``count``
-    times, uncoupled; the lower and upper diagonals are one array."""
-    off = np.tile(np.append(ab[1, :-1], 0.0), count)[:-1]
-    return off, np.tile(ab[0], count), off
+def _tridiagonals(ab):
+    """(lower, diagonal, upper) of a k = 1 symmetric band storage."""
+    off = ab[1, :-1].copy()
+    return off, ab[0].copy(), off
 
 
 # bound once, like the ufuncs of the products: on the few dozen entries of a
@@ -421,35 +420,25 @@ class _StepSolver:
     factors as it solves, overwriting it.
 
     The kernels act on arrays their caller owns, with the nodes on the last
-    axis, so that a (B, N) array is B systems: ``solve`` overwrites its
-    right-hand side, and ``base_product`` and ``mass_product`` bind the
-    products with M/dt + K and M to an input and an output array.  No kernel
-    writes into the operator's own arrays.  ``stack(B)`` is the solver of B
-    stacked copies of the system, on flat arrays of B * N; in 2D it only
-    multiplies and takes norms, and each block is factored and solved by the
-    solver of one copy, on its slice of N.
+    axis, so that a (B, N) array is B systems whose rows the (N,)
+    coefficients broadcast over: ``solve`` overwrites its right-hand side,
+    and ``base_product`` and ``mass_product`` bind the products with
+    M/dt + K and M to an input and an output array.  No kernel writes into
+    the operator's own arrays.
     """
 
-    __slots__ = ("count", "lumped", "base", "mass", "k", "ab", "diagonal", "bands",
-                 "mass_bands", "_gtsv", "_pbtrf", "_pbtrs")
+    __slots__ = ("lumped", "base", "mass", "k", "ab", "diagonal", "bands", "mass_bands",
+                 "_gtsv", "_pbtrf", "_pbtrs")
 
-    def __init__(self, base, mass, lumped, count: int = 1):
-        self.count = count
+    def __init__(self, base, mass, lumped):
         self.k, self.ab = band_storage(base)
-        if count > 1 and self.k > 1:
-            # a 2D stack multiplies with block-diagonal matrices, a 1D one with its bands
-            base, mass = (sps.block_diag([m] * count, format="csr") for m in (base, mass))
-        self.base, self.mass = base, mass.tocsr()
-        self.lumped, self.diagonal = np.tile(lumped, count), np.tile(self.ab[0], count)
+        self.base, self.mass, self.lumped, self.diagonal = base, mass, lumped, self.ab[0].copy()
         if self.k == 1:
-            self.bands = _tridiagonals(self.ab, count)
-            self.mass_bands = _tridiagonals(band_storage(self.mass)[1], count)
+            self.bands = _tridiagonals(self.ab)
+            self.mass_bands = _tridiagonals(band_storage(self.mass)[1])
             self._gtsv = sla.get_lapack_funcs(("gtsv",), (self.ab,))[0]
         else:
             self._pbtrf, self._pbtrs = sla.get_lapack_funcs(("pbtrf", "pbtrs"), (self.ab,))
-
-    def stack(self, count: int) -> "_StepSolver":
-        return self if count == 1 else _StepSolver(self.base, self.mass, self.lumped, count)
 
     def base_product(self, y: np.ndarray, out: np.ndarray):
         """A function of no arguments that writes (M/dt + K) y into ``out``."""
@@ -472,13 +461,13 @@ class _StepSolver:
         return self.diagonal + self.lumped * shift
 
     def norms(self, r: np.ndarray, work: np.ndarray) -> list:
-        """Lumped-mass-weighted dual norm of each block of a flat r,
-        comparable to an L2 function norm; ``work`` is scratch of r's size."""
+        """Lumped-mass-weighted dual norm of each row of r, comparable to an
+        L2 function norm; ``work`` is scratch of r's shape."""
         np.multiply(r, r, out=work)
         work /= self.lumped
-        if self.count == 1:
+        if r.ndim == 1:
             return [math.sqrt(_sum(work))]
-        return list(map(math.sqrt, _sum(work.reshape(self.count, -1), 1).tolist()))
+        return list(map(math.sqrt, _sum(work, 1).tolist()))
 
     def factor(self, d: np.ndarray):
         """The factorization of the step matrix with diagonal d: in 2D its
@@ -494,12 +483,17 @@ class _StepSolver:
 
     def solve(self, c, rhs: np.ndarray) -> np.ndarray:
         """Solve in place with the factorization ``c`` of ``factor``: a
-        C-contiguous ``rhs`` becomes the solution, and in 1D c is overwritten."""
+        C-contiguous ``rhs`` becomes the solution, and in 1D c is overwritten.
+        In 1D a (B, N) c joins B systems into one of B * N unknowns with zero
+        couplings, which never make ``gtsv`` swap rows between them."""
         # LAPACK solves for the columns of rhs.T, one per right-hand side;
         # the positional flags copy the bands and overwrite c and rhs
         if self.k == 1:
-            lo, _, up = self.bands
-            info = self._gtsv(lo, c, up, rhs.T, 0, 1, 0, 1)[4]
+            (lo, _, up), b = self.bands, rhs.T
+            if c.ndim > 1:
+                lo = up = np.tile(np.append(lo, 0.0), len(c))[:-1]
+                c, b = c.reshape(-1), rhs.reshape(-1)
+            info = self._gtsv(lo, c, up, b, 0, 1, 0, 1)[4]
             if info != 0:
                 raise SolverError(f"singular step matrix (gtsv info {info})")
             return rhs

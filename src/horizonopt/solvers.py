@@ -25,9 +25,10 @@ S_i z_i = (M/dt) z_{i-1} + source_i for i = 1..N, from z_0 = 0.
 A linear march takes B right-hand sides at once (the second-order check
 marches all its directions together); the forward march takes B controls
 at once (the growth probe solves all its samples together, up to
-``FORWARD_BATCH`` of them per march), as blocks of one flat vector, each
+``FORWARD_BATCH`` of them per march), as the rows of (B, N) arrays, each
 with its own residual norm, damping and convergence, so that each state of
-a list is bitwise its solve as a list of one.
+a list is bitwise its solve as a list of one.  One system's arrays have
+shape (N,); the step operator's (N,) coefficients broadcast over rows.
 
 Every march steps through the problem's ``step_operator``: M/dt + K in the
 band storage of half-bandwidth k of ``problem.band_storage``, to whose
@@ -38,11 +39,11 @@ k = nx + 2) it factors by band Cholesky, ``pbtrf``, and solves with
 symmetric positive definite, since f' is bounded below by ``min_slope``
 and the validator's ``discrete_step_monotone`` item proves
 M/dt + K + min_slope M_L positive definite.  A step matrix that is not
-raises ``SolverError``.  A forward batch joins its B systems
-into one of B * N unknowns with zero couplings: one ``gtsv`` call in 1D,
-where a zero subdiagonal never makes it swap rows, so elimination stays
-inside each block; in 2D each block is factored and solved on its own,
-as LAPACK has no batched band Cholesky.  Each gets the bits it gets alone.
+raises ``SolverError``.  A 1D forward batch joins its B systems into one
+of B * N unknowns with zero couplings in one ``gtsv`` call, where a zero
+subdiagonal never makes it swap rows, so elimination stays inside each
+row's system; in 2D each row is factored and solved on its own, as LAPACK
+has no batched band Cholesky.  Each row gets the bits it gets alone.
 
 In 1D every Newton iteration solves with S at its iterate (exact Newton):
 ``gtsv`` factors as it solves, so a held factorization would save nothing.
@@ -70,11 +71,13 @@ control returns owns those factorizations, ``Trajectory.factors``, and
 ``optimize`` hands them on with the state it returns.  The march takes the
 state itself: it derives f'(y_i) from the state's values and reads its
 factorizations, each where its own step matrix has the same diagonal.  A
-march factors S_N itself and reuses a factorization down any run of steps
-the forward march took without a Newton iteration, where S_i did not
-change; around any other state (restricted, loaded, batched, 1D) it
-factors every step.  The trajectories made from a linear march's result
-are its one finiteness scan: a non-finite value raises ``SolverError``.
+march reuses a factorization down any run of steps the forward march took
+without a Newton iteration, where S_i did not change, and keeps one it
+makes in the step's slot of ``factors`` when that is empty, as S_N's is:
+so the optimizer's last adjoint march hands S_N on.  Around any other state
+(restricted, loaded, batched, 1D) it factors every step.  The trajectories made from a linear
+march's result are its one finiteness scan: a non-finite value raises
+``SolverError``.
 
 Every buffer a march writes is its own, reused from step to step: the
 forward march's two sets of iterate y, (M/dt + K) y + M_L f(y) and residual
@@ -119,67 +122,67 @@ CARRY = 1e-3
 
 def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.ndarray:
     """The forward march of B controls to states of shape (B, N+1, N); the
-    first failure raises.  With a list ``kept`` (one control), entry i - 1
-    becomes the diagonal and factorization of the first Newton iteration of
-    time step i, which is S(y_{i-1}); a step that needs no iteration leaves
-    its None.  A sample whose residual is within ``_rounding_floor``, as
-    after a large source, keeps its iterate at its first rejected trial; one
-    above it whose damping stalls raises.
+    first failure raises.  Its arrays have a row per sample, or shape (N,)
+    for one control, and it steps through ``spec.step_operator``.  With a
+    list ``kept`` (one control), entry i - 1 becomes the diagonal and
+    factorization of the first Newton iteration of time step i, which is
+    S(y_{i-1}); a step that needs no iteration leaves its None.  A sample
+    whose residual is within ``_rounding_floor``, as after a large source,
+    keeps its iterate at its first rejected trial; one above it whose
+    damping stalls raises.
 
     In 1D every iteration solves with S at its iterate (exact Newton).  In
     2D a later iteration of a step keeps the sample's last factorization
     (simplified Newton) while its last trial was accepted undamped, its
     residual norm fell to at most ``CONTRACTION`` times the one before, and,
     contracting at that ratio, would reach the tolerance within the
-    iterations left; otherwise it factors its block at its iterate.  The
-    first iteration of a step factors the block of S(y_{i-1}) when ``kept``
-    is a list.  When it is None each sample carries its last factorization
+    iterations left; otherwise it factors its step matrix at its iterate.
+    The first iteration of a step factors S(y_{i-1}) when ``kept`` is a
+    list.  When it is None each sample carries its last factorization
     into the step while its last accepted iteration, in an earlier step,
     was undamped and fell by a ratio of at most ``CARRY``.  A trial on a
     kept or carried factorization that the sample rejects is not damped:
-    the block is factored at the iterate and the trial repeated, and from
-    there damping and the floor apply as in 1D."""
+    the sample's step matrix is factored at the iterate and the trial
+    repeated, and from there damping and the floor apply as in 1D."""
     tolerance, iterations = spec.newton.tolerance, range(spec.newton.max_iterations)
     value, derivative = spec.nonlinearity.value, spec.nonlinearity.derivative
     ops, dt, stepper = spec.operators, spec.grid.step, spec.step_operator
     n, count, nodes = spec.grid.n_steps, len(controls), ops.n_nodes
-    stack = stepper.stack(count)
-    lumped, norms, diagonal = stack.lumped, stack.norms, stack.diagonal
-    factor, solve, samples, subtract = stack.factor, stack.solve, range(count), np.subtract
-    # per-step source functionals M g_i + W u_i, one block per control
-    forcing = np.tile((ops.mass @ spec.source_samples.T).T, count)
-    for k, control in enumerate(controls):
-        forcing[:, k * nodes + ops.control_index] += control.values * ops.control_weights
+    lumped, norms, diagonal = stepper.lumped, stepper.norms, stepper.diagonal
+    factor, solve, samples, subtract = stepper.factor, stepper.solve, range(count), np.subtract
+    # the shape of the march's arrays; as (B, N) they have a row per sample
+    shape = (nodes,) if count == 1 else (count, nodes)
+    # per-step source functionals M g_i + W u_i, one row per control
+    forcing = np.repeat((ops.mass @ spec.source_samples.T).T[:, None], count, axis=1)
+    for s, control in enumerate(controls):
+        forcing[:, s, ops.control_index] += control.values * ops.control_weights
 
     out = np.empty((count, n + 1, nodes))
     out[:, 0] = spec.initial_values
-    b, delta, work = (np.empty(count * nodes) for _ in range(3))
+    b, delta, work = np.empty((3,) + shape)
+    deltas, sources = delta.reshape(count, nodes), forcing.reshape((n + 1,) + shape)
 
     def buffers():
-        # an iterate y, a = (M/dt + K) y + M_L value(y) and its residual
-        # a - b, as the rows of one array of B blocks each, and the products
-        # with y bound to a and b
+        # the rows of an iterate y, a = (M/dt + K) y + M_L value(y) and its
+        # residual a - b, and the products with y bound to a and b
         rows = np.empty((3, count, nodes))
-        y, a, r = rows.reshape(3, -1)
-        return rows, y, a, r, stack.base_product(y, a), stack.mass_product(y, b)
+        y, a, r = rows.reshape((3,) + shape)
+        return rows, y, a, r, stepper.base_product(y, a), stepper.mass_product(y, b)
 
-    # each sample's slice of the flat arrays; in 2D also its (diagonal,
-    # factorization) in the form ``kept`` takes, and the live samples whose
-    # iteration kept theirs
-    chord, blocks = stepper.k > 1, [slice(s * nodes, (s + 1) * nodes) for s in samples]
-    held, stale = [None] * count, set()
+    # in 2D each sample's (diagonal, factorization) in the form ``kept``
+    # takes, and the live samples whose iteration kept theirs
+    chord, held, stale = stepper.k > 1, [None] * count, set()
     # the samples whose factorization the next time step starts with
     carries, carried = chord and kept is None, [False] * count
 
     def newton_step(s, fresh):
-        # sample s's block of delta, the solve of its residual block with
-        # its factorization, after factoring S at its iterate when fresh
-        block = blocks[s]
+        # sample s's row of delta, the solve of its residual row with its
+        # factorization, after factoring S at its iterate when fresh
         if fresh:
-            d = diagonal[block] + lumped[block] * derivative(y[block])
-            held[s] = d, stepper.factor(d)
-        delta[block] = r[block]
-        stepper.solve(held[s][1], delta[block])
+            d = diagonal + lumped * derivative(rows[0, s])
+            held[s] = d, factor(d)
+        deltas[s] = rows[2, s]
+        solve(held[s][1], deltas[s])
 
     # the current iterate and the trial: an accepted trial swaps the two, and
     # its a carries into the next time step's residual
@@ -190,7 +193,7 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
     for i in range(1, n + 1):
         mass_y()
         b /= dt
-        b += forcing[i]
+        b += sources[i]
         rn = norms(subtract(a, b, r), work)
         # every sample's norms per iteration, for the histories: a sample
         # that fails has been live at every iteration of its step
@@ -246,10 +249,9 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
                     # floor is tested once, at its first rejected trial:
                     # within it, the sample is frozen below at its current
                     # iterate, like a converged sample
-                    block = blocks[s]
                     if damping[s] == 1.0 and rn[s] <= _rounding_floor(
-                            stepper, dt, y[block], out[s, i - 1], value(y[block]),
-                            forcing[i, block]):
+                            stepper, dt, rows[0, s], out[s, i - 1], value(rows[0, s]),
+                            forcing[i, s]):
                         live.remove(s)
                         continue
                     damping[s] *= 0.5
@@ -258,7 +260,7 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
                                           history=[v[s] for v in log])
                 if not set(rejected).intersection(live):
                     break
-                step = np.repeat(damping, nodes) * delta
+                step = (np.reshape(damping, (count, 1)) * deltas).reshape(shape)
             if carries:
                 for s in live:
                     carried[s] = damping[s] == 1.0 and rn_try[s] / rn[s] <= CARRY
@@ -294,9 +296,9 @@ def solve_forward(spec: ProblemSpec, control: Trajectory | list):
     states agree with those of single solves to the Newton tolerance.  If
     any batch fails, every sample is solved as a list of one and the error
     of the lowest-indexed sample among those failing first in time is
-    raised: a failing sample's non-finite trial can reach its neighbours
-    through the zero couplings, so the error comes from the samples' own
-    solves.
+    raised: in 1D a failing sample's non-finite trial can reach the others
+    through the zero couplings of their ``gtsv`` solve, so the error comes
+    from the samples' own solves.
 
     For one control in 2D the state's ``factors`` are the factorizations
     of its first Newton iterations, for the linear marches around it; in 1D
@@ -345,8 +347,8 @@ def _linear_march(spec, state, sources, steps):
     solved under another problem.  A step without one reuses the previous
     step's factorization when its S_i is bitwise the same, as after a
     forward step that needed no Newton iteration and so left the state as
-    it was, and factors S_i otherwise.  Without ``factors`` every step
-    factors S_i.
+    it was, and factors S_i otherwise, keeping it in ``factors[i]`` if that
+    is None.  Without ``factors`` every step factors S_i.
 
     ``sources`` has shape (n+1, N) for one right-hand side, or (n+1, B, N)
     for B of them marched together: one step solve with B columns per step,
@@ -371,6 +373,8 @@ def _linear_march(spec, state, sources, steps):
             last, c = factors[i]
         elif last is None or not np.array_equal(d, last):
             last, c = d, factor(d)
+            if factors[i] is None:
+                factors[i] = last, c
         product, rhs = this
         product()
         rhs /= dt

@@ -71,10 +71,11 @@ class Trajectory:
     ``solvers.solve_forward`` returns for one control (not a list) in 2D,
     which sets it: there ``factors[i]`` (i < n) is the diagonal and the
     factorization of the step matrix S(y_i) made by the first Newton
-    iteration of step i + 1 (None if that step took none), for the linear
-    marches around the state to reuse.  ``optimizer.optimize`` keeps them on
-    the state it returns and drops them from every other.  They describe
-    ``values``, which nothing changes.
+    iteration of step i + 1, for the linear marches around the state to
+    reuse; a linear march fills a slot that is None (that of S(y_n), or of
+    a step that took none) with the one it makes.  ``optimizer.optimize``
+    keeps them on the state it returns and drops them from every other.
+    They describe ``values``, which nothing changes.
 
     Trajectories compare by identity: elementwise equality of ``values`` has
     no single truth value.

@@ -248,24 +248,37 @@ class TestGrowthMatchesPerSampleReference:
         assert len(margins) == 12
         assert (growth.kappa, growth.margins, growth.distances) == (kappa, margins, distances)
 
-    def test_more_samples_than_one_batch_is_bitwise_reference(self, monkeypatch):
-        # 131 candidates are marched as batches of 64, 64 and 3
-        spec = make_spec(target=0.5 * np.ones((21, 21)))
-        u = self.admissible_control(spec, seed=5)
-        batches = []
-        march = solvers._newton_march
+    @staticmethod
+    def assert_batches_are_bitwise_reference(monkeypatch, spec, samples, batches):
+        # the march sizes of the growth probe, the first of which solves u*,
+        # and its kappa, margins and distances against the reference
+        u = TestGrowthMatchesPerSampleReference.admissible_control(spec, seed=5)
+        sizes, march = [], solvers._newton_march
 
         def recording(spec, controls, kept):
-            batches.append(len(controls))
+            sizes.append(len(controls))
             return march(spec, controls, kept)
 
         monkeypatch.setattr(solvers, "_newton_march", recording)
-        growth = verify_growth(spec, u, radius=0.3, samples=131, seed=6)
-        assert batches == [1, 64, 64, 3]
+        growth = verify_growth(spec, u, radius=0.3, samples=samples, seed=6)
+        assert sizes == batches
         kappa, margins, distances = reference_growth(spec, spec.step_operator, u, radius=0.3,
-                                                     samples=131, seed=6, carry=solvers.CARRY)
-        assert len(margins) == 131
+                                                     samples=samples, seed=6,
+                                                     carry=solvers.CARRY)
+        assert len(margins) == samples
         assert (growth.kappa, growth.margins, growth.distances) == (kappa, margins, distances)
+
+    def test_more_samples_than_one_batch_is_bitwise_reference(self, monkeypatch):
+        # 131 candidates are marched as batches of 64, 64 and 3
+        spec = make_spec(target=0.5 * np.ones((21, 21)))
+        self.assert_batches_are_bitwise_reference(monkeypatch, spec, 131, [1, 64, 64, 3])
+
+    def test_2d_samples_split_across_batches_are_bitwise_reference(self, monkeypatch):
+        # with batches of at most 4, 10 candidates are marched as 4, 4 and 2;
+        # each batch starts its samples without carried factorizations
+        monkeypatch.setattr(solvers, "FORWARD_BATCH", 4)
+        self.assert_batches_are_bitwise_reference(monkeypatch, rectangle_spec((5, 4), seed=2),
+                                                  10, [1, 4, 4, 2])
 
     def test_all_samples_skipped_raises_without_a_solve(self, monkeypatch):
         # a box of width 1e-20 projects every candidate to within 1e-14 of u*
@@ -310,8 +323,9 @@ class TestFactorizationCounts:
     def test_lagrangian_form_around_the_returned_2d_state_reuses_its_factors(self,
                                                                              monkeypatch):
         # the optimizer's returned state keeps the factorizations of its
-        # forward solve, so the batched march of the form factors only S_N,
-        # which no forward step makes, where a bare copy factors all n steps
+        # forward solve, and its last adjoint march fills the slot of S_N,
+        # which no forward step makes: the batched march of the form factors
+        # nothing, where a bare copy factors all n steps
         spec = replace(rectangle_spec((5, 4), seed=2), admissible=ho.AdmissibleSet("ball",
                                                                                   radius=0.5))
         u, report = optimize(spec, OptimizerConfig(tolerance=1e-10))
@@ -325,9 +339,9 @@ class TestFactorizationCounts:
         forms = models[0].lagrangian_form(directions, multiplier)
         n = spec.grid.n_steps
         last = spec.step_operator.shifted(spec.nonlinearity.derivative(report.state.values[n]))
-        assert len(blocks) == 1 and np.array_equal(blocks[0], last)
+        assert not blocks and np.array_equal(report.state.factors[n][0], last)
         assert forms == models[1].lagrangian_form(directions, multiplier)
-        assert len(blocks) == 1 + n
+        assert len(blocks) == n
 
 
 class TestConfigValidation:

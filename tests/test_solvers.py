@@ -861,6 +861,31 @@ class TestBatchedForward:
         assert damped > 0
         assert np.array_equal(ho.solve_forward(spec, [u])[0].values, values)
 
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_batch_marches_rows_through_the_problem_step_operator(self, dimension,
+                                                                  monkeypatch):
+        # a batch multiplies, factors and solves its (B, N) rows through
+        # spec.step_operator itself: no second step operator, no
+        # block-diagonal copy of M/dt + K or M
+        spec = small_spec_of(dimension, 4, seed=3)
+        stepper_type, built = type(spec.step_operator), []
+        init = stepper_type.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        def no_block_diag(*args, **kwargs):
+            raise AssertionError("scipy.sparse.block_diag called")
+
+        monkeypatch.setattr(stepper_type, "__init__", counted_init)
+        monkeypatch.setattr(sps, "block_diag", no_block_diag)
+        controls = [random_control(spec, seed=b, scale=0.2) for b in range(3)]
+        states = ho.solve_forward(spec, controls)
+        assert not built and len(states) == 3
+        for u, y in zip(controls, states):
+            assert np.array_equal(y.values, ho.solve_forward(spec, [u])[0].values)
+
     def test_empty_list_gives_empty_list(self):
         assert ho.solve_forward(make_spec(), []) == []
 
