@@ -3,7 +3,9 @@
 Subcommands: validate, solve-forward, gradient-check, optimize,
 horizon-study, socheck.  ``main`` runs each one the same way and owns its
 manifest: it records the resolved configuration before doing work and
-finalizes the manifest with timings afterwards, as ``failed`` on any error.
+finalizes the manifest with timings and the exit code afterwards, as
+``failed`` on any error.  A command body returns None when it succeeds, or
+the reason it exits 1.
 Numerical CSV outputs are formatted at 17 significant digits and carry a
 schema version header, so repeated runs with fixed seeds are byte-identical;
 wall-clock times appear only in manifest.json and report.json.
@@ -68,7 +70,8 @@ class Manifest:
 
     Used as a context manager: an exception escaping the ``with`` block
     finalizes the manifest as ``failed`` with the error message (and the
-    residual history of a solver error) before it propagates.  Without an
+    residual history of a solver error) and the exit code it ends in, 2 for
+    a configuration error and 1 otherwise, before it propagates.  Without an
     output directory (``validate`` without ``--out``) nothing is written.
     """
 
@@ -112,8 +115,12 @@ class Manifest:
         self.payload["timings"][name] = now - self._clock
         self._clock = now
 
-    def finalize(self, status: str = "complete"):
-        self.payload["status"] = status
+    def finalize(self, status: str, exit_code: int, reason: str | None):
+        """Write how the run ended: ``complete`` (the command finished) or
+        ``failed`` (it raised), and why a finished command exits 1."""
+        self.payload.update(status=status, exit_code=exit_code)
+        if reason is not None:
+            self.payload["reason"] = reason
         self._write()
 
     def _write(self):
@@ -128,7 +135,8 @@ class Manifest:
             self.payload["error"] = str(exc)
             if getattr(exc, "history", None):
                 self.payload["history"] = exc.history
-            self.finalize("failed")
+            code = EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_FAILED
+            self.finalize("failed", code, None)
 
 
 def _svg_decay_plot(horizons, errors) -> str | None:
@@ -172,17 +180,17 @@ def _svg_decay_plot(horizons, errors) -> str | None:
     return "\n".join(lines) + "\n"
 
 
-def cmd_validate(args, spec, optimizer, study, manifest) -> int:
+def cmd_validate(args, spec, optimizer, study, manifest) -> str | None:
     report = validate_assumptions(spec)
     for item in report.items:
         print(item)
     print(f"overall: {'pass' if report.passed else 'fail'}")
     write_json(manifest.output("validation.json"), report.to_dict())
     manifest.stage("validate")
-    return EXIT_OK if report.passed else EXIT_FAILED
+    return None if report.passed else "validation failed"
 
 
-def cmd_solve_forward(args, spec, optimizer, study, manifest) -> int:
+def cmd_solve_forward(args, spec, optimizer, study, manifest) -> str | None:
     state = solve_forward(spec, spec.zero_control())
     manifest.stage("solve")
     state.to_csv(manifest.output("state.csv"))
@@ -193,10 +201,10 @@ def cmd_solve_forward(args, spec, optimizer, study, manifest) -> int:
             state, spec.discounts.state_rate, spec.operators.mass),
     })
     manifest.stage("write")
-    return EXIT_OK
+    return None
 
 
-def cmd_gradient_check(args, spec, optimizer, study, manifest) -> int:
+def cmd_gradient_check(args, spec, optimizer, study, manifest) -> str | None:
     rng = np.random.default_rng(args.seed)
     shape = (spec.grid.n_steps + 1, spec.control_count)
     u = Trajectory(spec.grid, spec.project(0.3 * rng.standard_normal(shape)), "control")
@@ -216,10 +224,10 @@ def cmd_gradient_check(args, spec, optimizer, study, manifest) -> int:
                {"schema": "horizonopt-gradcheck v1", "seed": args.seed, "sweep": sweep})
     best = min(s["rel_error"] for s in sweep)
     print(f"best relative error over sweep: {best:.3e}")
-    return EXIT_OK if best <= GRADIENT_TOLERANCE else EXIT_FAILED
+    return None if best <= GRADIENT_TOLERANCE else "gradient error above 1e-7"
 
 
-def cmd_optimize(args, spec, optimizer, study, manifest) -> int:
+def cmd_optimize(args, spec, optimizer, study, manifest) -> str | None:
     u, report = optimize(spec, optimizer)
     manifest.stage("optimize")
     for name, traj in (("u_star", u), ("state", report.state), ("adjoint", report.adjoint)):
@@ -229,10 +237,10 @@ def cmd_optimize(args, spec, optimizer, study, manifest) -> int:
     manifest.stage("write")
     print(f"converged={report.converged} iterations={report.iterations} "
           f"residual={report.residual:.3e} cost={report.cost.total:.6e}")
-    return EXIT_OK if report.converged else EXIT_FAILED
+    return None if report.converged else "not converged"
 
 
-def cmd_horizon_study(args, spec, optimizer, study, manifest) -> int:
+def cmd_horizon_study(args, spec, optimizer, study, manifest) -> str | None:
     report = run_horizon_study(spec, study, optimizer)
     manifest.stage("sweep")
     # every column after T is the record attribute of the same name
@@ -252,14 +260,14 @@ def cmd_horizon_study(args, spec, optimizer, study, manifest) -> int:
     manifest.stage("write")
     print(f"slope={report.slope:.4f} rate_status={report.rate_status} "
           f"monotone={report.monotone_ok} cost_check={report.cost_check_ok}")
-    return EXIT_OK
+    return None
 
 
-def cmd_socheck(args, spec, optimizer, study, manifest) -> int:
+def cmd_socheck(args, spec, optimizer, study, manifest) -> str | None:
     u, report = optimize(spec, optimizer)
     manifest.stage("optimize")
     adjoint = report.adjoint
-    model = SecondOrderModel(spec, u, state=report.state, adjoint=adjoint)
+    model = SecondOrderModel(spec, report.state, adjoint)
     payload = {"schema": "horizonopt-socheck v1",
                "stationarity_residual": report.residual,
                "admissible_kind": spec.admissible.kind}
@@ -273,25 +281,23 @@ def cmd_socheck(args, spec, optimizer, study, manifest) -> int:
                   ["t", "multiplier", "activity"], rows)
     directions = sample_critical_directions(
         spec, u, adjoint, multiplier, count=args.directions, seed=args.seed)
-    # one batched linearized march for all directions
-    if spec.admissible.kind == "ball":
-        values = model.lagrangian_form(directions, multiplier)
-    else:
-        values = model.quadratic_form(directions, directions)
+    # one batched linearized march for all directions; a box's multiplier
+    # is None, and its Lagrangian form is the plain quadratic form
+    values = model.lagrangian_form(directions, multiplier)
     forms = [val / max(spec.control_norm(v.values) ** 2, 1e-300)
              for v, val in zip(directions, values)]
     payload["directions_sampled"] = len(directions)
     payload["min_normalized_form"] = min(forms) if forms else None
     # the growth probe reads only the state's values
     report.state.factors = None
-    growth = verify_growth(spec, u, radius=args.radius, samples=args.samples,
-                           seed=args.seed, state=report.state)
+    growth = verify_growth(spec, u, report.state, radius=args.radius,
+                           samples=args.samples, seed=args.seed)
     payload["growth"] = growth.to_dict()
     manifest.stage("checks")
     write_json(manifest.output("socheck.json"), payload)
     print(f"min normalized quadratic form: {payload['min_normalized_form']}, "
           f"growth kappa: {growth.kappa:.6g}")
-    return EXIT_OK
+    return None
 
 
 def positive_float(text: str) -> float:
@@ -381,8 +387,9 @@ def main(argv=None) -> int:
                 if failures:
                     raise AssumptionError("standing assumptions fail: "
                                           + ", ".join(item.key for item in failures))
-            code = args.func(args, spec, optimizer, study, manifest)
-            manifest.finalize()
+            reason = args.func(args, spec, optimizer, study, manifest)
+            code = EXIT_OK if reason is None else EXIT_FAILED
+            manifest.finalize("complete", code, reason)
         return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -142,7 +142,6 @@ def run_horizon_study(spec: ProblemSpec, config: HorizonStudyConfig,
         bound_target = tail_norm(spec, "target", d.state_rate, horizon)
         bound_source = tail_norm(spec, "source", d.state_rate, horizon)
 
-        cost_opt = cost_from_state(sub, u_T, y_T).total
         cost_ref = cost_from_state(sub, warm, ref_state).total
 
         dominated = bound_target + bound_source <= bound_terminal + 1e-14
@@ -150,7 +149,7 @@ def run_horizon_study(spec: ProblemSpec, config: HorizonStudyConfig,
             horizon=float(horizon), control_error=e_T,
             state_error_energy=float(err_energy), state_error_sup=err_sup,
             bound_terminal=bound_terminal, bound_target_tail=bound_target,
-            bound_source_tail=bound_source, cost_optimal=cost_opt,
+            bound_source_tail=bound_source, cost_optimal=rep.cost.total,
             cost_reference=cost_ref, tail_dominated=bool(dominated),
             iterations=rep.iterations)
 

@@ -89,19 +89,17 @@ def first_order_density(spec: ProblemSpec, u: Trajectory, adjoint: Trajectory) -
 
 
 class SecondOrderModel:
-    """Caches the state/adjoint pair at a control and evaluates quadratic forms.
+    """Quadratic forms around the state and adjoint of a control, as solved by the caller.
 
     ``quadratic_form`` implements the exact second derivative of the
     discrete cost; ``lagrangian_form`` adds the multiplier term of the
     norm-ball constraint.
     """
 
-    def __init__(self, spec: ProblemSpec, u: Trajectory,
-                 state: Trajectory | None = None,
-                 adjoint: Trajectory | None = None):
+    def __init__(self, spec: ProblemSpec, state: Trajectory, adjoint: Trajectory):
         self.spec = spec
-        self.state = state if state is not None else solve_forward(spec, u)
-        self.adjoint = adjoint if adjoint is not None else solve_adjoint(spec, self.state)
+        self.state = state
+        self.adjoint = adjoint
 
     def response(self, v: Trajectory | list) -> Trajectory | list:
         """Linearized state response to a direction; a list of directions is
@@ -119,10 +117,13 @@ class SecondOrderModel:
             return self._form(v1, v2, z1, z2, None)
         return [self._form(*pair, None) for pair in zip(v1, v2, z1, z2)]
 
-    def lagrangian_form(self, v: Trajectory | list, multiplier: "Multiplier") -> float | list:
+    def lagrangian_form(self, v: Trajectory | list,
+                        multiplier: "Multiplier | None") -> float | list:
         """``quadratic_form(v, v)`` plus the multiplier term of the ball; a
-        list of directions gives a list of values, as ``quadratic_form``."""
-        if self.spec.admissible.kind != "ball":
+        list of directions gives a list of values, as ``quadratic_form``.
+        A box constraint is linear, so its Lagrangian adds no curvature and
+        takes ``multiplier`` None, as does a ball whose term is left out."""
+        if multiplier is not None and self.spec.admissible.kind != "ball":
             raise ValueError("the multiplier-augmented form is defined for ball constraints")
         z = self.response(v)
         if isinstance(v, Trajectory):
@@ -199,16 +200,17 @@ def multiplier_and_cone(spec: ProblemSpec, u: Trajectory, adjoint: Trajectory) -
 
 
 def sample_critical_directions(spec: ProblemSpec, u: Trajectory, adjoint: Trajectory,
-                               multiplier: Multiplier | None = None, count: int = 10,
+                               multiplier: Multiplier | None, count: int = 10,
                                seed: int = 0):
     """Seeded random directions satisfying the active-set compatibility conditions.
 
-    Ball case: directions are orthogonalized (in the control inner product)
-    against the control at strictly active steps, and their radial component
-    is removed where it points outward at degenerate active steps.  Box
-    case: directions vanish on strictly active nodes (nonzero first-order
-    density) and are sign-clipped on active bounds.  Every returned
-    direction is re-verified against the defining conditions; an empty list
+    Ball case: ``multiplier`` is ``multiplier_and_cone``'s at (u, adjoint);
+    directions are orthogonalized (in the control inner product) against the
+    control at strictly active steps, and their radial component is removed
+    where it points outward at degenerate active steps, then re-verified.
+    Box case: ``multiplier`` is None; directions vanish on strictly active
+    nodes (nonzero first-order density) and are sign-clipped on active
+    bounds, which meets those conditions by construction.  An empty list
     means only the zero direction is compatible.
     """
     rng = np.random.default_rng(seed)
@@ -216,8 +218,6 @@ def sample_critical_directions(spec: ProblemSpec, u: Trajectory, adjoint: Trajec
     adm = spec.admissible
     out = []
     if adm.kind == "ball":
-        if multiplier is None:
-            multiplier = multiplier_and_cone(spec, u, adjoint)
         uu = spec.control_pairings(u.values, u.values)
         # the steps whose radial component is removed: all strictly active
         # ones, and the degenerate ones where it points outward
@@ -248,11 +248,7 @@ def sample_critical_directions(spec: ProblemSpec, u: Trajectory, adjoint: Trajec
             v = np.where(at_lower, np.abs(v), v)
             v = np.where(at_upper, -np.abs(v), v)
             v[nonzero_density] = 0.0
-            if not np.any(v):
-                continue
-            ok = (np.all(v[at_lower] >= 0) and np.all(v[at_upper] <= 0)
-                  and np.all(v[nonzero_density] == 0.0))
-            if ok:
+            if np.any(v):
                 out.append(Trajectory(spec.grid, v, "control"))
     return out
 

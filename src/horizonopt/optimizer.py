@@ -130,11 +130,6 @@ def optimize(spec: ProblemSpec, config: OptimizerConfig | None = None,
         while step >= config.min_step:
             trial = Trajectory(spec.grid, spec.project(u.values - step * grad.values), "control")
             gap_norm = spec.control_norm(u.values - trial.values)
-            if gap_norm == 0.0:
-                # projected step is an exact fixed point
-                accepted = True
-                trial_state, trial_cost = state, breakdown
-                break
             trial_state = solve_forward(spec, trial)
             trial_cost = cost_from_state(spec, trial, trial_state)
             required = ARMIJO_SLOPE / step * gap_norm**2
@@ -179,16 +174,15 @@ class GrowthReport:
         return asdict(self)
 
 
-def verify_growth(spec: ProblemSpec, u_star: Trajectory, radius: float,
-                  samples: int, seed: int = 0,
-                  state: Trajectory | None = None) -> GrowthReport:
+def verify_growth(spec: ProblemSpec, u_star: Trajectory, state: Trajectory,
+                  radius: float, samples: int, seed: int = 0) -> GrowthReport:
     """Probe J(u) >= J(u*) + kappa/2 |u - u*|^2 with random admissible u.
 
-    Perturbations are drawn with control-discounted norm at most ``radius``
-    and projected onto the admissible set; the fitted kappa is the smallest
-    sampled margin 2 (J(u) - J(u*)) / |u - u*|^2.  All candidates are
-    solved in one batched forward march.  ``state`` is the state at
-    ``u_star`` when the caller already holds it.
+    ``state`` is the state at ``u_star``, which the caller holds; only its
+    values are read.  Perturbations are drawn with control-discounted norm
+    at most ``radius`` and projected onto the admissible set; the fitted
+    kappa is the smallest sampled margin 2 (J(u) - J(u*)) / |u - u*|^2.  All
+    candidates are solved by one batched ``solve_forward`` call.
     """
     if radius <= 0:
         raise ValueError("growth probe needs a positive radius")
@@ -211,8 +205,6 @@ def verify_growth(spec: ProblemSpec, u_star: Trajectory, radius: float,
         distances.append(dist)
     if not candidates:
         raise ValueError("growth probe produced no usable samples")
-    if state is None:
-        state = solve_forward(spec, u_star)
     j_star = cost_from_state(spec, u_star, state).total
     margins = [2.0 * (cost_from_state(spec, cand, y).total - j_star) / dist**2
                for cand, y, dist in zip(candidates, solve_forward(spec, candidates), distances)]

@@ -83,6 +83,12 @@ class Nonlinearity:
     bound_scale: float = 1.0
     bound_feedback: float = 0.0
 
+    @property
+    def rate_floor(self) -> float:
+        """-2*min_slope, the floor of the auxiliary and estimate rates; as
+        0.0 - 2*min_slope it is +0.0, printed 0, when min_slope is 0."""
+        return 0.0 - 2.0 * self.min_slope
+
 
 def builtin_nonlinearities() -> dict:
     """Catalog of ready-made nonlinearities keyed by name; each acts on a
@@ -662,14 +668,14 @@ def validate_assumptions(spec: ProblemSpec) -> ValidationReport:
         bound > 0, f"min diffusion = {bound:.6g}, ellipticity bound = {bound:.6g}"))
 
     q = f.growth_exponent
-    lhs = -2.0 * (q + 3.0) * f.min_slope
+    lhs = (q + 3.0) * f.rate_floor
     items.append(CheckItem(
         "state_discount_lower_bound",
         "state_discount > -2*(q + 3)*min_slope",
         d.state_rate > lhs,
         f"state_discount = {d.state_rate:.6g}, required > {lhs:.6g}"))
 
-    lo, hi = -2.0 * f.min_slope, d.state_rate / (q + 3.0)
+    lo, hi = f.rate_floor, d.state_rate / (q + 3.0)
     items.append(CheckItem(
         "aux_rate_window",
         "-2*min_slope < aux_rate < state_discount/(q + 3) (strict)",

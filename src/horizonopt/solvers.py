@@ -491,25 +491,25 @@ def _combined_source_norm(spec, control, rate):
     return float(np.sqrt(_discounted_sum(spec.grid, rate, energy[1:])))
 
 
-def check_energy_estimate(spec: ProblemSpec, control: Trajectory,
+def check_energy_estimate(spec: ProblemSpec, control: Trajectory, state: Trajectory,
                           rate: float) -> EstimateReport:
-    """Discrete analog of the forward stability estimate.
+    """Discrete analog of the forward stability estimate, for ``control``
+    and its state ``state``, which the caller has solved for.
 
     lhs combines the discounted sup norm of the state and its weighted
     space-time energy norm; rhs is built from the initial state and the
     weighted source norm.  The estimate is checked up to ``ESTIMATE_SLACK``.
     """
     ms = spec.nonlinearity.min_slope
-    if rate <= -2.0 * ms:
-        raise ValueError(f"rate must exceed {-2.0 * ms:g} for this estimate")
+    if rate <= spec.nonlinearity.rate_floor:
+        raise ValueError(f"rate must exceed {spec.nonlinearity.rate_floor:g} for this estimate")
     ops = spec.operators
     ell = spec.operator.ellipticity_bound(spec.mesh)
     coef = min(0.5 * rate + ms, 2.0 * ell)
     if coef <= 0:
         raise ValueError("estimate coefficient is not positive for this rate")
-    y = solve_forward(spec, control)
-    sup_part = weighted_sup_norm(y, rate, ops.mass)
-    energy_part = weighted_l2_norm(y, rate, ops.h1)
+    sup_part = weighted_sup_norm(state, rate, ops.mass)
+    energy_part = weighted_l2_norm(state, rate, ops.h1)
     lhs = sup_part + np.sqrt(coef) * energy_part
     y0 = spec.initial_values
     init = float(np.sqrt(max(quad_energies(y0[None, :], ops.mass)[0], 0.0)))
@@ -522,23 +522,21 @@ def check_energy_estimate(spec: ProblemSpec, control: Trajectory,
     )
 
 
-def check_linearized_estimate(spec: ProblemSpec, base_control: Trajectory,
+def check_linearized_estimate(spec: ProblemSpec, state: Trajectory,
                               rhs_field: np.ndarray, rate: float) -> EstimateReport:
     """Discrete analog of the linearized stability estimate.
 
-    Solves the linearized equation around the state of ``base_control`` with
-    a full-domain source and compares its combined norm, up to
-    ``ESTIMATE_SLACK``, against 2/min(1, rate/2, ellipticity) times the
-    weighted source norm.
+    Solves the linearized equation around ``state``, a forward solve the
+    caller holds, with a full-domain source and compares its combined norm,
+    up to ``ESTIMATE_SLACK``, against 2/min(1, rate/2, ellipticity) times
+    the weighted source norm.
     """
-    ms = spec.nonlinearity.min_slope
-    if rate <= -2.0 * ms:
-        raise ValueError(f"rate must exceed {-2.0 * ms:g} for this estimate")
+    if rate <= spec.nonlinearity.rate_floor:
+        raise ValueError(f"rate must exceed {spec.nonlinearity.rate_floor:g} for this estimate")
     ops = spec.operators
-    y = solve_forward(spec, base_control)
     rhs_traj = Trajectory(spec.grid, rhs_field, "generic")
     # the linearized equation with the full-domain source M h
-    z = _march_trajectories(spec, y, (ops.mass @ rhs_traj.values.T).T,
+    z = _march_trajectories(spec, state, (ops.mass @ rhs_traj.values.T).T,
                             range(1, spec.grid.n_steps + 1), "generic")
     lhs = weighted_sup_norm(z, rate, ops.mass) + weighted_l2_norm(z, rate, ops.h1)
     ell = spec.operator.ellipticity_bound(spec.mesh)

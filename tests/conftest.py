@@ -5,6 +5,7 @@ from hypothesis import settings
 from horizonopt import (AdmissibleSet, Discounts, EllipticForm, ProblemSpec,
                         TimeGrid, Trajectory, builtin_nonlinearities,
                         interval_mesh, rectangle_mesh)
+from horizonopt.objective import SecondOrderModel, gradient_with_state
 from horizonopt.problem import default_aux_rate, default_integrability_exponent
 
 # every property test reruns the same examples, with no per-example deadline
@@ -80,6 +81,12 @@ def random_control(spec, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
     vals = scale * rng.standard_normal((spec.grid.n_steps + 1, spec.control_count))
     return Trajectory(spec.grid, vals, "control")
+
+
+def model_at(spec, u):
+    """The second-order model around the state and adjoint of ``u``."""
+    _, state, adjoint = gradient_with_state(spec, u)
+    return SecondOrderModel(spec, state, adjoint)
 
 
 def admissible_contains(admissible, traj, control_weights):

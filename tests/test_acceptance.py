@@ -232,11 +232,12 @@ def test_criterion_4_energy_estimates():
                          initial=rng.uniform(-0.5, 0.5, 31),
                          source=0.4 * rng.standard_normal((101, 31)))
         u = random_control(spec, seed=500 + k, scale=0.3)
+        state = ho.solve_forward(spec, u)
         h = rng.standard_normal((spec.grid.n_steps + 1, 31))
         d = spec.discounts
         for rate in (d.state_rate, d.aux_rate, 0.5 * (d.state_rate + d.aux_rate)):
-            fw = ho.check_energy_estimate(spec, u, rate)
-            ln = ho.check_linearized_estimate(spec, u, h, rate)
+            fw = ho.check_energy_estimate(spec, u, state, rate)
+            ln = ho.check_linearized_estimate(spec, state, h, rate)
             assert fw.satisfied and ln.satisfied, (name, rate, fw.to_dict(),
                                                    ln.to_dict())
             worst = max(worst, fw.lhs / max(fw.rhs, 1e-300),
@@ -248,39 +249,31 @@ def test_criterion_4_energy_estimates():
 
 def second_order(ball_solution, box_solution, lq_solution=None, where=""):
     worst_form = np.inf
-    # ball case: multiplier-augmented form over sampled critical directions
-    spec, u, _ = ball_solution
-    state = ho.solve_forward(spec, u)
-    adjoint = ho.solve_adjoint(spec, state)
-    mult = ho.multiplier_and_cone(spec, u, adjoint)
-    model = SecondOrderModel(spec, u, state=state, adjoint=adjoint)
-    dirs = ho.sample_critical_directions(spec, u, adjoint, mult, count=50, seed=5)
-    assert len(dirs) >= 50
-    w = spec.operators.control_weights
-    for v in dirs:
-        nrm2 = weighted_l2_norm(v, spec.discounts.control_rate, w) ** 2
-        worst_form = min(worst_form, model.lagrangian_form(v, mult) / nrm2)
-    # box case: plain quadratic form
-    spec_b, u_b, _ = box_solution
-    state_b = ho.solve_forward(spec_b, u_b)
-    adjoint_b = ho.solve_adjoint(spec_b, state_b)
-    model_b = SecondOrderModel(spec_b, u_b, state=state_b, adjoint=adjoint_b)
-    dirs_b = ho.sample_critical_directions(spec_b, u_b, adjoint_b, count=50, seed=6)
-    assert len(dirs_b) >= 50
-    w_b = spec_b.operators.control_weights
-    for v in dirs_b:
-        nrm2 = weighted_l2_norm(v, spec_b.discounts.control_rate, w_b) ** 2
-        worst_form = min(worst_form, model_b.quadratic_form(v, v) / nrm2)
+    # the Lagrangian form over sampled critical directions, around the state
+    # and adjoint the optimizer returned: multiplier-augmented on the ball,
+    # the plain quadratic form on the box, which has no multiplier
+    for (spec, u, report), seed in ((ball_solution, 5), (box_solution, 6)):
+        adjoint = report.adjoint
+        mult = (ho.multiplier_and_cone(spec, u, adjoint)
+                if spec.admissible.kind == "ball" else None)
+        model = SecondOrderModel(spec, report.state, adjoint)
+        dirs = ho.sample_critical_directions(spec, u, adjoint, mult, count=50, seed=seed)
+        assert len(dirs) >= 50
+        w = spec.operators.control_weights
+        for v in dirs:
+            nrm2 = weighted_l2_norm(v, spec.discounts.control_rate, w) ** 2
+            worst_form = min(worst_form, model.lagrangian_form(v, mult) / nrm2)
 
     growth_ok = True
     kappas = {}
-    for label, (spec_g, u_g, _) in (("ball", ball_solution), ("box", box_solution)):
-        rep = ho.verify_growth(spec_g, u_g, radius=0.05, samples=30, seed=7)
+    for label, (spec_g, u_g, rep_g) in (("ball", ball_solution), ("box", box_solution)):
+        rep = ho.verify_growth(spec_g, u_g, rep_g.state, radius=0.05, samples=30, seed=7)
         kappas[label] = rep.kappa
         growth_ok = growth_ok and rep.kappa > 0
     if lq_solution is not None:
-        spec_lq, u_lq, _ = lq_solution
-        rep_lq = ho.verify_growth(spec_lq, u_lq, radius=0.1, samples=50, seed=8)
+        spec_lq, u_lq, report_lq = lq_solution
+        rep_lq = ho.verify_growth(spec_lq, u_lq, report_lq.state, radius=0.1, samples=50,
+                                  seed=8)
         kappas["lq"] = rep_lq.kappa
         growth_ok = growth_ok and rep_lq.kappa >= 0.8 * spec_lq.control_weight
     announce(5, "second-order forms and quadratic growth" + where,

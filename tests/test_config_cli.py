@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -115,7 +116,23 @@ class TestValidateCommand:
         report = json.loads((out / "validation.json").read_text())
         assert report["passed"] is (code == 0)
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["status"] == "complete"
+        assert manifest["status"] == "complete" and manifest["exit_code"] == code
+        assert manifest.get("reason") == (None if code == 0 else "validation failed")
+
+    @pytest.mark.parametrize("name", ["ball_cubic", "box_cubic", "horizon_compact", "lq_small"])
+    def test_zero_bounds_read_zero(self, tmp_path, capsys, name):
+        # at min_slope 0 the bounds -2*(q + 3)*min_slope and -2*min_slope are
+        # zero, and the report prints them as 0, never as -0
+        out = tmp_path / "val"
+        assert main(["validate", "--config", str(CONFIG_DIR / f"{name}.json"),
+                     "--out", str(out)]) == 0
+        details = {item["key"]: item["detail"]
+                   for item in json.loads((out / "validation.json").read_text())["items"]}
+        assert details["state_discount_lower_bound"].endswith(", required > 0")
+        assert ", window = (0, " in details["aux_rate_window"]
+        printed = capsys.readouterr().out
+        assert all(detail in printed for detail in details.values())
+        assert not re.search(r"[ (]-0[,\]]", printed)
 
     @pytest.mark.parametrize("field", [
         {"template": "gauss_decya"},
@@ -182,6 +199,8 @@ class TestGradientCheckCommand:
         path = str(CONFIG_DIR / "ball_cubic.json")
         assert main(["gradient-check", "--config", path, "--seed", "0",
                      "--out", str(tmp_path / "ok")]) == 0
+        manifest = json.loads((tmp_path / "ok" / "manifest.json").read_text())
+        assert manifest["exit_code"] == 0 and "reason" not in manifest
         # a single large step leaves the central difference far from the gradient
         out = tmp_path / "coarse"
         assert main(["gradient-check", "--config", path, "--seed", "0",
@@ -189,7 +208,8 @@ class TestGradientCheckCommand:
         payload = json.loads((out / "gradient_check.json").read_text())
         assert payload["sweep"][0]["rel_error"] > GRADIENT_TOLERANCE
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["status"] == "complete"
+        assert manifest["status"] == "complete" and manifest["exit_code"] == 1
+        assert manifest["reason"] == "gradient error above 1e-7"
 
     def test_nonpositive_epsilon_is_a_usage_error(self, tmp_path):
         # a zero step would divide by zero in the central difference
@@ -232,7 +252,8 @@ class TestOptimizeCommand:
         assert report["converged"]
         assert report["residual"] <= 1e-10
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["status"] == "complete"
+        assert manifest["status"] == "complete" and manifest["exit_code"] == 0
+        assert "reason" not in manifest
         traj = read_trajectory(out / "u_star.csv")
         assert traj.kind == "control"
 
@@ -270,6 +291,20 @@ class TestOptimizeCommand:
         assert manifest["status"] == "failed"
         assert message in manifest["error"]
         assert ("history" in manifest) == has_history
+        assert manifest["exit_code"] == 1 and "reason" not in manifest
+
+    def test_non_converged_run_records_its_verdict(self, tmp_path, capsys):
+        # the run finishes, so its status is complete, and it exits 1 without
+        # an error: the manifest says why
+        out = tmp_path / "opt"
+        code = main(["optimize", "--config", str(CONFIG_DIR / "ball_cubic.json"),
+                     "--set", "optimizer.max_iterations=1", "--out", str(out)])
+        assert code == 1
+        assert "converged=False" in capsys.readouterr().out
+        assert json.loads((out / "report.json").read_text())["converged"] is False
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "complete" and "error" not in manifest
+        assert manifest["exit_code"] == 1 and manifest["reason"] == "not converged"
 
     def test_invalid_config_blocks_run(self, tmp_path, capsys):
         out = tmp_path / "opt"
@@ -423,6 +458,29 @@ class TestRunnerFailures:
         assert manifest["status"] == "failed"
         assert "step matrix not positive definite (pbtrf info" in manifest["error"]
 
+    def test_2d_per_element_diffusion_fails_assembly(self, tmp_path, capsys):
+        # one diffusion value per element fits a 3x3 mesh, but 2D assembly
+        # takes a spatially constant coefficient only: solve-forward fails at
+        # assembly, and validate reports it as its discrete-step item
+        argv = ["--config", str(CONFIG_DIR / "ball_cubic.json")]
+        for override in ("mesh.dimension=2", "mesh.shape=[3,3]",
+                         "mesh.control.box=[[0.2,0.8],[0.2,0.8]]",
+                         "operator.diffusion=[1,2,3,4,5,6,7,8,9]"):
+            argv += ["--set", override]
+        message = "2D assembly supports a spatially constant diffusion coefficient"
+        out = tmp_path / "run"
+        assert main(["solve-forward", *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["error"] == message
+        assert manifest["exit_code"] == 1 and manifest["outputs"] == []
+        assert main(["validate", *argv]) == 1
+        printed = capsys.readouterr().out
+        assert (f"FAIL discrete_step_monotone: M/dt + K + min_slope*M_L positive definite "
+                f"[assembly failed: {message}]") in printed
+        assert printed.endswith("overall: fail\n")
+
     def test_non_finite_linear_solve_exits_one(self, tmp_path, capsys, monkeypatch):
         # an adjoint march of a nan residual stands in for a solve that
         # overflows: the run fails with the linear solve's own message
@@ -481,7 +539,7 @@ class TestRunnerFailures:
         assert "configuration error" in err
         assert "Traceback" not in err
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["status"] == "failed"
+        assert manifest["status"] == "failed" and manifest["exit_code"] == 2
         assert manifest["error"]
         # the resolved document is recorded when resolution got that far:
         # a malformed file or an override without "=" stops before it

@@ -11,7 +11,7 @@ from horizonopt.objective import (ACTIVE_STRICT, SecondOrderModel,
 from horizonopt.solvers import solve_adjoint
 from horizonopt.spaces import weighted_inner, weighted_l2_norm
 
-from conftest import make_spec, random_control
+from conftest import make_spec, model_at, random_control
 from oracles import (geometric_weight_sum, reference_ball_cone_member,
                      reference_ball_directions)
 
@@ -97,7 +97,7 @@ class TestGradient:
         lhs = weighted_inner(
             ho.Trajectory(spec.grid, g_uv.values - g_u.values, "control"), w,
             spec.discounts.control_rate, spec.operators.control_weights)
-        rhs = SecondOrderModel(spec, u).quadratic_form(v, w)
+        rhs = model_at(spec, u).quadratic_form(v, w)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
     def test_riesz_consistency_two_assemblies(self):
@@ -146,7 +146,7 @@ class TestHessian:
         u = random_control(small_spec, seed=11, scale=0.2)
         z = small_spec.zero_control()
         v = random_control(small_spec, seed=12)
-        assert SecondOrderModel(small_spec, u).quadratic_form(v, z) == 0.0
+        assert model_at(small_spec, u).quadratic_form(v, z) == 0.0
 
     def test_symmetry(self):
         spec = make_spec(nonlinearity="cubic", initial=0.4 * np.ones(21),
@@ -154,7 +154,7 @@ class TestHessian:
         u = random_control(spec, seed=13, scale=0.2)
         v1 = random_control(spec, seed=14)
         v2 = random_control(spec, seed=15)
-        model = SecondOrderModel(spec, u)
+        model = model_at(spec, u)
         a = model.quadratic_form(v1, v2)
         b = model.quadratic_form(v2, v1)
         assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
@@ -165,7 +165,7 @@ class TestHessian:
         spec = replace(spec, newton=ho.NewtonConfig(tolerance=1e-13))
         u = random_control(spec, seed=16, scale=0.2)
         v = random_control(spec, seed=17, scale=0.5)
-        exact = SecondOrderModel(spec, u).quadratic_form(v, v)
+        exact = model_at(spec, u).quadratic_form(v, v)
         j0 = ho.cost(spec, u).total
         errs = []
         for eps in (1e-2, 1e-3):
@@ -186,7 +186,7 @@ class TestMultiplier:
         u = ho.Trajectory(spec.grid, project_values(
             spec.admissible, u.values, spec.operators.control_weights), "control")
         state = ho.solve_forward(spec, u)
-        return spec, u, solve_adjoint(spec, state)
+        return spec, u, state, solve_adjoint(spec, state)
 
     def test_interior_control_has_zero_multiplier(self):
         spec = make_spec(admissible=ho.AdmissibleSet("ball", radius=1e6))
@@ -199,7 +199,7 @@ class TestMultiplier:
     def test_multiplier_value_on_scaled_adjoint_control(self):
         # control aligned with the negative adjoint at an active step:
         # multiplier = |adjoint| - weight*radius*e^{-rate t}
-        spec, u, adjoint = self.make_ball_instance()
+        spec, u, _, adjoint = self.make_ball_instance()
         ops = spec.operators
         w = ops.control_weights
         gamma = spec.admissible.radius
@@ -216,7 +216,7 @@ class TestMultiplier:
         assert mult.values[i] == pytest.approx(expected, rel=1e-10)
 
     def test_zero_adjoint_gives_weighted_control_norm(self):
-        spec, u, adjoint = self.make_ball_instance()
+        spec, u, _, adjoint = self.make_ball_instance()
         zero_adj = ho.Trajectory(spec.grid, np.zeros_like(adjoint.values), "adjoint")
         mult = ho.multiplier_and_cone(spec, u, zero_adj)
         w = spec.operators.control_weights
@@ -235,10 +235,10 @@ class TestMultiplier:
             ho.multiplier_and_cone(spec, u, solve_adjoint(spec, state))
 
     def test_lagrangian_form_adds_exact_multiplier_term(self):
-        spec, u, adjoint = self.make_ball_instance()
+        spec, u, state, adjoint = self.make_ball_instance()
         mult = ho.multiplier_and_cone(spec, u, adjoint)
         v = random_control(spec, seed=20)
-        model = SecondOrderModel(spec, u, adjoint=adjoint)
+        model = SecondOrderModel(spec, state, adjoint)
         base = model.quadratic_form(v, v)
         aug = model.lagrangian_form(v, mult)
         w = spec.operators.control_weights
@@ -247,9 +247,9 @@ class TestMultiplier:
         assert aug - base == pytest.approx(extra, rel=1e-12)
 
     def test_lagrangian_form_on_a_list_is_its_single_values(self):
-        spec, u, adjoint = self.make_ball_instance()
+        spec, u, state, adjoint = self.make_ball_instance()
         mult = ho.multiplier_and_cone(spec, u, adjoint)
-        model = SecondOrderModel(spec, u, adjoint=adjoint)
+        model = SecondOrderModel(spec, state, adjoint)
         directions = [random_control(spec, seed=30 + b) for b in range(3)]
         assert model.lagrangian_form(directions, mult) == [
             model.lagrangian_form(v, mult) for v in directions]
@@ -263,9 +263,23 @@ class TestMultiplier:
         adjoint = solve_adjoint(spec, state)
         mult = ho.multiplier_and_cone(spec, u, adjoint)
         v = random_control(spec, seed=22)
-        model = SecondOrderModel(spec, u, state=state, adjoint=adjoint)
+        model = SecondOrderModel(spec, state, adjoint)
         assert model.lagrangian_form(v, mult) == pytest.approx(
             model.quadratic_form(v, v), rel=1e-13)
+
+    def test_box_lagrangian_form_is_the_quadratic_form(self):
+        # a box constraint is linear, so its Lagrangian form takes no
+        # multiplier and is bitwise the plain form; a multiplier is refused
+        spec = make_spec(admissible=ho.AdmissibleSet("box", lower=-1, upper=1),
+                         initial=0.2 * np.ones(21))
+        model = model_at(spec, random_control(spec, seed=21, scale=0.1))
+        directions = [random_control(spec, seed=22 + b) for b in range(2)]
+        assert model.lagrangian_form(directions, None) == model.quadratic_form(
+            directions, directions)
+        n = spec.grid.n_steps
+        mult = ho.Multiplier(np.zeros(n + 1), np.zeros(n + 1, dtype=int))
+        with pytest.raises(ValueError, match="defined for ball constraints"):
+            model.lagrangian_form(directions, mult)
 
 
 class TestCriticalDirections:
@@ -274,7 +288,8 @@ class TestCriticalDirections:
         u = random_control(spec, seed=23, scale=0.1)
         state = ho.solve_forward(spec, u)
         adjoint = solve_adjoint(spec, state)
-        dirs = ho.sample_critical_directions(spec, u, adjoint, count=3, seed=7)
+        mult = ho.multiplier_and_cone(spec, u, adjoint)
+        dirs = ho.sample_critical_directions(spec, u, adjoint, mult, count=3, seed=7)
         assert len(dirs) == 3
         raw = np.random.default_rng(7).standard_normal(dirs[0].values.shape)
         raw[0] = 0.0
@@ -313,7 +328,7 @@ class TestCriticalDirections:
         # with an untight density tolerance nothing is strictly active, so the
         # directions only need the sign clipping at the upper bound
         monkeypatch.setattr(objective, "DENSITY_TOL", 1e30)
-        dirs = ho.sample_critical_directions(spec, u, adjoint, count=4, seed=5)
+        dirs = ho.sample_critical_directions(spec, u, adjoint, None, count=4, seed=5)
         assert dirs
         for v in dirs:
             assert np.all(v.values[1:] <= 0)

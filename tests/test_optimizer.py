@@ -197,27 +197,29 @@ class TestVerifyGrowth:
         spec = lq_spec(n_nodes=10, horizon=1.0, step=0.05, control_weight=0.8)
         u, report = optimize(spec, OptimizerConfig(tolerance=1e-11))
         assert report.converged
-        growth = verify_growth(spec, u, radius=0.2, samples=40, seed=9)
+        growth = verify_growth(spec, u, report.state, radius=0.2, samples=40, seed=9)
         assert growth.kappa >= 0.8 * spec.control_weight, growth.kappa
 
     def test_given_state_matches_solving_for_it(self):
+        # the optimizer's returned state gives the probe of a fresh solve
         spec = lq_spec(n_nodes=10, horizon=1.0, step=0.05)
         u, report = optimize(spec, OptimizerConfig(tolerance=1e-10))
-        solved = verify_growth(spec, u, radius=0.2, samples=10, seed=4)
-        given = verify_growth(spec, u, radius=0.2, samples=10, seed=4, state=report.state)
+        solved = verify_growth(spec, u, ho.solve_forward(spec, u), radius=0.2, samples=10,
+                               seed=4)
+        given = verify_growth(spec, u, report.state, radius=0.2, samples=10, seed=4)
         assert given.to_dict() == solved.to_dict()
 
     def test_zero_radius_rejected(self):
         spec = lq_spec()
-        u, _ = optimize(spec, OptimizerConfig(tolerance=1e-8))
+        u, report = optimize(spec, OptimizerConfig(tolerance=1e-8))
         with pytest.raises(ValueError):
-            verify_growth(spec, u, radius=0.0, samples=5)
+            verify_growth(spec, u, report.state, radius=0.0, samples=5)
 
     def test_estimate_stable_under_doubling_samples(self):
         spec = lq_spec(n_nodes=10, horizon=0.8, step=0.05)
-        u, _ = optimize(spec, OptimizerConfig(tolerance=1e-10))
-        g50 = verify_growth(spec, u, radius=0.15, samples=50, seed=3)
-        g100 = verify_growth(spec, u, radius=0.15, samples=100, seed=3)
+        u, report = optimize(spec, OptimizerConfig(tolerance=1e-10))
+        g50 = verify_growth(spec, u, report.state, radius=0.15, samples=50, seed=3)
+        g100 = verify_growth(spec, u, report.state, radius=0.15, samples=100, seed=3)
         assert abs(g100.kappa - g50.kappa) <= 0.2 * abs(g50.kappa)
 
 
@@ -242,7 +244,8 @@ class TestGrowthMatchesPerSampleReference:
                           else ho.AdmissibleSet("box", lower=-0.4, upper=0.5))
             spec = make_spec(admissible=admissible, target=0.5 * np.ones((21, 21)))
         u = self.admissible_control(spec, seed=5)
-        growth = verify_growth(spec, u, radius=0.3, samples=12, seed=6)
+        growth = verify_growth(spec, u, ho.solve_forward(spec, u), radius=0.3, samples=12,
+                               seed=6)
         kappa, margins, distances = reference_growth(spec, spec.step_operator, u, radius=0.3,
                                                      samples=12, seed=6, carry=solvers.CARRY)
         assert len(margins) == 12
@@ -250,9 +253,10 @@ class TestGrowthMatchesPerSampleReference:
 
     @staticmethod
     def assert_batches_are_bitwise_reference(monkeypatch, spec, samples, batches):
-        # the march sizes of the growth probe, the first of which solves u*,
-        # and its kappa, margins and distances against the reference
+        # the march sizes of the growth probe, which solves only its
+        # candidates, and its kappa, margins and distances against the reference
         u = TestGrowthMatchesPerSampleReference.admissible_control(spec, seed=5)
+        state = ho.solve_forward(spec, u)
         sizes, march = [], solvers._newton_march
 
         def recording(spec, controls, kept):
@@ -260,7 +264,7 @@ class TestGrowthMatchesPerSampleReference:
             return march(spec, controls, kept)
 
         monkeypatch.setattr(solvers, "_newton_march", recording)
-        growth = verify_growth(spec, u, radius=0.3, samples=samples, seed=6)
+        growth = verify_growth(spec, u, state, radius=0.3, samples=samples, seed=6)
         assert sizes == batches
         kappa, margins, distances = reference_growth(spec, spec.step_operator, u, radius=0.3,
                                                      samples=samples, seed=6,
@@ -271,25 +275,27 @@ class TestGrowthMatchesPerSampleReference:
     def test_more_samples_than_one_batch_is_bitwise_reference(self, monkeypatch):
         # 131 candidates are marched as batches of 64, 64 and 3
         spec = make_spec(target=0.5 * np.ones((21, 21)))
-        self.assert_batches_are_bitwise_reference(monkeypatch, spec, 131, [1, 64, 64, 3])
+        self.assert_batches_are_bitwise_reference(monkeypatch, spec, 131, [64, 64, 3])
 
     def test_2d_samples_split_across_batches_are_bitwise_reference(self, monkeypatch):
         # with batches of at most 4, 10 candidates are marched as 4, 4 and 2;
         # each batch starts its samples without carried factorizations
         monkeypatch.setattr(solvers, "FORWARD_BATCH", 4)
         self.assert_batches_are_bitwise_reference(monkeypatch, rectangle_spec((5, 4), seed=2),
-                                                  10, [1, 4, 4, 2])
+                                                  10, [4, 4, 2])
 
     def test_all_samples_skipped_raises_without_a_solve(self, monkeypatch):
         # a box of width 1e-20 projects every candidate to within 1e-14 of u*
         spec = make_spec(admissible=ho.AdmissibleSet("box", lower=0.0, upper=1e-20))
+        u = spec.zero_control()
+        state = ho.solve_forward(spec, u)
 
         def no_solve(*args, **kwargs):
             raise AssertionError("solve_forward called")
 
         monkeypatch.setattr("horizonopt.optimizer.solve_forward", no_solve)
         with pytest.raises(ValueError, match="growth probe produced no usable samples"):
-            verify_growth(spec, spec.zero_control(), radius=0.1, samples=5)
+            verify_growth(spec, u, state, radius=0.1, samples=5)
 
 
 class TestFactorizationCounts:
@@ -316,7 +322,7 @@ class TestFactorizationCounts:
         u = TestGrowthMatchesPerSampleReference.admissible_control(spec, seed=5)
         state = ho.solve_forward(spec, u)
         blocks = self.counting_factor(monkeypatch, spec)
-        growth = verify_growth(spec, u, radius=0.3, samples=12, seed=6, state=state)
+        growth = verify_growth(spec, u, state, radius=0.3, samples=12, seed=6)
         assert len(growth.margins) == 12 and spec.grid.n_steps == 20
         assert len(blocks) <= 3 * len(growth.margins)
 
@@ -333,8 +339,7 @@ class TestFactorizationCounts:
         multiplier = ho.multiplier_and_cone(spec, u, report.adjoint)
         directions = [random_control(spec, seed=30 + b) for b in range(3)]
         bare = ho.Trajectory(spec.grid, report.state.values, "state")
-        models = [ho.SecondOrderModel(spec, u, state=y, adjoint=report.adjoint)
-                  for y in (report.state, bare)]
+        models = [ho.SecondOrderModel(spec, y, report.adjoint) for y in (report.state, bare)]
         blocks = self.counting_factor(monkeypatch, spec)
         forms = models[0].lagrangian_form(directions, multiplier)
         n = spec.grid.n_steps

@@ -14,13 +14,12 @@ from hypothesis import strategies as st
 import horizonopt as ho
 from horizonopt import solvers
 from horizonopt.descriptors import Field, SpaceProfile, TimeProfile
-from horizonopt.objective import SecondOrderModel
 from horizonopt.problem import band_storage
 from horizonopt.solvers import (CARRY, FORWARD_BATCH, SolverError, _linear_march,
                                 solve_adjoint_from_residual)
 from horizonopt.spaces import weighted_sup_norm
 
-from conftest import make_spec, random_control, read_trajectory, rectangle_spec
+from conftest import make_spec, model_at, random_control, read_trajectory, rectangle_spec
 from oracles import (reference_adjoint, reference_forward, rk4,
                      scalar_adjoint_recursion, scalar_forward_recursion,
                      scalar_newton_recursion)
@@ -254,7 +253,8 @@ class TestAdjoint:
 class TestEnergyEstimates:
     def test_zero_data_trivially_satisfied(self):
         spec = make_spec(nonlinearity="zero", initial=np.zeros(21))
-        report = ho.check_energy_estimate(spec, spec.zero_control(), 1.0)
+        u = spec.zero_control()
+        report = ho.check_energy_estimate(spec, u, ho.solve_forward(spec, u), 1.0)
         assert report.lhs == 0.0 and report.rhs == 0.0 and report.satisfied
 
     def test_constant_state_closed_form(self):
@@ -263,7 +263,8 @@ class TestEnergyEstimates:
         spec = make_spec(nonlinearity="zero", initial=np.ones(21), horizon=2.0,
                          step=0.01)
         rate = 1.0
-        report = ho.check_energy_estimate(spec, spec.zero_control(), rate)
+        u = spec.zero_control()
+        report = ho.check_energy_estimate(spec, u, ho.solve_forward(spec, u), rate)
         assert report.rhs == pytest.approx(2.0, rel=1e-12)
         assert report.lhs <= report.rhs
         assert report.satisfied
@@ -277,8 +278,9 @@ class TestEnergyEstimates:
                              initial=rng.uniform(-0.5, 0.5, 21),
                              source=0.3 * rng.standard_normal((101, 21)))
             u = random_control(spec, seed=100 + k, scale=0.3)
+            state = ho.solve_forward(spec, u)
             for rate in rates:
-                report = ho.check_energy_estimate(spec, u, rate)
+                report = ho.check_energy_estimate(spec, u, state, rate)
                 assert report.satisfied, (name, rate, report.lhs, report.rhs)
 
     def test_linearized_estimate_with_stability_constant(self):
@@ -287,15 +289,24 @@ class TestEnergyEstimates:
                          initial=0.3 * np.ones(21))
         u = random_control(spec, seed=41, scale=0.3)
         h = rng.standard_normal((spec.grid.n_steps + 1, 21))
+        state = ho.solve_forward(spec, u)
         for rate in (1.0, 0.12, 0.56):
-            report = ho.check_linearized_estimate(spec, u, h, rate)
+            report = ho.check_linearized_estimate(spec, state, h, rate)
             assert report.satisfied, (rate, report.lhs, report.rhs)
 
-    def test_rate_out_of_range_raises(self):
-        spec = make_spec(nonlinearity="cubic_minus_linear", state_rate=12.0,
-                         aux_rate=2.2)
-        with pytest.raises(ValueError):
-            ho.check_energy_estimate(spec, spec.zero_control(), 1.5)
+    @pytest.mark.parametrize("name, rate, floor", [("cubic_minus_linear", 1.5, "2"),
+                                                   ("cubic", 0.0, "0")],
+                             ids=["cubic_minus_linear", "cubic"])
+    def test_rate_out_of_range_raises(self, name, rate, floor):
+        # the floor is -2*min_slope, which reads 0, not -0, at min_slope 0
+        spec = make_spec(nonlinearity=name, state_rate=12.0, aux_rate=2.2)
+        u = spec.zero_control()
+        state = ho.solve_forward(spec, u)
+        message = f"^rate must exceed {floor} for this estimate$"
+        with pytest.raises(ValueError, match=message):
+            ho.check_energy_estimate(spec, u, state, rate)
+        with pytest.raises(ValueError, match=message):
+            ho.check_linearized_estimate(spec, state, np.zeros_like(state.values), rate)
 
 
 class TestLipschitzStability:
@@ -411,6 +422,17 @@ class TestBandStepOperator:
         skewed[0, 1] = np.nextafter(skewed[0, 1], np.inf)
         with pytest.raises(ValueError, match="exactly symmetric"):
             band_storage(skewed.tocsr())
+
+    def test_1d_zero_diagonal_is_a_singular_step_matrix(self):
+        # with a zero diagonal gtsv meets an exactly zero last pivot, for one
+        # system and for two joined ones
+        cfg = ho.load_config(Path(__file__).resolve().parent.parent / "configs"
+                             / "ball_cubic.json")
+        stepper = ho.build_problem(cfg).step_operator
+        n = stepper.ab.shape[1]
+        for shape in ((n,), (2, n)):
+            with pytest.raises(SolverError, match=r"^singular step matrix \(gtsv info 41\)$"):
+                stepper.solve(stepper.factor(np.zeros(shape)), np.ones(shape))
 
     def test_step_solver_is_shared_across_horizons(self):
         spec = make_spec()
@@ -793,7 +815,7 @@ class TestBatchedMarch:
         spec = small_spec_of(dimension, size, seed)
         n = spec.grid.n_steps
         u = random_control(spec, seed=seed, scale=0.3)
-        model = SecondOrderModel(spec, u)
+        model = model_at(spec, u)
         rng = np.random.default_rng(seed)
         sources = rng.standard_normal((n + 1, batch, spec.operators.n_nodes))
         for steps in (range(1, n + 1), range(n, -1, -1)):
@@ -811,7 +833,7 @@ class TestBatchedMarch:
 
     def test_empty_batch_gives_empty_list(self):
         spec = make_spec()
-        model = SecondOrderModel(spec, random_control(spec, seed=1, scale=0.3))
+        model = model_at(spec, random_control(spec, seed=1, scale=0.3))
         assert model.response([]) == []
         assert model.quadratic_form([], []) == []
 
