@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: validate, solve-forward, gradient-check, optimize,
-horizon-study, socheck.  ``main`` runs each one the same way and owns its
-manifest: it records the resolved configuration before doing work and
-finalizes the manifest with timings and the exit code afterwards, as
-``failed`` on any error.  A command body returns None when it succeeds, or
-the reason it exits 1.
+horizon-study, socheck.  ``main`` runs each one the same way and is the one
+place a run ends: it records the resolved configuration in the manifest
+before doing work, and afterwards finalizes the manifest with timings and
+the exit code, as ``failed`` on any error.  A command body returns None
+when it succeeds, or the reason it exits 1.
 Numerical CSV outputs are formatted at 17 significant digits and carry a
 schema version header, so repeated runs with fixed seeds are byte-identical;
 wall-clock times appear only in manifest.json and report.json.
@@ -66,13 +66,9 @@ class Manifest:
 
     The command's ``--seed`` (None for a command that takes none) is
     recorded from the start, so a run that fails while its document is read
-    still names it.
-
-    Used as a context manager: an exception escaping the ``with`` block
-    finalizes the manifest as ``failed`` with the error message (and the
-    residual history of a solver error) and the exit code it ends in, 2 for
-    a configuration error and 1 otherwise, before it propagates.  Without an
-    output directory (``validate`` without ``--out``) nothing is written.
+    still names it.  The output directory is made at construction, which
+    raises OSError when it cannot be.  Without one (``validate`` without
+    ``--out``) nothing is written.
     """
 
     def __init__(self, out_dir: str | None, command: str, seed: int | None):
@@ -123,20 +119,17 @@ class Manifest:
             self.payload["reason"] = reason
         self._write()
 
+    def fail(self, exc: BaseException, exit_code: int):
+        """Finalize as ``failed`` with the error message, and the residual
+        history of a solver error."""
+        self.payload["error"] = str(exc)
+        if getattr(exc, "history", None):
+            self.payload["history"] = exc.history
+        self.finalize("failed", exit_code, None)
+
     def _write(self):
         if self.out_dir is not None:
             write_json(self.out_dir / "manifest.json", self.payload)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None:
-            self.payload["error"] = str(exc)
-            if getattr(exc, "history", None):
-                self.payload["history"] = exc.history
-            code = EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_FAILED
-            self.finalize("failed", code, None)
 
 
 def _svg_decay_plot(horizons, errors) -> str | None:
@@ -260,7 +253,7 @@ def cmd_horizon_study(args, spec, optimizer, study, manifest) -> str | None:
     manifest.stage("write")
     print(f"slope={report.slope:.4f} rate_status={report.rate_status} "
           f"monotone={report.monotone_ok} cost_check={report.cost_check_ok}")
-    return None
+    return None if report.converged else "not converged"
 
 
 def cmd_socheck(args, spec, optimizer, study, manifest) -> str | None:
@@ -297,7 +290,7 @@ def cmd_socheck(args, spec, optimizer, study, manifest) -> str | None:
     write_json(manifest.output("socheck.json"), payload)
     print(f"min normalized quadratic form: {payload['min_normalized_form']}, "
           f"growth kappa: {growth.kappa:.6g}")
-    return None
+    return None if report.converged else "not converged"
 
 
 def positive_float(text: str) -> float:
@@ -365,38 +358,45 @@ def main(argv=None) -> int:
     """Run one subcommand: load the configuration, build the problem, the
     optimizer controls and the horizon study, refuse the problem when the
     command is gated and the standing assumptions fail, run the command body
-    and finalize the manifest.  A failure at any step finalizes the manifest
-    as ``failed`` and maps to the documented exit code."""
-    args = build_parser().parse_args(argv)
-    manifest = Manifest(args.out, args.command, getattr(args, "seed", None))
+    and finalize the manifest.  An unusable ``--out`` is a command-line error.
+    Any later error finalizes the manifest as ``failed`` with exit code 2
+    for a configuration error and 1 otherwise; an error of a documented type
+    is then printed and its code returned, and any other propagates."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        with manifest:
-            cfg = load_config(args.config)
-            if args.set:
-                cfg = apply_overrides(cfg, args.set)
-            manifest.begin(cfg)
-            spec = build_problem(cfg)
-            # every command checks every section before its first solve
-            optimizer = build_optimizer_config(cfg)
-            study = (build_horizon_config(cfg) if "horizon_study" in cfg
-                     or args.command == "horizon-study" else None)
-            if args.gated:
-                failures = validate_assumptions(spec).failures()
-                for item in failures:
-                    print(item, file=sys.stderr)
-                if failures:
-                    raise AssumptionError("standing assumptions fail: "
-                                          + ", ".join(item.key for item in failures))
-            reason = args.func(args, spec, optimizer, study, manifest)
-            code = EXIT_OK if reason is None else EXIT_FAILED
-            manifest.finalize("complete", code, reason)
+        manifest = Manifest(args.out, args.command, getattr(args, "seed", None))
+    except OSError as exc:
+        parser.error(f"--out {args.out}: {exc.strerror}")
+    try:
+        cfg = load_config(args.config)
+        if args.set:
+            cfg = apply_overrides(cfg, args.set)
+        manifest.begin(cfg)
+        spec = build_problem(cfg)
+        # every command checks every section before its first solve
+        optimizer = build_optimizer_config(cfg)
+        study = (build_horizon_config(cfg) if "horizon_study" in cfg
+                 or args.command == "horizon-study" else None)
+        if args.gated:
+            failures = validate_assumptions(spec).failures()
+            for item in failures:
+                print(item, file=sys.stderr)
+            if failures:
+                raise AssumptionError("standing assumptions fail: "
+                                      + ", ".join(item.key for item in failures))
+        reason = args.func(args, spec, optimizer, study, manifest)
+    except BaseException as exc:
+        code = EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_FAILED
+        manifest.fail(exc, code)
+        if not isinstance(exc, (LineSearchError, SolverError, ValueError)):
+            raise
+        print(f"{'configuration error' if code == EXIT_CONFIG else 'error'}: {exc}",
+              file=sys.stderr)
         return code
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (LineSearchError, SolverError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+    code = EXIT_OK if reason is None else EXIT_FAILED
+    manifest.finalize("complete", code, reason)
+    return code
 
 
 if __name__ == "__main__":

@@ -87,6 +87,7 @@ class HorizonStudyReport:
     cost_check_ok: bool
     bound_constant: float
     warnings: list
+    converged: bool
 
     def to_dict(self):
         return {**asdict(self), "records": [r.to_dict() for r in self.records]}
@@ -107,7 +108,9 @@ def _fit_decay(horizons, errors):
 def run_horizon_study(spec: ProblemSpec, config: HorizonStudyConfig,
                       optimizer: OptimizerConfig | None = None) -> HorizonStudyReport:
     """Solve the truncated problems over the sweep, each with the controls
-    ``optimizer`` (defaulting as in ``optimize``), and assemble the report."""
+    ``optimizer`` (defaulting as in ``optimize``), and assemble the report.
+    It has converged when the reference solve and every swept solve have,
+    and warns of each horizon whose solve has not."""
     ref_T = config.reference_horizon
     # every grid is built before the first solve, so a horizon that is not a
     # multiple of the time step fails at once
@@ -118,13 +121,15 @@ def run_horizon_study(spec: ProblemSpec, config: HorizonStudyConfig,
 
     d = spec.discounts
     ops = spec.operators
-    warnings = []
+    unconverged = [] if ref_report.converged else [ref_T]
 
     def solve_one(sub):
         horizon = sub.grid.horizon
         warm = u_ref.restrict(sub.grid)
         ref_state = y_ref.restrict(sub.grid)
         u_T, rep = optimize(sub, optimizer, start=warm, state=ref_state)
+        if not rep.converged:
+            unconverged.append(horizon)
         y_T = rep.state
 
         e_T = sub.control_norm(u_T.values - warm.values)
@@ -155,6 +160,7 @@ def run_horizon_study(spec: ProblemSpec, config: HorizonStudyConfig,
 
     records = [solve_one(sub) for sub in subs]
 
+    warnings = [f"the solve at horizon {h:g} did not converge" for h in unconverged]
     for rec in records:
         if not rec.tail_dominated:
             warnings.append(
@@ -181,7 +187,7 @@ def run_horizon_study(spec: ProblemSpec, config: HorizonStudyConfig,
         records=records, reference_horizon=ref_T, extension=config.extension,
         slope=slope, intercept=intercept, rate_status=rate_status,
         monotone_ok=monotone_ok, cost_check_ok=cost_check_ok,
-        bound_constant=bound_constant, warnings=warnings)
+        bound_constant=bound_constant, warnings=warnings, converged=not unconverged)
 
 
 @dataclass

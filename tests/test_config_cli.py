@@ -360,6 +360,21 @@ class TestHorizonStudyCommand:
         assert not any(r["tail_dominated"] for r in fit["records"])
         assert fit["rate_status"] == "pass"
 
+    def test_non_converged_solves_set_the_verdict(self, tmp_path, capsys):
+        # no solve of the sweep converges in two iterations: the run still
+        # writes its outputs, names each horizon and exits 1
+        out = tmp_path / "run"
+        assert main(["horizon-study", "--config", str(CONFIG_DIR / "horizon_compact.json"),
+                     "--set", "optimizer.max_iterations=2", "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        fit = json.loads((out / "fit.json").read_text())
+        assert fit["converged"] is False
+        assert fit["warnings"] == [f"the solve at horizon {h} did not converge"
+                                   for h in (24, 4, 6, 8, 10, 12)]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "complete" and "error" not in manifest
+        assert manifest["exit_code"] == 1 and manifest["reason"] == "not converged"
+
     @pytest.mark.parametrize("horizons", ["[4.0,4.0]", "[4.03,6.0]"],
                              ids=["repeated", "off-step"])
     def test_malformed_horizons_exit_two(self, tmp_path, capsys, horizons):
@@ -395,6 +410,21 @@ class TestSocheckCommand:
         assert payload["directions_sampled"] == 50
         assert payload["min_normalized_form"] > 0
         assert not (out / "multiplier.csv").exists()
+
+    def test_non_converged_run_records_its_verdict(self, tmp_path, capsys):
+        # as optimize, socheck writes its checks at a non-converged output
+        # and exits 1 on the optimizer's verdict
+        out = tmp_path / "so"
+        code = main(["socheck", "--config", str(CONFIG_DIR / "ball_cubic.json"),
+                     "--set", "optimizer.max_iterations=1", "--samples", "4",
+                     "--directions", "2", "--out", str(out)])
+        assert code == 1
+        assert "growth kappa" in capsys.readouterr().out
+        payload = json.loads((out / "socheck.json").read_text())
+        assert payload["stationarity_residual"] > 1e-10
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "complete" and "error" not in manifest
+        assert manifest["exit_code"] == 1 and manifest["reason"] == "not converged"
 
     @pytest.mark.parametrize("option, value", [
         ("--samples", "0"), ("--radius", "-1"), ("--radius", "nan"), ("--directions", "-5"),
@@ -500,6 +530,40 @@ class TestRunnerFailures:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert manifest["error"] == "linear solve produced non-finite values"
+
+    @pytest.mark.parametrize("out, message", [
+        ("afile", "File exists"), ("afile/run", "Not a directory"),
+    ], ids=["existing-file", "file-parent"])
+    def test_unusable_out_is_a_usage_error(self, tmp_path, capsys, monkeypatch, out,
+                                           message):
+        # the run directory is made before any work, so an --out that cannot
+        # be one exits 2 as any other argument error, and nothing runs
+        monkeypatch.chdir(tmp_path)
+        Path("afile").write_text("kept\n")
+        monkeypatch.setattr("horizonopt.cli.load_config", None)
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--config", str(CONFIG_DIR / "lq_small.json"), "--out", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"horizonopt: error: --out {out}: {message}" in err
+        assert "Traceback" not in err
+        assert Path("afile").read_text() == "kept\n"
+
+    def test_undocumented_error_propagates_after_failing_the_manifest(self, tmp_path,
+                                                                      monkeypatch):
+        # an exception of no documented type is a fault of the program, not
+        # of the run: its manifest still reads failed before it propagates
+        def broken(spec, control):
+            raise KeyError("boom")
+
+        monkeypatch.setattr("horizonopt.cli.solve_forward", broken)
+        out = tmp_path / "run"
+        with pytest.raises(KeyError, match="boom"):
+            main(["solve-forward", "--config", str(CONFIG_DIR / "lq_small.json"),
+                  "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["exit_code"] == 1
+        assert manifest["error"] == "'boom'" and manifest["outputs"] == []
 
     def test_negative_diffusion_fails_assembly(self, tmp_path, capsys):
         # solve-forward runs on any problem, so assembly's own check of the
@@ -791,7 +855,7 @@ class TestOutputSchemas:
         fit = keys("hs", "fit.json")
         assert set(fit) == {"schema", "reference_horizon", "extension", "slope", "intercept",
                             "rate_status", "monotone_ok", "cost_check_ok", "bound_constant",
-                            "warnings", "records"}
+                            "warnings", "converged", "records"}
         for record in fit["records"]:
             assert set(record) == {
                 "horizon", "control_error", "state_error_energy", "state_error_sup",

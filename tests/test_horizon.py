@@ -213,6 +213,6 @@ def test_degenerate_all_zero_sweep_trivially_passes():
                                 extension="reference", slope=0.0, intercept=0.0,
                                 rate_status="degenerate", monotone_ok=True,
                                 cost_check_ok=True, bound_constant=0.0,
-                                warnings=[])
+                                warnings=[], converged=True)
     bounds = check_state_error_bounds(report, study_spec())
     assert bounds.passed and bounds.trivial
