@@ -358,7 +358,8 @@ def main(argv=None) -> int:
     """Run one subcommand: load the configuration, build the problem, the
     optimizer controls and the horizon study, refuse the problem when the
     command is gated and the standing assumptions fail, run the command body
-    and finalize the manifest.  An unusable ``--out`` is a command-line error.
+    and finalize the manifest, printing the reason to stderr when a finished
+    command exits 1.  An unusable ``--out`` is a command-line error.
     Any later error finalizes the manifest as ``failed`` with exit code 2
     for a configuration error and 1 otherwise; an error of a documented type
     is then printed and its code returned, and any other propagates."""
@@ -396,6 +397,8 @@ def main(argv=None) -> int:
         return code
     code = EXIT_OK if reason is None else EXIT_FAILED
     manifest.finalize("complete", code, reason)
+    if reason is not None:
+        print(f"error: {reason}", file=sys.stderr)
     return code
 
 

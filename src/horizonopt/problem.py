@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sps
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from .admissible import AdmissibleSet, project_values
 from .mesh import MeshError, SpatialMesh
@@ -362,24 +363,25 @@ def _accumulate(n, elements, data):
 
 def band_storage(mat):
     """Half-bandwidth k of a symmetric sparse matrix, read from its sparsity
-    pattern, and its lower triangle in the symmetric band storage of LAPACK
-    ``pbtrf`` with uplo = 'L': entry (i, j), i >= j, sits at ab[i - j, j], so
-    row 0 is the diagonal.  A Cholesky factorization reads only this
-    triangle, so a matrix that is not exactly symmetric raises ValueError."""
+    pattern, and its upper triangle in the symmetric band storage of LAPACK
+    ``pbtrf`` with uplo = 'U': entry (i, j), i <= j, sits at ab[k + i - j, j],
+    so the last row, k, is the diagonal.  A Cholesky factorization reads
+    only this triangle, so a matrix that is not exactly symmetric raises
+    ValueError."""
     if (mat != mat.T).nnz:
         raise ValueError("band storage needs an exactly symmetric matrix")
-    coo = sps.tril(mat).tocoo()
+    coo = sps.triu(mat).tocoo()
     coo.sum_duplicates()
-    k = int((coo.row - coo.col).max())
+    k = int((coo.col - coo.row).max())
     ab = np.zeros((k + 1, mat.shape[0]), order="F")
-    ab[coo.row - coo.col, coo.col] = coo.data
+    ab[k + coo.row - coo.col, coo.col] = coo.data
     return k, ab
 
 
 def _tridiagonals(ab):
     """(lower, diagonal, upper) of a k = 1 symmetric band storage."""
-    off = ab[1, :-1].copy()
-    return off, ab[0].copy(), off
+    off = ab[0, 1:].copy()
+    return off, ab[1].copy(), off
 
 
 # bound once, like the ufuncs of the products: on the few dozen entries of a
@@ -404,10 +406,25 @@ def _tri_product(bands, y, out):
 
 
 def _sparse_product(matrix, y, out):
-    """Like ``_tri_product``, for a sparse matrix."""
+    """Like ``_tri_product``, for a CSR matrix, through the kernel that
+    scipy's sparse matrix product calls on a zeroed result, and so with its
+    bits: ``csr_matvec`` for (N,) rows, and for (B, N) rows ``csr_matvecs``,
+    which reads and writes them as the columns of (N, B) arrays made once
+    here."""
+    n, csr = matrix.shape[0], (matrix.indptr, matrix.indices, matrix.data)
+    if y.ndim == 1:
+        def product():
+            out.fill(0.0)
+            csr_matvec(n, n, *csr, y, out)
+            return out
+        return product
+    count, columns, result = len(y), np.empty(y.shape[::-1]), np.empty(out.shape[::-1])
 
     def product():
-        out[...] = (matrix @ y.T).T
+        columns[...] = y.T
+        result.fill(0.0)
+        csr_matvecs(n, n, count, *csr, columns, result)
+        out[...] = result.T
         return out
     return product
 
@@ -417,20 +434,23 @@ class _StepSolver:
 
     A problem builds one, ``ProblemSpec.step_operator``, on first use, and
     every march of the problem factors and solves through it.  M/dt + K is
-    converted into the symmetric band storage of ``band_storage``; its
-    half-bandwidth k is 1 on an interval and nx + 2 on an nx x ny rectangle
-    with the mesh's x-fastest node numbering.  ``factor`` takes a diagonal,
-    such as ``shifted(shift)``, and ``solve`` takes only what ``factor``
-    returned: in 2D the band Cholesky factor of ``pbtrf``, which ``solve``
-    applies with ``pbtrs``; in 1D the diagonal itself, since ``gtsv``
-    factors as it solves, overwriting it.
+    converted into the upper symmetric band storage of ``band_storage``;
+    its half-bandwidth k is 1 on an interval and nx + 2 on an nx x ny
+    rectangle with the mesh's x-fastest node numbering.  ``factor`` takes a
+    diagonal, such as ``shifted(shift)``, and ``solve`` takes only what
+    ``factor`` returned: in 2D the upper band Cholesky factor U of
+    ``pbtrf``, S = U^T U, which ``solve`` applies with ``pbtrs``; in 1D the
+    diagonal itself, since ``gtsv`` factors as it solves, overwriting it.
+    The upper form is LAPACK's faster one to solve with and its slower one
+    to factor, and a run solves several times for each factorization.
 
     The kernels act on arrays their caller owns, with the nodes on the last
     axis, so that a (B, N) array is B systems whose rows the (N,)
     coefficients broadcast over: ``solve`` overwrites its right-hand side,
     and ``base_product`` and ``mass_product`` bind the products with
-    M/dt + K and M to an input and an output array.  No kernel writes into
-    the operator's own arrays.
+    M/dt + K and M to an input and an output array, from the bands in 1D
+    and by scipy's CSR kernels in 2D.  No kernel writes into the operator's
+    own arrays.
     """
 
     __slots__ = ("lumped", "base", "mass", "k", "ab", "diagonal", "bands", "mass_bands",
@@ -438,7 +458,7 @@ class _StepSolver:
 
     def __init__(self, base, mass, lumped):
         self.k, self.ab = band_storage(base)
-        self.base, self.mass, self.lumped, self.diagonal = base, mass, lumped, self.ab[0].copy()
+        self.base, self.mass, self.lumped, self.diagonal = base, mass, lumped, self.ab[-1].copy()
         if self.k == 1:
             self.bands = _tridiagonals(self.ab)
             self.mass_bands = _tridiagonals(band_storage(self.mass)[1])
@@ -477,12 +497,12 @@ class _StepSolver:
 
     def factor(self, d: np.ndarray):
         """The factorization of the step matrix with diagonal d: in 2D its
-        lower band Cholesky factor, in 1D d itself."""
+        upper band Cholesky factor, in 1D d itself."""
         if self.k == 1:
             return d
         ab = self.ab.copy(order="F")
-        ab[0] = d
-        c, info = self._pbtrf(ab, lower=1, overwrite_ab=True)
+        ab[-1] = d
+        c, info = self._pbtrf(ab, lower=0, overwrite_ab=True)
         if info != 0:
             raise SolverError(f"step matrix not positive definite (pbtrf info {info})")
         return c
@@ -504,7 +524,7 @@ class _StepSolver:
                 raise SolverError(f"singular step matrix (gtsv info {info})")
             return rhs
         # pbtrs reports only illegal arguments, which these calls cannot pass
-        rhs[...] = self._pbtrs(c, rhs.T, lower=1, overwrite_b=1)[0].T
+        rhs[...] = self._pbtrs(c, rhs.T, lower=0, overwrite_b=1)[0].T
         return rhs
 
 
@@ -602,12 +622,12 @@ def _discrete_step_item(spec: ProblemSpec) -> CheckItem:
     except AssumptionError as exc:
         return CheckItem(key, requirement, False, f"assembly failed: {exc}")
     ab = step.ab.copy()
-    ab[0] = step.shifted(spec.nonlinearity.min_slope)
+    ab[-1] = step.shifted(spec.nonlinearity.min_slope)
     try:
-        factor = sla.cholesky_banded(ab, lower=True, check_finite=False)
+        factor = sla.cholesky_banded(ab, lower=False, check_finite=False)
     except np.linalg.LinAlgError as exc:
         return CheckItem(key, requirement, False, str(exc))
-    ratio = float((factor[0] ** 2).min() / ab[0].max())
+    ratio = float((factor[-1] ** 2).min() / ab[-1].max())
     return CheckItem(key, requirement, ratio >= STEP_PIVOT_FLOOR,
                      f"smallest squared pivot / largest diagonal = {ratio:.3g}, "
                      f"required >= {STEP_PIVOT_FLOOR:g}")

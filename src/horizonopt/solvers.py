@@ -31,10 +31,10 @@ a list is bitwise its solve as a list of one.  One system's arrays have
 shape (N,); the step operator's (N,) coefficients broadcast over rows.
 
 Every march steps through the problem's ``step_operator``: M/dt + K in the
-band storage of half-bandwidth k of ``problem.band_storage``, to whose
-diagonal a step adds the lumped shift.  When k = 1 (1D) a solve calls
+upper band storage of half-bandwidth k of ``problem.band_storage``, to
+whose diagonal a step adds the lumped shift.  When k = 1 (1D) a solve calls
 ``gtsv`` with B columns, which factors as it solves.  Otherwise (2D,
-k = nx + 2) it factors by band Cholesky, ``pbtrf``, and solves with
+k = nx + 2) it factors by upper band Cholesky, ``pbtrf``, and solves with
 ``pbtrs`` with B columns: for an admitted problem the step matrix is
 symmetric positive definite, since f' is bounded below by ``min_slope``
 and the validator's ``discrete_step_monotone`` item proves

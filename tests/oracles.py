@@ -8,7 +8,7 @@ linear-quadratic problem.
 
 The reference marches at the end are the plain loops the library's march
 kernels must match bit for bit: one right-hand side per step solve (``gtsv``
-in 1D; in 2D band Cholesky on the lower symmetric band, ``pbtrf`` and then
+in 1D; in 2D band Cholesky on the upper symmetric band, ``pbtrf`` and then
 ``pbtrs``, so that the forward march can hold a factorization across Newton
 iterations and time steps as the library's simplified Newton does), a
 residual closure in the Newton step, and the adjoint sources built one time
@@ -177,8 +177,8 @@ def dense_lq_solution(ops, grid, state_rate, control_rate, control_weight,
 
 class ReferenceStep:
     """Single right-hand-side products and step solves with the step matrix
-    M/dt + K + M_L diag(shift), built from a step operator's lower symmetric
-    band storage (entry (i, j), i >= j, at ab[i - j, j]) and sparse
+    M/dt + K + M_L diag(shift), built from a step operator's upper symmetric
+    band storage (entry (i, j), i <= j, at ab[k + i - j, j]) and sparse
     matrices."""
 
     def __init__(self, stepper):
@@ -187,14 +187,14 @@ class ReferenceStep:
         self.mass_ab = np.zeros_like(self.ab)
         coo = self.mass.tocoo()
         coo.sum_duplicates()
-        low = coo.row >= coo.col
-        self.mass_ab[coo.row[low] - coo.col[low], coo.col[low]] = coo.data[low]
+        up = coo.row <= coo.col
+        self.mass_ab[self.k + coo.row[up] - coo.col[up], coo.col[up]] = coo.data[up]
 
     @staticmethod
     def _tri_matvec(ab, y):
-        out = ab[0] * y
-        out[:-1] += ab[1, :-1] * y[1:]
-        out[1:] += ab[1, :-1] * y[:-1]
+        out = ab[1] * y
+        out[:-1] += ab[0, 1:] * y[1:]
+        out[1:] += ab[0, 1:] * y[:-1]
         return out
 
     def mass_matvec(self, y):
@@ -204,17 +204,17 @@ class ReferenceStep:
         return self._tri_matvec(self.ab, y) if self.k == 1 else self.base @ y
 
     def factor(self, shift):
-        """The lower band Cholesky factor of the 2D step matrix."""
+        """The upper band Cholesky factor of the 2D step matrix."""
         pbtrf = sla.get_lapack_funcs("pbtrf", (self.ab,))
         ab = self.ab.copy(order="F")
-        ab[0] += self.lumped * shift
-        chol, info = pbtrf(ab, lower=1)
+        ab[self.k] += self.lumped * shift
+        chol, info = pbtrf(ab, lower=0)
         assert info == 0
         return chol
 
     def solve_factored(self, chol, rhs):
         pbtrs = sla.get_lapack_funcs("pbtrs", (self.ab,))
-        x, info = pbtrs(chol, rhs, lower=1)
+        x, info = pbtrs(chol, rhs, lower=0)
         assert info == 0
         return x
 
@@ -222,8 +222,8 @@ class ReferenceStep:
         if self.k > 1:
             return self.solve_factored(self.factor(shift), rhs)
         gtsv = sla.get_lapack_funcs("gtsv", (self.ab,))
-        d = self.ab[0] + self.lumped * shift
-        _, _, _, x, info = gtsv(self.ab[1, :-1], d, self.ab[1, :-1], rhs)
+        d = self.ab[1] + self.lumped * shift
+        _, _, _, x, info = gtsv(self.ab[0, 1:], d, self.ab[0, 1:], rhs)
         assert info == 0
         return x
 

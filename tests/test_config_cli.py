@@ -104,9 +104,10 @@ class TestValidateCommand:
         code = main(["validate", "--config",
                      str(CONFIG_DIR / "invalid_control_discount.json")])
         assert code == 1
-        out = capsys.readouterr().out
-        assert "FAIL control_discount_positive" in out
-        assert "control_discount > 0" in out
+        printed = capsys.readouterr()
+        assert "FAIL control_discount_positive" in printed.out
+        assert "control_discount > 0" in printed.out
+        assert printed.err == "error: validation failed\n"
 
     @pytest.mark.parametrize("name, code", [("ball_cubic", 0), ("invalid_state_discount", 1)])
     def test_out_writes_report_and_complete_manifest(self, tmp_path, name, code):
@@ -195,12 +196,13 @@ class TestGradientCheckCommand:
         assert errs[2] > errs[1] * 1e-3   # then flattens near the noise floor
         assert min(errs) < 1e-7
 
-    def test_exit_code_follows_the_error_bound(self, tmp_path):
+    def test_exit_code_follows_the_error_bound(self, tmp_path, capsys):
         path = str(CONFIG_DIR / "ball_cubic.json")
         assert main(["gradient-check", "--config", path, "--seed", "0",
                      "--out", str(tmp_path / "ok")]) == 0
         manifest = json.loads((tmp_path / "ok" / "manifest.json").read_text())
         assert manifest["exit_code"] == 0 and "reason" not in manifest
+        assert capsys.readouterr().err == ""
         # a single large step leaves the central difference far from the gradient
         out = tmp_path / "coarse"
         assert main(["gradient-check", "--config", path, "--seed", "0",
@@ -210,6 +212,7 @@ class TestGradientCheckCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "complete" and manifest["exit_code"] == 1
         assert manifest["reason"] == "gradient error above 1e-7"
+        assert capsys.readouterr().err == "error: gradient error above 1e-7\n"
 
     def test_nonpositive_epsilon_is_a_usage_error(self, tmp_path):
         # a zero step would divide by zero in the central difference
@@ -300,7 +303,9 @@ class TestOptimizeCommand:
         code = main(["optimize", "--config", str(CONFIG_DIR / "ball_cubic.json"),
                      "--set", "optimizer.max_iterations=1", "--out", str(out)])
         assert code == 1
-        assert "converged=False" in capsys.readouterr().out
+        printed = capsys.readouterr()
+        assert "converged=False" in printed.out
+        assert printed.err == "error: not converged\n"
         assert json.loads((out / "report.json").read_text())["converged"] is False
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "complete" and "error" not in manifest
@@ -362,11 +367,12 @@ class TestHorizonStudyCommand:
 
     def test_non_converged_solves_set_the_verdict(self, tmp_path, capsys):
         # no solve of the sweep converges in two iterations: the run still
-        # writes its outputs, names each horizon and exits 1
+        # writes its outputs, names each horizon and exits 1, saying why on
+        # stderr
         out = tmp_path / "run"
         assert main(["horizon-study", "--config", str(CONFIG_DIR / "horizon_compact.json"),
                      "--set", "optimizer.max_iterations=2", "--out", str(out)]) == 1
-        assert "Traceback" not in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: not converged\n"
         fit = json.loads((out / "fit.json").read_text())
         assert fit["converged"] is False
         assert fit["warnings"] == [f"the solve at horizon {h} did not converge"
@@ -413,13 +419,15 @@ class TestSocheckCommand:
 
     def test_non_converged_run_records_its_verdict(self, tmp_path, capsys):
         # as optimize, socheck writes its checks at a non-converged output
-        # and exits 1 on the optimizer's verdict
+        # and exits 1 on the optimizer's verdict, saying why on stderr
         out = tmp_path / "so"
         code = main(["socheck", "--config", str(CONFIG_DIR / "ball_cubic.json"),
                      "--set", "optimizer.max_iterations=1", "--samples", "4",
                      "--directions", "2", "--out", str(out)])
         assert code == 1
-        assert "growth kappa" in capsys.readouterr().out
+        printed = capsys.readouterr()
+        assert "growth kappa" in printed.out
+        assert printed.err == "error: not converged\n"
         payload = json.loads((out / "socheck.json").read_text())
         assert payload["stationarity_residual"] > 1e-10
         manifest = json.loads((out / "manifest.json").read_text())

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +8,14 @@ import horizonopt as ho
 from horizonopt import optimizer, solvers
 from horizonopt.admissible import check_projection_formulas
 from horizonopt.admissible import project_values
+from horizonopt.cli import main
 from horizonopt.optimizer import OptimizerConfig, optimize, verify_growth
 from horizonopt.spaces import weighted_l2_norm
 
 from conftest import admissible_contains, make_spec, random_control, rectangle_spec
 from oracles import dense_lq_solution, reference_growth
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def lq_spec(n_nodes=10, horizon=1.0, step=0.05, control_weight=1.0,
@@ -347,6 +351,23 @@ class TestFactorizationCounts:
         assert not blocks and np.array_equal(report.state.factors[n][0], last)
         assert forms == models[1].lagrangian_form(directions, multiplier)
         assert len(blocks) == n
+
+    def test_a_small_2d_socheck_makes_a_pinned_number_of_factorizations_and_solves(
+            self, monkeypatch, tmp_path):
+        # the 2D step kernels may get faster, but not by taking another
+        # Newton path: one 8x8 socheck's band Cholesky factorizations and
+        # step solves, counted per call, are pinned
+        stepper_type, calls = ho.problem._StepSolver, {"factor": 0, "solve": 0}
+        for name in calls:
+            def counted(self, *args, name=name, method=getattr(stepper_type, name)):
+                calls[name] += self.k > 1
+                return method(self, *args)
+            monkeypatch.setattr(stepper_type, name, counted)
+        assert main(["socheck", "--config", str(CONFIG_DIR / "ball_cubic.json"),
+                     "--set", "mesh.dimension=2", "--set", "mesh.shape=[8,8]",
+                     "--set", "mesh.control.box=[[0.2,0.8],[0.2,0.8]]",
+                     "--samples", "4", "--directions", "2", "--out", str(tmp_path / "so")]) == 0
+        assert calls == {"factor": 601, "solve": 2604}
 
 
 class TestConfigValidation:

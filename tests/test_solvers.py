@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import horizonopt as ho
 from horizonopt import solvers
 from horizonopt.descriptors import Field, SpaceProfile, TimeProfile
-from horizonopt.problem import band_storage
+from horizonopt.problem import _sparse_product, band_storage
 from horizonopt.solvers import (CARRY, FORWARD_BATCH, SolverError, _linear_march,
                                 solve_adjoint_from_residual)
 from horizonopt.spaces import weighted_sup_norm
@@ -408,8 +408,25 @@ class TestBandStepOperator:
         rebuilt = np.zeros_like(dense)
         for i, j in np.ndindex(*dense.shape):
             if abs(i - j) <= k:
-                rebuilt[i, j] = stepper.ab[abs(i - j), min(i, j)]
+                rebuilt[i, j] = stepper.ab[k - abs(i - j), max(i, j)]
         assert np.array_equal(rebuilt, dense)
+
+    @pytest.mark.parametrize("rows", [None, 1, 10])
+    def test_2d_products_are_bitwise_the_sparse_matmul(self, rows):
+        # the bound products call scipy's private CSR kernels directly; they
+        # must stay bitwise the ``@`` they replace, on one row and on a
+        # stack, with buffers reused from one call to the next
+        stepper = rectangle_spec((5, 7)).step_operator
+        n = stepper.base.shape[0]
+        shape = (n,) if rows is None else (rows, n)
+        rng = np.random.default_rng(rows)
+        for matrix in (stepper.base, stepper.mass):
+            y, out = np.empty(shape), np.full(shape, np.nan)
+            product = _sparse_product(matrix, y, out)
+            for _ in range(2):
+                y[...] = rng.standard_normal(shape)
+                assert product() is out
+                assert np.array_equal(out, (matrix @ y.T).T)
 
     def test_band_storage_needs_an_exactly_symmetric_matrix(self):
         spec = rectangle_spec((5, 7))
