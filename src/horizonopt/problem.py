@@ -314,7 +314,7 @@ class Operators:
     control_index: np.ndarray
     control_weights: np.ndarray
 
-    @cached_property
+    @property
     def h1(self) -> sps.csr_matrix:
         return (self.mass + self.stiffness).tocsr()
 

@@ -24,11 +24,11 @@ S_i z_i = (M/dt) z_{i-1} + source_i for i = 1..N, from z_0 = 0.
 
 A linear march takes B right-hand sides at once (the second-order check
 marches all its directions together); the forward march takes B controls
-at once (the growth probe solves all its samples together, up to
-``FORWARD_BATCH`` of them per march), as the rows of (B, N) arrays, each
-with its own residual norm, damping and convergence, so that each state of
-a list is bitwise its solve as a list of one.  One system's arrays have
-shape (N,); the step operator's (N,) coefficients broadcast over rows.
+at once (the growth probe solves all its samples together), as the rows
+of (B, N) arrays, each with its own residual norm, damping and
+convergence, so that each state of a list is bitwise its solve as a list
+of one.  One system's arrays have shape (N,); the step operator's (N,)
+coefficients broadcast over rows.
 
 Every march steps through the problem's ``step_operator``: M/dt + K in the
 upper band storage of half-bandwidth k of ``problem.band_storage``, to
@@ -152,15 +152,15 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
     factor, solve, samples, subtract = stepper.factor, stepper.solve, range(count), np.subtract
     # the shape of the march's arrays; as (B, N) they have a row per sample
     shape = (nodes,) if count == 1 else (count, nodes)
-    # per-step source functionals M g_i + W u_i, one row per control
-    forcing = np.repeat((ops.mass @ spec.source_samples.T).T[:, None], count, axis=1)
+    # row i of a sample's result holds its step source M g_i + W u_i until
+    # step i writes its state over it; out[s][:, ...], as numpy's mixed
+    # advanced indexing would put the index first in out[s, :, ...]
+    out = np.repeat((ops.mass @ spec.source_samples.T).T[None], count, axis=0)
     for s, control in enumerate(controls):
-        forcing[:, s, ops.control_index] += control.values * ops.control_weights
-
-    out = np.empty((count, n + 1, nodes))
+        out[s][:, ops.control_index] += control.values * ops.control_weights
     out[:, 0] = spec.initial_values
     b, delta, work = np.empty((3,) + shape)
-    deltas, sources = delta.reshape(count, nodes), forcing.reshape((n + 1,) + shape)
+    deltas, sources = delta.reshape(count, nodes), out[0] if count == 1 else out.swapaxes(0, 1)
 
     def buffers():
         # the rows of an iterate y, a = (M/dt + K) y + M_L value(y) and its
@@ -251,7 +251,7 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
                     # iterate, like a converged sample
                     if damping[s] == 1.0 and rn[s] <= _rounding_floor(
                             stepper, dt, rows[0, s], out[s, i - 1], value(rows[0, s]),
-                            forcing[i, s]):
+                            out[s, i]):
                         live.remove(s)
                         continue
                     damping[s] *= 0.5
@@ -280,25 +280,20 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
     return out
 
 
-# the most controls one forward march takes; longer lists go in batches, so
-# the march's per-sample tables stay bounded
-FORWARD_BATCH = 64
-
-
 def solve_forward(spec: ProblemSpec, control: Trajectory | list):
     """March the semilinear equation from the initial state under a control,
     with the Newton settings ``spec.newton``.
 
-    A list of controls is marched in batches of at most ``FORWARD_BATCH``
-    and gives a list of states, each bitwise equal to its solve as a list of
-    one.  In 1D that is the solve of the control alone; in 2D a list keeps
-    no factorizations and carries them across time steps instead, so its
-    states agree with those of single solves to the Newton tolerance.  If
-    any batch fails, every sample is solved as a list of one and the error
-    of the lowest-indexed sample among those failing first in time is
-    raised: in 1D a failing sample's non-finite trial can reach the others
-    through the zero couplings of their ``gtsv`` solve, so the error comes
-    from the samples' own solves.
+    A list of controls is marched at once, however long, and gives a list
+    of states, each bitwise equal to its solve as a list of one.  In 1D that
+    is the solve of the control alone; in 2D a list keeps no factorizations
+    and carries them across time steps instead, so its states agree with
+    those of single solves to the Newton tolerance.  If the march of a list
+    fails, every sample is solved as a list of one and the error of the
+    lowest-indexed sample among those failing first in time is raised: in
+    1D a failing sample's non-finite trial can reach the others through the
+    zero couplings of their ``gtsv`` solve, so the error comes from the
+    samples' own solves.
 
     For one control in 2D the state's ``factors`` are the factorizations
     of its first Newton iterations, for the linear marches around it; in 1D
@@ -312,10 +307,8 @@ def solve_forward(spec: ProblemSpec, control: Trajectory | list):
         if c.grid.n_steps != spec.grid.n_steps:
             raise ValueError("control trajectory does not match the time grid")
     kept = [None] * (spec.grid.n_steps + 1) if single and spec.step_operator.k > 1 else None
-    values = []
     try:
-        for start in range(0, len(controls), FORWARD_BATCH):
-            values.extend(_newton_march(spec, controls[start:start + FORWARD_BATCH], kept))
+        values = _newton_march(spec, controls, kept)
     except SolverError as exc:
         if len(controls) == 1:
             raise

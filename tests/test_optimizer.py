@@ -256,9 +256,9 @@ class TestGrowthMatchesPerSampleReference:
         assert (growth.kappa, growth.margins, growth.distances) == (kappa, margins, distances)
 
     @staticmethod
-    def assert_batches_are_bitwise_reference(monkeypatch, spec, samples, batches):
-        # the march sizes of the growth probe, which solves only its
-        # candidates, and its kappa, margins and distances against the reference
+    def assert_one_march_is_bitwise_reference(monkeypatch, spec, samples):
+        # the growth probe, which solves only its candidates, marches them
+        # all at once, and its kappa, margins and distances are the reference's
         u = TestGrowthMatchesPerSampleReference.admissible_control(spec, seed=5)
         state = ho.solve_forward(spec, u)
         sizes, march = [], solvers._newton_march
@@ -269,24 +269,21 @@ class TestGrowthMatchesPerSampleReference:
 
         monkeypatch.setattr(solvers, "_newton_march", recording)
         growth = verify_growth(spec, u, state, radius=0.3, samples=samples, seed=6)
-        assert sizes == batches
+        assert sizes == [samples]
         kappa, margins, distances = reference_growth(spec, spec.step_operator, u, radius=0.3,
                                                      samples=samples, seed=6,
                                                      carry=solvers.CARRY)
         assert len(margins) == samples
         assert (growth.kappa, growth.margins, growth.distances) == (kappa, margins, distances)
 
-    def test_more_samples_than_one_batch_is_bitwise_reference(self, monkeypatch):
-        # 131 candidates are marched as batches of 64, 64 and 3
+    def test_many_samples_are_one_bitwise_march(self, monkeypatch):
         spec = make_spec(target=0.5 * np.ones((21, 21)))
-        self.assert_batches_are_bitwise_reference(monkeypatch, spec, 131, [64, 64, 3])
+        self.assert_one_march_is_bitwise_reference(monkeypatch, spec, 131)
 
-    def test_2d_samples_split_across_batches_are_bitwise_reference(self, monkeypatch):
-        # with batches of at most 4, 10 candidates are marched as 4, 4 and 2;
-        # each batch starts its samples without carried factorizations
-        monkeypatch.setattr(solvers, "FORWARD_BATCH", 4)
-        self.assert_batches_are_bitwise_reference(monkeypatch, rectangle_spec((5, 4), seed=2),
-                                                  10, [4, 4, 2])
+    def test_2d_many_samples_are_one_bitwise_march(self, monkeypatch):
+        # every sample carries its own factorizations across the time steps
+        self.assert_one_march_is_bitwise_reference(monkeypatch, rectangle_spec((5, 4), seed=2),
+                                                   70)
 
     def test_all_samples_skipped_raises_without_a_solve(self, monkeypatch):
         # a box of width 1e-20 projects every candidate to within 1e-14 of u*

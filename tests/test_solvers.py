@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,10 +14,10 @@ from hypothesis import strategies as st
 
 import horizonopt as ho
 from horizonopt import solvers
+from horizonopt.admissible import project_values
 from horizonopt.descriptors import Field, SpaceProfile, TimeProfile
 from horizonopt.problem import _sparse_product, band_storage
-from horizonopt.solvers import (CARRY, FORWARD_BATCH, SolverError, _linear_march,
-                                solve_adjoint_from_residual)
+from horizonopt.solvers import CARRY, SolverError, _linear_march, solve_adjoint_from_residual
 from horizonopt.spaces import weighted_sup_norm
 
 from conftest import make_spec, model_at, random_control, read_trajectory, rectangle_spec
@@ -928,6 +929,32 @@ class TestBatchedForward:
     def test_empty_list_gives_empty_list(self):
         assert ho.solve_forward(make_spec(), []) == []
 
+    @pytest.mark.parametrize("two_d, bound", [(False, 1.6), (True, 2.2)])
+    def test_march_keeps_no_forcing_table(self, two_d, bound):
+        # each step's forcing waits in the result row its state overwrites,
+        # so marching 64 admissible ball_cubic controls (1D, and on 8x8)
+        # peaks within 1.6 and 2.2 times the bytes of the states it returns;
+        # a forcing table of its own, as large as the states, reads 2.44 and 2.80
+        cfg = ho.load_config(Path(__file__).resolve().parent.parent / "configs"
+                             / "ball_cubic.json")
+        if two_d:
+            cfg["mesh"].update(dimension=2, shape=[8, 8],
+                               control={"box": [[0.2, 0.8], [0.2, 0.8]]})
+        spec = ho.build_problem(cfg)
+        weights = spec.operators.control_weights
+        controls = [ho.Trajectory(spec.grid, project_values(
+            spec.admissible, random_control(spec, seed=k, scale=0.3).values, weights), "control")
+            for k in range(64)]
+        # the problem's sampled data and step operator are built before tracing
+        ho.solve_forward(spec, controls[:2])
+        tracemalloc.start()
+        try:
+            states = ho.solve_forward(spec, controls)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * sum(y.values.nbytes for y in states)
+
     def test_wrongly_shaped_control_anywhere_is_rejected(self):
         spec = make_spec()
         good = random_control(spec, seed=0, scale=0.2)
@@ -968,11 +995,11 @@ class TestBatchedForwardFailure:
         for batch in ([good, bad], [bad, good]):
             assert self.same_error(self.own_error(spec, batch), own)
 
-    def test_failure_in_a_later_batch_raises_its_own_error(self):
+    def test_failure_late_in_a_long_list_raises_its_own_error(self):
         spec = replace(small_spec_of(1, 4, seed=3), newton=ho.NewtonConfig(max_iterations=3))
-        controls = [random_control(spec, seed=k, scale=0.2) for k in range(FORWARD_BATCH + 6)]
+        controls = [random_control(spec, seed=k, scale=0.2) for k in range(70)]
         bad = random_control(spec, seed=1, scale=3000.0)
-        controls[FORWARD_BATCH + 2] = bad
+        controls[66] = bad
         assert self.same_error(self.own_error(spec, controls), self.own_error(spec, bad))
 
     def test_earliest_step_wins_then_lowest_index(self):

@@ -60,7 +60,7 @@ COMMANDS = (
     ("socheck-ball_cubic-seed1", ["socheck", *_cfg("ball_cubic"), "--seed", "1"]),
     ("socheck-ball_cubic-seed3", ["socheck", *_cfg("ball_cubic"), "--seed", "3"]),
     ("socheck-box_cubic", ["socheck", *_cfg("box_cubic"), "--seed", "2"]),
-    # more samples than one forward march takes, so the batch is split
+    # a long list of samples, marched at once
     ("socheck-ball_cubic-130", ["socheck", *_cfg("ball_cubic"), "--samples", "130"]),
     ("socheck-ball_cubic-16x16", ["socheck", *_cfg("ball_cubic"), *_mesh_2d(16),
                                   "--directions", "10", "--samples", "10"]),
