@@ -10,7 +10,7 @@ from .horizon import (HorizonStudyConfig, HorizonStudyReport,
                       check_state_error_bounds, run_horizon_study)
 from .mesh import SpatialMesh, interval_mesh, rectangle_mesh
 from .objective import (CostBreakdown, Multiplier, SecondOrderModel, cost,
-                        cost_from_state, gradient, gradient_with_state,
+                        cost_from_state, gradient_with_state,
                         multiplier_and_cone, sample_critical_directions)
 from .optimizer import (GrowthReport, OptimizerConfig, SolveReport, optimize,
                         verify_growth)
@@ -18,9 +18,7 @@ from .problem import (Discounts, EllipticForm, NewtonConfig, Nonlinearity,
                       ProblemSpec, ValidationReport, assemble_operators,
                       builtin_nonlinearities, linear_nonlinearity,
                       validate_assumptions)
-from .solvers import (EstimateReport, SolverError,
-                      check_energy_estimate, check_linearized_estimate,
-                      solve_adjoint, solve_forward, solve_linearized,
+from .solvers import (SolverError, solve_adjoint, solve_forward, solve_linearized,
                       solve_second_order)
 from .spaces import (TimeGrid, Trajectory, weighted_l2_norm, weighted_lp_norm,
                      weighted_sup_norm)

@@ -76,10 +76,6 @@ def gradient_with_state(spec: ProblemSpec, u: Trajectory):
     return riesz_gradient(spec, u, adj), state, adj
 
 
-def gradient(spec: ProblemSpec, u: Trajectory) -> Trajectory:
-    return gradient_with_state(spec, u)[0]
-
-
 def first_order_density(spec: ProblemSpec, u: Trajectory, adjoint: Trajectory) -> np.ndarray:
     """Integrand of the variational inequality on the control nodes:
     adjoint + weight * e^{-rate t} * u, per time step."""

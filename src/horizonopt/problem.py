@@ -86,8 +86,9 @@ class Nonlinearity:
 
     @property
     def rate_floor(self) -> float:
-        """-2*min_slope, the floor of the auxiliary and estimate rates; as
-        0.0 - 2*min_slope it is +0.0, printed 0, when min_slope is 0."""
+        """-2*min_slope, the floor of the auxiliary rate and, times
+        growth_exponent + 3, of the state discount; as 0.0 - 2*min_slope it
+        is +0.0, printed 0, when min_slope is 0."""
         return 0.0 - 2.0 * self.min_slope
 
 

@@ -92,13 +92,11 @@ What a march returns is copied out of its buffers.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .problem import ProblemSpec, SolverError
-from .spaces import (Trajectory, _discounted_sum, quad_energies, weighted_l2_norm,
-                     weighted_sup_norm)
+from .spaces import Trajectory
 
 
 def _rounding_floor(stepper, dt, y, y_prev, fy, forcing) -> float:
@@ -129,7 +127,8 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
     S(y_{i-1}); a step that needs no iteration leaves its None.  A sample
     whose residual is within ``_rounding_floor``, as after a large source,
     keeps its iterate at its first rejected trial; one above it whose
-    damping stalls raises.
+    damping stalls raises, as does one whose residual norm at the start of
+    a step is not finite, as after an overflow.
 
     In 1D every iteration solves with S at its iterate (exact Newton).  In
     2D a later iteration of a step keeps the sample's last factorization
@@ -199,6 +198,8 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
         # that fails has been live at every iteration of its step
         log = [rn]
         live = [s for s in samples if not rn[s] <= tolerance]
+        if not all(math.isfinite(rn[s]) for s in live):
+            raise SolverError(f"non-finite residual at time step {i}", step=i)
         for it in iterations:
             if not live:
                 break
@@ -248,7 +249,9 @@ def _newton_march(spec: ProblemSpec, controls: list, kept: list | None) -> np.nd
                     # a sample's residual is fixed within this loop, so its
                     # floor is tested once, at its first rejected trial:
                     # within it, the sample is frozen below at its current
-                    # iterate, like a converged sample
+                    # iterate, like a converged sample.  rn[s] is finite, as
+                    # a step starts from finite norms and an accepted norm
+                    # passed a comparison that nan and inf fail
                     if damping[s] == 1.0 and rn[s] <= _rounding_floor(
                             stepper, dt, rows[0, s], out[s, i - 1], value(rows[0, s]),
                             out[s, i]):
@@ -308,7 +311,9 @@ def solve_forward(spec: ProblemSpec, control: Trajectory | list):
             raise ValueError("control trajectory does not match the time grid")
     kept = [None] * (spec.grid.n_steps + 1) if single and spec.step_operator.k > 1 else None
     try:
-        values = _newton_march(spec, controls, kept)
+        # an overflow reaches the caller as the march's SolverError
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _newton_march(spec, controls, kept)
     except SolverError as exc:
         if len(controls) == 1:
             raise
@@ -447,96 +452,3 @@ def solve_adjoint(spec: ProblemSpec, base_state: Trajectory) -> Trajectory:
     residual = base_state.values - spec.target_samples
     return solve_adjoint_from_residual(spec, base_state, residual,
                                        spec.discounts.state_rate, masked=True)
-
-
-# ---------------------------------------------------------------------------
-# discrete energy-estimate checks
-
-# relative slack of both estimate checks, covering the time-discretization
-# error of the exponential weights
-ESTIMATE_SLACK = 0.05
-
-
-@dataclass
-class EstimateReport:
-    """Outcome of a discrete a-priori estimate check: ``satisfied`` is
-    lhs <= (1 + ``ESTIMATE_SLACK``) * rhs."""
-
-    lhs: float
-    rhs: float
-    satisfied: bool
-    rate: float
-    detail: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return asdict(self)
-
-
-def _combined_source_norm(spec, control, rate):
-    """Weighted L2 norm of g + u restricted to the control subdomain."""
-    ops = spec.operators
-    g = spec.source_samples
-    u = control.values
-    e_g = quad_energies(g, ops.mass)
-    cross = spec.control_pairings(g[:, ops.control_index], u)
-    e_u = spec.control_pairings(u, u)
-    energy = np.maximum(e_g + 2.0 * cross + e_u, 0.0)
-    return float(np.sqrt(_discounted_sum(spec.grid, rate, energy[1:])))
-
-
-def check_energy_estimate(spec: ProblemSpec, control: Trajectory, state: Trajectory,
-                          rate: float) -> EstimateReport:
-    """Discrete analog of the forward stability estimate, for ``control``
-    and its state ``state``, which the caller has solved for.
-
-    lhs combines the discounted sup norm of the state and its weighted
-    space-time energy norm; rhs is built from the initial state and the
-    weighted source norm.  The estimate is checked up to ``ESTIMATE_SLACK``.
-    """
-    ms = spec.nonlinearity.min_slope
-    if rate <= spec.nonlinearity.rate_floor:
-        raise ValueError(f"rate must exceed {spec.nonlinearity.rate_floor:g} for this estimate")
-    ops = spec.operators
-    ell = spec.operator.ellipticity_bound(spec.mesh)
-    coef = min(0.5 * rate + ms, 2.0 * ell)
-    if coef <= 0:
-        raise ValueError("estimate coefficient is not positive for this rate")
-    sup_part = weighted_sup_norm(state, rate, ops.mass)
-    energy_part = weighted_l2_norm(state, rate, ops.h1)
-    lhs = sup_part + np.sqrt(coef) * energy_part
-    y0 = spec.initial_values
-    init = float(np.sqrt(max(quad_energies(y0[None, :], ops.mass)[0], 0.0)))
-    hnorm = _combined_source_norm(spec, control, rate)
-    rhs = 2.0 * init + 2.0 * np.sqrt(2.0) / np.sqrt(rate + 2.0 * ms) * hnorm
-    return EstimateReport(
-        float(lhs), float(rhs), bool(lhs <= rhs * (1.0 + ESTIMATE_SLACK)), rate,
-        detail={"sup_part": sup_part, "energy_part": energy_part,
-                "initial_norm": init, "source_norm": hnorm},
-    )
-
-
-def check_linearized_estimate(spec: ProblemSpec, state: Trajectory,
-                              rhs_field: np.ndarray, rate: float) -> EstimateReport:
-    """Discrete analog of the linearized stability estimate.
-
-    Solves the linearized equation around ``state``, a forward solve the
-    caller holds, with a full-domain source and compares its combined norm,
-    up to ``ESTIMATE_SLACK``, against 2/min(1, rate/2, ellipticity) times
-    the weighted source norm.
-    """
-    if rate <= spec.nonlinearity.rate_floor:
-        raise ValueError(f"rate must exceed {spec.nonlinearity.rate_floor:g} for this estimate")
-    ops = spec.operators
-    rhs_traj = Trajectory(spec.grid, rhs_field, "generic")
-    # the linearized equation with the full-domain source M h
-    z = _march_trajectories(spec, state, (ops.mass @ rhs_traj.values.T).T,
-                            range(1, spec.grid.n_steps + 1), "generic")
-    lhs = weighted_sup_norm(z, rate, ops.mass) + weighted_l2_norm(z, rate, ops.h1)
-    ell = spec.operator.ellipticity_bound(spec.mesh)
-    stability = 2.0 / min(1.0, 0.5 * rate, ell)
-    hnorm = weighted_l2_norm(rhs_traj, rate, ops.mass)
-    rhs = stability * hnorm
-    return EstimateReport(
-        float(lhs), float(rhs), bool(lhs <= rhs * (1.0 + ESTIMATE_SLACK)), rate,
-        detail={"stability_constant": stability, "source_norm": hnorm},
-    )

@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -6,7 +8,7 @@ from horizonopt import (AdmissibleSet, Discounts, EllipticForm, ProblemSpec,
                         TimeGrid, Trajectory, builtin_nonlinearities,
                         interval_mesh, rectangle_mesh)
 from horizonopt.objective import SecondOrderModel, gradient_with_state
-from horizonopt.problem import default_aux_rate, default_integrability_exponent
+from horizonopt.problem import _StepSolver, default_aux_rate, default_integrability_exponent
 
 # every property test reruns the same examples, with no per-example deadline
 settings.register_profile("horizonopt", derandomize=True, deadline=None)
@@ -145,3 +147,27 @@ def random_instance(seed, set_kind="ball", nonlinearity="cubic"):
 @pytest.fixture
 def small_spec():
     return make_spec()
+
+
+@contextmanager
+def counting_step_calls():
+    """Record, while open, the first argument of every 2D ``_StepSolver``
+    call of ``factor`` (the diagonal factored) and of ``solve`` (the
+    factorization solved with), in the list of a dict keyed by the method."""
+    calls = {"factor": [], "solve": []}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            def counted(self, first, *rest, name=name, method=getattr(_StepSolver, name)):
+                if self.k > 1:
+                    calls[name].append(first)
+                return method(self, first, *rest)
+            mp.setattr(_StepSolver, name, counted)
+        yield calls
+
+
+@pytest.fixture
+def step_calls():
+    """The 2D step factorizations and solves of a test, as
+    ``counting_step_calls`` records them."""
+    with counting_step_calls() as calls:
+        yield calls

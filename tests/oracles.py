@@ -16,10 +16,16 @@ row at a time.  They read only the step operator's matrices, never its
 methods.  The reference growth probe solves its samples one at a time with
 the reference march, under the rule of a march of a list of controls.
 
-The reference optimality diagnostics at the very end are the per-step loops
+The reference optimality diagnostics after them are the per-step loops
 the library's masked array code replaced: the pointwise first-order
 relations and the ball directions of the critical cone, one ``np.dot`` per
 pairing.
+
+The a-priori estimate checks at the very end are the discrete analogs of the
+paper's stability estimates for the state and linearized equations.  They
+check the discretization, so they take the library's norms and its linear
+march, and return both sides of an estimate for the caller to compare
+within ``ESTIMATE_SLACK``.
 """
 
 import numpy as np
@@ -458,3 +464,60 @@ def reference_ball_cone_member(u, v, multiplier, w):
         elif uv > 1e-12 * scale:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# discrete a-priori estimates, both sides of each
+
+# relative slack of both estimates, covering the time-discretization error of
+# the exponential weights
+ESTIMATE_SLACK = 0.05
+
+
+def energy_estimate(spec, control, state, rate):
+    """(lhs, rhs) of the discrete forward stability estimate for ``control``
+    and its state ``state``: lhs combines the discounted sup norm of the
+    state and its weighted space-time energy norm; rhs is built from the
+    initial state and the weighted L2 norm of g + u on the control
+    subdomain."""
+    from horizonopt.spaces import (_discounted_sum, quad_energies, weighted_l2_norm,
+                                   weighted_sup_norm)
+    ms = spec.nonlinearity.min_slope
+    assert rate > spec.nonlinearity.rate_floor
+    ops = spec.operators
+    ell = spec.operator.ellipticity_bound(spec.mesh)
+    coef = min(0.5 * rate + ms, 2.0 * ell)
+    assert coef > 0
+    sup_part = weighted_sup_norm(state, rate, ops.mass)
+    energy_part = weighted_l2_norm(state, rate, ops.h1)
+    lhs = sup_part + np.sqrt(coef) * energy_part
+    y0 = spec.initial_values
+    init = float(np.sqrt(max(quad_energies(y0[None, :], ops.mass)[0], 0.0)))
+    g = spec.source_samples
+    u = control.values
+    e_g = quad_energies(g, ops.mass)
+    cross = spec.control_pairings(g[:, ops.control_index], u)
+    e_u = spec.control_pairings(u, u)
+    energy = np.maximum(e_g + 2.0 * cross + e_u, 0.0)
+    hnorm = float(np.sqrt(_discounted_sum(spec.grid, rate, energy[1:])))
+    rhs = 2.0 * init + 2.0 * np.sqrt(2.0) / np.sqrt(rate + 2.0 * ms) * hnorm
+    return float(lhs), float(rhs)
+
+
+def linearized_estimate(spec, state, rhs_field, rate):
+    """(lhs, rhs) of the discrete linearized stability estimate: the
+    combined norm of the linearized response around ``state`` to the
+    full-domain source M ``rhs_field``, and 2/min(1, rate/2, ellipticity)
+    times the weighted source norm."""
+    from horizonopt.solvers import _march_trajectories
+    from horizonopt.spaces import Trajectory, weighted_l2_norm, weighted_sup_norm
+    assert rate > spec.nonlinearity.rate_floor
+    ops = spec.operators
+    rhs_traj = Trajectory(spec.grid, rhs_field, "generic")
+    z = _march_trajectories(spec, state, (ops.mass @ rhs_traj.values.T).T,
+                            range(1, spec.grid.n_steps + 1), "generic")
+    lhs = weighted_sup_norm(z, rate, ops.mass) + weighted_l2_norm(z, rate, ops.h1)
+    ell = spec.operator.ellipticity_bound(spec.mesh)
+    stability = 2.0 / min(1.0, 0.5 * rate, ell)
+    rhs = stability * weighted_l2_norm(rhs_traj, rate, ops.mass)
+    return float(lhs), float(rhs)

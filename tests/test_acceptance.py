@@ -17,12 +17,13 @@ from horizonopt.cli import main
 from horizonopt.config import (build_horizon_config, build_optimizer_config, build_problem,
                                load_config)
 from horizonopt.horizon import check_state_error_bounds, run_horizon_study
-from horizonopt.objective import SecondOrderModel
+from horizonopt.objective import SecondOrderModel, gradient_with_state
 from horizonopt.solvers import solve_adjoint_from_residual
 from horizonopt.spaces import weighted_inner, weighted_l2_norm
 
 from conftest import make_spec, random_control, random_instance
-from oracles import dense_lq_solution
+from oracles import (ESTIMATE_SLACK, dense_lq_solution, energy_estimate,
+                     linearized_estimate)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -132,7 +133,7 @@ def test_criterion_1_gradient_and_duality():
         spec, u = random_instance(1000 + seed, kind, NONLINEARITIES[seed % 4])
         spec = replace(spec, newton=tight)
         v = random_control(spec, seed=2000 + seed)
-        grad = ho.gradient(spec, u)
+        grad = gradient_with_state(spec, u)[0]
         adj_val = weighted_inner(grad, v, spec.discounts.control_rate,
                                  spec.operators.control_weights)
         best = np.inf
@@ -161,7 +162,7 @@ def test_criterion_1_gradient_at_optimizer_output_2d(ball_solution_2d):
     vals = rng.standard_normal((spec.grid.n_steps + 1, spec.control_count))
     vals[0] = 0.0
     v = ho.Trajectory(spec.grid, vals, "control")
-    pairing = spec.control_inner(ho.gradient(spec, u).values, v.values)
+    pairing = spec.control_inner(gradient_with_state(spec, u)[0].values, v.values)
     eps = 1e-4
     up = ho.Trajectory(spec.grid, u.values + eps * v.values, "control")
     dn = ho.Trajectory(spec.grid, u.values - eps * v.values, "control")
@@ -236,13 +237,12 @@ def test_criterion_4_energy_estimates():
         h = rng.standard_normal((spec.grid.n_steps + 1, 31))
         d = spec.discounts
         for rate in (d.state_rate, d.aux_rate, 0.5 * (d.state_rate + d.aux_rate)):
-            fw = ho.check_energy_estimate(spec, u, state, rate)
-            ln = ho.check_linearized_estimate(spec, state, h, rate)
-            assert fw.satisfied and ln.satisfied, (name, rate, fw.to_dict(),
-                                                   ln.to_dict())
-            worst = max(worst, fw.lhs / max(fw.rhs, 1e-300),
-                        ln.lhs / max(ln.rhs, 1e-300))
-            count += 2
+            checks = (energy_estimate(spec, u, state, rate),
+                      linearized_estimate(spec, state, h, rate))
+            for lhs, rhs in checks:
+                assert lhs <= rhs * (1.0 + ESTIMATE_SLACK), (name, rate, checks)
+                worst = max(worst, lhs / max(rhs, 1e-300))
+                count += 1
     announce(4, "discrete stability estimates with 5% slack",
              worst <= 1.05, f"{count} checks, worst lhs/rhs ratio {worst:.3f}")
 

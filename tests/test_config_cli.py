@@ -9,6 +9,7 @@ import horizonopt as ho
 from horizonopt.cli import GRADIENT_TOLERANCE, main, write_json
 from horizonopt.config import (ConfigError, apply_overrides, build_problem,
                                build_optimizer_config, load_config)
+from horizonopt.objective import gradient_with_state
 
 from conftest import read_trajectory
 
@@ -539,6 +540,29 @@ class TestRunnerFailures:
         assert manifest["status"] == "failed"
         assert manifest["error"] == "linear solve produced non-finite values"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, overrides", [
+        ("solve-forward", ["data.initial.amplitude=1e300"]),
+        ("solve-forward", ["nonlinearity.name=exponential", "data.initial.amplitude=800"]),
+        ("solve-forward", ["operator.reaction=1e300"]),
+        ("optimize", ["data.initial.amplitude=1e300"]),
+    ], ids=["cubic-amplitude", "exponential-amplitude", "reaction", "optimize"])
+    def test_overflowing_forward_march_exits_one(self, tmp_path, capsys, command, overrides):
+        # a residual term that overflows, f(y) or K y at a huge reaction,
+        # makes the residual norm at the start of step 1 infinite: the run
+        # fails there, with no RuntimeWarning on the way
+        out = tmp_path / "run"
+        argv = [command, "--config", str(CONFIG_DIR / "ball_cubic.json"), "--out", str(out)]
+        for override in overrides:
+            argv += ["--set", override]
+        assert main(argv) == 1
+        message = "non-finite residual at time step 1"
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["error"] == message
+        assert manifest["exit_code"] == 1
+
     @pytest.mark.parametrize("out, message", [
         ("afile", "File exists"), ("afile/run", "Not a directory"),
     ], ids=["existing-file", "file-parent"])
@@ -910,5 +934,5 @@ class TestSmokeRuns:
     def test_zero_data_zero_control_gives_zero_gradient(self):
         from conftest import make_spec
         spec = make_spec()  # zero initial/source/target defaults
-        grad = ho.gradient(spec, spec.zero_control())
+        grad = gradient_with_state(spec, spec.zero_control())[0]
         assert np.abs(grad.values).max() == 0.0

@@ -7,7 +7,8 @@ import horizonopt as ho
 from horizonopt import objective
 from horizonopt.admissible import project_values
 from horizonopt.objective import (ACTIVE_STRICT, SecondOrderModel,
-                                  first_order_density, riesz_gradient)
+                                  first_order_density, gradient_with_state,
+                                  riesz_gradient)
 from horizonopt.solvers import solve_adjoint
 from horizonopt.spaces import weighted_inner, weighted_l2_norm
 
@@ -65,7 +66,8 @@ class TestGradient:
                          target=0.2 * np.ones((21, 21)))
         u = random_control(spec, seed=3, scale=0.3)
         v = random_control(spec, seed=4)
-        grad = ho.gradient(replace(spec, newton=ho.NewtonConfig(tolerance=1e-13)), u)
+        tight = replace(spec, newton=ho.NewtonConfig(tolerance=1e-13))
+        grad = gradient_with_state(tight, u)[0]
         adj_val = weighted_inner(grad, v, spec.discounts.control_rate,
                                  spec.operators.control_weights)
         best = min(abs(adj_val - fd_directional(spec, u, v, eps))
@@ -78,12 +80,12 @@ class TestGradient:
         spec = make_spec(nonlinearity="zero", initial=np.full(21, 0.8),
                          target=np.full((21, 21), 0.8))
         u = spec.zero_control()
-        grad = ho.gradient(spec, u)
+        grad = gradient_with_state(spec, u)[0]
         assert np.abs(grad.values).max() < 1e-14
         u2 = random_control(spec, seed=5, scale=0.3)
         spec2 = make_spec(nonlinearity="zero", initial=np.full(21, 0.8),
                           target=ho.solve_forward(spec, u2).values)
-        grad2 = ho.gradient(spec2, u2)
+        grad2 = gradient_with_state(spec2, u2)[0]
         assert np.abs(grad2.values[1:] - spec2.control_weight * u2.values[1:]).max() < 1e-11
 
     def test_linear_problem_gradient_difference_is_hessian_action(self):
@@ -92,8 +94,8 @@ class TestGradient:
         v = random_control(spec, seed=7, scale=0.5)
         w = random_control(spec, seed=8)
         uv = ho.Trajectory(spec.grid, u.values + v.values, "control")
-        g_u = ho.gradient(spec, u)
-        g_uv = ho.gradient(spec, uv)
+        g_u = gradient_with_state(spec, u)[0]
+        g_uv = gradient_with_state(spec, uv)[0]
         lhs = weighted_inner(
             ho.Trajectory(spec.grid, g_uv.values - g_u.values, "control"), w,
             spec.discounts.control_rate, spec.operators.control_weights)
@@ -107,7 +109,7 @@ class TestGradient:
                          target=0.15 * np.ones((21, 21)))
         u = random_control(spec, seed=9, scale=0.3)
         v = random_control(spec, seed=10)
-        grad, state, adjoint = ho.gradient_with_state(spec, u)
+        grad, state, adjoint = gradient_with_state(spec, u)
         via_adjoint = weighted_inner(grad, v, spec.discounts.control_rate,
                                      spec.operators.control_weights)
         z = ho.solve_linearized(spec, state, v)
@@ -132,7 +134,8 @@ class TestGradient:
             from conftest import random_instance
             spec, u = random_instance(seed + 200, kind, name)
             v = random_control(spec, seed=seed + 300)
-            grad = ho.gradient(replace(spec, newton=ho.NewtonConfig(tolerance=1e-13)), u)
+            tight = replace(spec, newton=ho.NewtonConfig(tolerance=1e-13))
+            grad = gradient_with_state(tight, u)[0]
             val = weighted_inner(grad, v, spec.discounts.control_rate,
                                  spec.operators.control_weights)
             best = min(abs(val - fd_directional(spec, u, v, eps))
@@ -400,7 +403,7 @@ class TestFirstOrderDensity:
         spec = make_spec(nonlinearity="cubic", initial=0.3 * np.ones(21),
                          target=0.2 * np.ones((21, 21)))
         u = random_control(spec, seed=25, scale=0.2)
-        grad, state, adjoint = ho.gradient_with_state(spec, u)
+        grad, state, adjoint = gradient_with_state(spec, u)
         v = random_control(spec, seed=26)
         d1 = density_pairing(spec, u, adjoint, v)
         d2 = weighted_inner(grad, v, spec.discounts.control_rate,
@@ -410,7 +413,7 @@ class TestFirstOrderDensity:
     def test_density_rows_scale_with_discount(self):
         spec = make_spec()
         u = random_control(spec, seed=27, scale=0.2)
-        _, _, adjoint = ho.gradient_with_state(spec, u)
+        _, _, adjoint = gradient_with_state(spec, u)
         dens = first_order_density(spec, u, adjoint)
         g = riesz_gradient(spec, u, adjoint)
         t = spec.grid.times

@@ -300,35 +300,24 @@ class TestGrowthMatchesPerSampleReference:
 
 
 class TestFactorizationCounts:
-    """``_StepSolver.factor`` calls, counted by wrapping them; in 2D each call
-    factors one block."""
+    """2D ``_StepSolver.factor`` calls, each of which factors one block, and
+    step solves, as the ``step_calls`` fixture counts them."""
 
-    @staticmethod
-    def counting_factor(monkeypatch, spec):
-        blocks, stepper_type = [], type(spec.step_operator)
-        factor = stepper_type.factor
-
-        def counted(self, d):
-            blocks.append(d)
-            return factor(self, d)
-
-        monkeypatch.setattr(stepper_type, "factor", counted)
-        return blocks
-
-    def test_2d_growth_probe_factors_a_few_blocks_per_sample(self, monkeypatch):
+    def test_2d_growth_probe_factors_a_few_blocks_per_sample(self, step_calls):
         # 12 samples over 20 time steps: refactoring at every step would make
         # 240 blocks, carrying factorizations across steps makes 24; the bound
         # is 3 blocks per sample whatever the number of steps
         spec = rectangle_spec((5, 4), seed=2, horizon=1.0)
         u = TestGrowthMatchesPerSampleReference.admissible_control(spec, seed=5)
         state = ho.solve_forward(spec, u)
-        blocks = self.counting_factor(monkeypatch, spec)
+        blocks = step_calls["factor"]
+        blocks.clear()
         growth = verify_growth(spec, u, state, radius=0.3, samples=12, seed=6)
         assert len(growth.margins) == 12 and spec.grid.n_steps == 20
         assert len(blocks) <= 3 * len(growth.margins)
 
     def test_lagrangian_form_around_the_returned_2d_state_reuses_its_factors(self,
-                                                                             monkeypatch):
+                                                                             step_calls):
         # the optimizer's returned state keeps the factorizations of its
         # forward solve, and its last adjoint march fills the slot of S_N,
         # which no forward step makes: the batched march of the form factors
@@ -341,7 +330,8 @@ class TestFactorizationCounts:
         directions = [random_control(spec, seed=30 + b) for b in range(3)]
         bare = ho.Trajectory(spec.grid, report.state.values, "state")
         models = [ho.SecondOrderModel(spec, y, report.adjoint) for y in (report.state, bare)]
-        blocks = self.counting_factor(monkeypatch, spec)
+        blocks = step_calls["factor"]
+        blocks.clear()
         forms = models[0].lagrangian_form(directions, multiplier)
         n = spec.grid.n_steps
         last = spec.step_operator.shifted(spec.nonlinearity.derivative(report.state.values[n]))
@@ -350,21 +340,16 @@ class TestFactorizationCounts:
         assert len(blocks) == n
 
     def test_a_small_2d_socheck_makes_a_pinned_number_of_factorizations_and_solves(
-            self, monkeypatch, tmp_path):
+            self, step_calls, tmp_path):
         # the 2D step kernels may get faster, but not by taking another
         # Newton path: one 8x8 socheck's band Cholesky factorizations and
         # step solves, counted per call, are pinned
-        stepper_type, calls = ho.problem._StepSolver, {"factor": 0, "solve": 0}
-        for name in calls:
-            def counted(self, *args, name=name, method=getattr(stepper_type, name)):
-                calls[name] += self.k > 1
-                return method(self, *args)
-            monkeypatch.setattr(stepper_type, name, counted)
         assert main(["socheck", "--config", str(CONFIG_DIR / "ball_cubic.json"),
                      "--set", "mesh.dimension=2", "--set", "mesh.shape=[8,8]",
                      "--set", "mesh.control.box=[[0.2,0.8],[0.2,0.8]]",
                      "--samples", "4", "--directions", "2", "--out", str(tmp_path / "so")]) == 0
-        assert calls == {"factor": 601, "solve": 2604}
+        assert {name: len(calls) for name, calls in step_calls.items()} == {"factor": 601,
+                                                                           "solve": 2604}
 
 
 class TestConfigValidation:

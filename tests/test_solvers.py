@@ -16,12 +16,15 @@ import horizonopt as ho
 from horizonopt import solvers
 from horizonopt.admissible import project_values
 from horizonopt.descriptors import Field, SpaceProfile, TimeProfile
+from horizonopt.objective import gradient_with_state
 from horizonopt.problem import _sparse_product, band_storage
 from horizonopt.solvers import CARRY, SolverError, _linear_march, solve_adjoint_from_residual
 from horizonopt.spaces import weighted_sup_norm
 
-from conftest import make_spec, model_at, random_control, read_trajectory, rectangle_spec
-from oracles import (reference_adjoint, reference_forward, rk4,
+from conftest import (counting_step_calls, make_spec, model_at, random_control, read_trajectory,
+                      rectangle_spec)
+from oracles import (ESTIMATE_SLACK, energy_estimate, linearized_estimate,
+                     reference_adjoint, reference_forward, rk4,
                      scalar_adjoint_recursion, scalar_forward_recursion,
                      scalar_newton_recursion)
 
@@ -252,11 +255,13 @@ class TestAdjoint:
 
 
 class TestEnergyEstimates:
+    """The discrete a-priori estimates of oracles.py, each held within
+    ``ESTIMATE_SLACK``."""
+
     def test_zero_data_trivially_satisfied(self):
         spec = make_spec(nonlinearity="zero", initial=np.zeros(21))
         u = spec.zero_control()
-        report = ho.check_energy_estimate(spec, u, ho.solve_forward(spec, u), 1.0)
-        assert report.lhs == 0.0 and report.rhs == 0.0 and report.satisfied
+        assert energy_estimate(spec, u, ho.solve_forward(spec, u), 1.0) == (0.0, 0.0)
 
     def test_constant_state_closed_form(self):
         # no diffusion decay (reaction 0, no forcing): the state stays 1 and
@@ -265,10 +270,9 @@ class TestEnergyEstimates:
                          step=0.01)
         rate = 1.0
         u = spec.zero_control()
-        report = ho.check_energy_estimate(spec, u, ho.solve_forward(spec, u), rate)
-        assert report.rhs == pytest.approx(2.0, rel=1e-12)
-        assert report.lhs <= report.rhs
-        assert report.satisfied
+        lhs, rhs = energy_estimate(spec, u, ho.solve_forward(spec, u), rate)
+        assert rhs == pytest.approx(2.0, rel=1e-12)
+        assert lhs <= rhs
 
     def test_estimate_holds_on_seeded_suite(self):
         rng = np.random.default_rng(30)
@@ -281,8 +285,8 @@ class TestEnergyEstimates:
             u = random_control(spec, seed=100 + k, scale=0.3)
             state = ho.solve_forward(spec, u)
             for rate in rates:
-                report = ho.check_energy_estimate(spec, u, state, rate)
-                assert report.satisfied, (name, rate, report.lhs, report.rhs)
+                lhs, rhs = energy_estimate(spec, u, state, rate)
+                assert lhs <= rhs * (1.0 + ESTIMATE_SLACK), (name, rate, lhs, rhs)
 
     def test_linearized_estimate_with_stability_constant(self):
         rng = np.random.default_rng(40)
@@ -292,22 +296,8 @@ class TestEnergyEstimates:
         h = rng.standard_normal((spec.grid.n_steps + 1, 21))
         state = ho.solve_forward(spec, u)
         for rate in (1.0, 0.12, 0.56):
-            report = ho.check_linearized_estimate(spec, state, h, rate)
-            assert report.satisfied, (rate, report.lhs, report.rhs)
-
-    @pytest.mark.parametrize("name, rate, floor", [("cubic_minus_linear", 1.5, "2"),
-                                                   ("cubic", 0.0, "0")],
-                             ids=["cubic_minus_linear", "cubic"])
-    def test_rate_out_of_range_raises(self, name, rate, floor):
-        # the floor is -2*min_slope, which reads 0, not -0, at min_slope 0
-        spec = make_spec(nonlinearity=name, state_rate=12.0, aux_rate=2.2)
-        u = spec.zero_control()
-        state = ho.solve_forward(spec, u)
-        message = f"^rate must exceed {floor} for this estimate$"
-        with pytest.raises(ValueError, match=message):
-            ho.check_energy_estimate(spec, u, state, rate)
-        with pytest.raises(ValueError, match=message):
-            ho.check_linearized_estimate(spec, state, np.zeros_like(state.values), rate)
+            lhs, rhs = linearized_estimate(spec, state, h, rate)
+            assert lhs <= rhs * (1.0 + ESTIMATE_SLACK), (rate, lhs, rhs)
 
 
 class TestLipschitzStability:
@@ -371,7 +361,7 @@ class TestTwoDimensional:
         nc = spec.control_count
         u = ho.Trajectory(spec.grid, 0.2 * rng.standard_normal((9, nc)), "control")
         v = ho.Trajectory(spec.grid, rng.standard_normal((9, nc)), "control")
-        grad = ho.gradient(spec, u)
+        grad = gradient_with_state(spec, u)[0]
         val = weighted_inner(grad, v, spec.discounts.control_rate,
                              spec.operators.control_weights)
         eps = 1e-5
@@ -538,7 +528,7 @@ class TestKernelsMatchReference:
         assert np.array_equal(phi.values, reference_adjoint(spec, spec.step_operator, y, residual,
                                                             rate, masked))
 
-    def test_zero_data_hands_over_no_factors(self, monkeypatch):
+    def test_zero_data_hands_over_no_factors(self, step_calls):
         # zero initial state, source and control: every step starts converged,
         # so no Newton iteration factors anything; the state never changes,
         # so the adjoint factors S_N once and reuses it at every step
@@ -550,16 +540,8 @@ class TestKernelsMatchReference:
         expected = reference_adjoint(spec, spec.step_operator, y, y.values - spec.target_samples,
                                      spec.discounts.state_rate, True)
         assert expected.any()
-        made = []
-        factor = type(spec.step_operator).factor
-
-        def counted(self, d):
-            made.append(d)
-            return factor(self, d)
-
-        monkeypatch.setattr(type(spec.step_operator), "factor", counted)
         assert np.array_equal(ho.solve_adjoint(spec, y).values, expected)
-        assert len(made) == 1
+        assert len(step_calls["factor"]) == 1
 
     def test_1d_and_batches_hand_over_nothing(self):
         spec = small_spec_of(1, 4, 0)
@@ -593,15 +575,8 @@ class TestKernelsMatchReference:
         y = ho.solve_forward(spec, random_control(spec, seed=seed, scale=scale))
         bare = ho.Trajectory(y.grid, y.values, "state")
         directions = [random_control(spec, seed=seed + k) for k in (1, 2)]
-        stepper_type = type(spec.step_operator)
-        factor = stepper_type.factor
-        made = []
 
-        def counted(self, d):
-            made.append(d)
-            return factor(self, d)
-
-        def marches(base):
+        def marches(base, made):
             # the values of each march and the factorizations each one made
             made.clear()
             adjoint = ho.solve_adjoint(spec, base)
@@ -612,10 +587,11 @@ class TestKernelsMatchReference:
             counts.append(len(made) - sum(counts))
             return [t.values for t in (adjoint, z1, z2, z12)], counts
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(stepper_type, "factor", counted)
-            owned, owned_counts = marches(y)
-            plain, plain_counts = marches(bare)
+        # a context, not the fixture: a property test's examples share one
+        # fixture instance
+        with counting_step_calls() as calls:
+            owned, owned_counts = marches(y, calls["factor"])
+            plain, plain_counts = marches(bare, calls["factor"])
         assert all(np.array_equal(a, b) for a, b in zip(owned, plain))
         assert all(a < b for a, b in zip(owned_counts, plain_counts))
 
@@ -688,24 +664,15 @@ class TestStepEquationHolds:
 
 
 class TestSimplifiedNewton:
-    def test_a_smooth_2d_solve_factors_once_per_iterating_step(self, monkeypatch):
+    def test_a_smooth_2d_solve_factors_once_per_iterating_step(self, step_calls):
         # a smooth control contracts fast enough that every step keeps the
         # factorization of its first Newton iteration: one band Cholesky
         # block per step that iterates, each kept in the state's factors
         spec = small_spec_of(2, 4, seed=3)
-        stepper_type = type(spec.step_operator)
-        factor = stepper_type.factor
-        blocks = []
-
-        def counted(self, d):
-            blocks.append(d)
-            return factor(self, d)
-
-        monkeypatch.setattr(stepper_type, "factor", counted)
         y = ho.solve_forward(spec, random_control(spec, seed=0, scale=0.2))
         iterating = sum(pair is not None for pair in y.factors)
         assert iterating == spec.grid.n_steps
-        assert len(blocks) == iterating
+        assert len(step_calls["factor"]) == iterating
 
 
 # every nonlinearity the march evaluates in place; each rounds on its own
@@ -992,6 +959,20 @@ class TestBatchedForwardFailure:
         ho.solve_forward(spec, good)
         own = self.own_error(spec, bad)
         assert own.step == 1 and own.history
+        for batch in ([good, bad], [bad, good]):
+            assert self.same_error(self.own_error(spec, batch), own)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_overflowing_sample_raises_at_its_step_without_a_warning(self, dimension):
+        # a control of 1e300 from row 3 on overflows the residual norm at the
+        # start of step 3: that sample raises there, alone and in a list
+        spec = small_spec_of(dimension, 4, seed=3)
+        good = random_control(spec, seed=0, scale=0.2)
+        bad = random_control(spec, seed=1, scale=0.2)
+        bad.values[3:] = 1e300
+        own = self.own_error(spec, bad)
+        assert str(own) == "non-finite residual at time step 3" and own.step == 3
         for batch in ([good, bad], [bad, good]):
             assert self.same_error(self.own_error(spec, batch), own)
 
